@@ -111,14 +111,21 @@ SparseBitVector ClusterAliasAnalysis::walkOrigins(SummaryEngine &E, VarId V,
   return Objects;
 }
 
-ClusterAliasAnalysis::PointsToResult
-ClusterAliasAnalysis::pointsTo(VarId V, LocId Loc) {
+const ClusterAliasAnalysis::PointsToResult &
+ClusterAliasAnalysis::pointsToRef(VarId V, LocId Loc) {
   ensurePrepared();
-  PointsToResult Out;
-  Out.Objects = walkOrigins(*Engine, V, Loc).toVector();
-  Out.Complete =
+  MemoEntry &M = AnswerMemo[(uint64_t(V) << 32) | Loc];
+  uint64_t Before = Engine->version();
+  if (M.Version == Before)
+    return M.Answer;
+  ++NumWalks;
+  M.Answer.Objects = walkOrigins(*Engine, V, Loc).toVector();
+  M.Answer.Complete =
       !Engine->budgetExhausted() && !Engine->hasApproximation();
-  return Out;
+  // A walk that changed the engine (new keys, results, flags) is not a
+  // function of the state it started from; the next query re-walks.
+  M.Version = Engine->version() == Before ? Before : MemoEntry::Stale;
+  return M.Answer;
 }
 
 SummaryEngine &ClusterAliasAnalysis::definiteEngine() {
@@ -161,8 +168,9 @@ ClusterAliasAnalysis::pointsToDefinite(VarId V, LocId Loc) {
 bool ClusterAliasAnalysis::mayAlias(VarId A, VarId B, LocId Loc) {
   if (A == B)
     return true;
-  PointsToResult PA = pointsTo(A, Loc);
-  PointsToResult PB = pointsTo(B, Loc);
+  // A != B: the two references name distinct memo entries.
+  const PointsToResult &PA = pointsToRef(A, Loc);
+  const PointsToResult &PB = pointsToRef(B, Loc);
   // Sorted vectors: linear intersection test.
   size_t I = 0, J = 0;
   while (I < PA.Objects.size() && J < PB.Objects.size()) {
@@ -179,8 +187,8 @@ bool ClusterAliasAnalysis::mayAlias(VarId A, VarId B, LocId Loc) {
 bool ClusterAliasAnalysis::mustAlias(VarId A, VarId B, LocId Loc) {
   if (A == B)
     return true;
-  PointsToResult PA = pointsTo(A, Loc);
-  PointsToResult PB = pointsTo(B, Loc);
+  const PointsToResult &PA = pointsToRef(A, Loc);
+  const PointsToResult &PB = pointsToRef(B, Loc);
   return PA.Complete && PB.Complete && PA.Objects.size() == 1 &&
          PA.Objects == PB.Objects;
 }

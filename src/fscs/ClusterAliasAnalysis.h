@@ -31,6 +31,7 @@
 #include "ir/CallGraph.h"
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 namespace bsaa {
@@ -113,7 +114,21 @@ public:
   //===--------------------------------------------------------------===//
 
   /// Objects \p V may point to just before \p Loc, in any context.
-  PointsToResult pointsTo(ir::VarId V, ir::LocId Loc);
+  /// Answers are memoized per (V, Loc): a walk that left the engine's
+  /// version() unchanged is stored, and served again for as long as the
+  /// version still matches, so every served answer is byte-identical to
+  /// a re-walk (see SummaryEngine::version()).
+  PointsToResult pointsTo(ir::VarId V, ir::LocId Loc) {
+    return pointsToRef(V, Loc);
+  }
+
+  /// pointsTo() without the copy: a reference into the answer memo,
+  /// valid until the next pointsTo of the same (V, Loc) or the
+  /// analysis is destroyed.
+  const PointsToResult &pointsToRef(ir::VarId V, ir::LocId Loc);
+
+  /// Number of pointsTo walks run so far (answer-memo misses).
+  uint64_t numWalks() const { return NumWalks; }
 
   /// May-alias at \p Loc: origin sets intersect.
   bool mayAlias(ir::VarId A, ir::VarId B, ir::LocId Loc);
@@ -158,6 +173,14 @@ private:
     size_t InjectedMemoSize = 0;
   };
 
+  /// One memoized pointsTo answer; served only while Version equals
+  /// the engine's version().
+  struct MemoEntry {
+    static constexpr uint64_t Stale = ~uint64_t(0);
+    uint64_t Version = Stale;
+    PointsToResult Answer;
+  };
+
   void ensurePrepared();
   SparseBitVector walkOrigins(SummaryEngine &E, ir::VarId V, ir::LocId Loc);
   SummaryEngine &definiteEngine();
@@ -171,6 +194,8 @@ private:
   std::unique_ptr<PartialState> Partial;
   DovetailStats DoveStats;
   bool Prepared = false;
+  std::unordered_map<uint64_t, MemoEntry> AnswerMemo; ///< By (V, Loc).
+  uint64_t NumWalks = 0;
 };
 
 } // namespace fscs

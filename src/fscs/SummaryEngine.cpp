@@ -129,6 +129,7 @@ SummaryEngine::KeyId SummaryEngine::ensureKey(LocId Loc, Ref R) {
   St.Keys[K].AnchorLoc = Loc;
   St.Keys[K].R = R;
   St.KeyIndex.emplace(MapKey, K);
+  ++Version;
 
   if (R.Deref < 0) {
     // &o is already an origin.
@@ -176,6 +177,7 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
   Tuple.Origin = Origin;
   Tuple.Cond = Effective;
   St.Keys[K].Results.push_back(std::move(Tuple));
+  ++Version;
   // Queue the key for waiter feeding; doing it inline would recurse
   // through result -> splice -> result chains and overflow the stack on
   // deep explorations.
@@ -269,6 +271,20 @@ void SummaryEngine::propagate(KeyId K, LocId M, Ref Q,
     enqueue(K, TraversalTuple{P, Q, Cond});
 }
 
+void SummaryEngine::flagBudgetHit() {
+  if (!St.BudgetHit) {
+    St.BudgetHit = true;
+    ++Version;
+  }
+}
+
+void SummaryEngine::flagApproximated() {
+  if (!St.Approximated) {
+    St.Approximated = true;
+    ++Version;
+  }
+}
+
 void SummaryEngine::drain() {
   while (!ActiveKeys.empty() || !PendingFeeds.empty()) {
     if (!PendingFeeds.empty()) {
@@ -284,7 +300,7 @@ void SummaryEngine::drain() {
     KeyActive[K] = 0;
     while (!St.Keys[K].WL.empty()) {
       if (Opts.StepBudget && St.Steps >= Opts.StepBudget) {
-        St.BudgetHit = true;
+        flagBudgetHit();
         return;
       }
       TraversalTuple T = std::move(St.Keys[K].WL.front());
@@ -491,7 +507,7 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
           Candidates = Steens.partitionMembers(Succ);
       }
       if (Candidates.size() > Opts.MaxDerefFanout) {
-        St.Approximated = true;
+        flagApproximated();
         Candidates.resize(Opts.MaxDerefFanout);
       }
       for (VarId O : Candidates) {
@@ -679,6 +695,7 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
 
   FsciInProgress.erase(V);
   auto [Ins, _] = St.FsciMemo.emplace(MapKey, std::move(Objects));
+  ++Version;
   return Ins->second;
 }
 
@@ -742,6 +759,7 @@ uint64_t SummaryEngine::State::approxBytes() const {
 
 void SummaryEngine::importState(State S) {
   St = std::move(S);
+  ++Version;
   // Rebuild the transient scheduling scaffolding so the restored engine
   // picks up exactly where the exporting engine stopped: keys with
   // pending worklist tuples reactivate (they only exist when the export

@@ -153,6 +153,16 @@ public:
   /// by an explicit "unknown" marker rather than enumeration).
   bool hasApproximation() const { return St.Approximated; }
 
+  /// Monotone version of everything a points-to walk over this engine
+  /// reads: bumped on a new summary key, an added result tuple, a new
+  /// FSCI memo entry, the first BudgetHit / Approximated flip, and
+  /// importState(). Traversal steps that change none of these do not
+  /// bump it. Two walks that see the same version read the same state,
+  /// so a walk that left the version unchanged is a pure function of
+  /// it: ClusterAliasAnalysis memoizes such answers and serves them
+  /// while the version still matches.
+  uint64_t version() const { return Version; }
+
   uint64_t stepsUsed() const { return St.Steps; }
   uint64_t numSummaryTuples() const;
   uint64_t numKeys() const { return St.Keys.size(); }
@@ -261,6 +271,8 @@ private:
   void processTuple(KeyId K, const TraversalTuple &T);
   void handleCall(KeyId K, const TraversalTuple &T);
   void propagate(KeyId K, ir::LocId M, ir::Ref Q, const Condition &Cond);
+  void flagBudgetHit();
+  void flagApproximated();
 
   //===--------------------------------------------------------------===//
   // Transfer function (Algorithm 4)
@@ -332,6 +344,7 @@ private:
   /// The memoized product (see State above). Everything below it is
   /// transient or derived.
   State St;
+  uint64_t Version = 0; ///< See version().
 
   std::deque<KeyId> ActiveKeys;
   std::vector<uint8_t> KeyActive;

@@ -7,17 +7,19 @@
 /// \file
 /// The serving front end over QuerySnapshot:
 ///
-///  * QueryEngine multiplexes queries onto the current snapshot through
-///    one mutex-guarded shared_ptr whose critical section is a single
-///    pointer copy. publish() swaps snapshots without waiting for
-///    readers: a reader that loaded the old snapshot keeps answering
-///    against it (it stays alive through their shared_ptr), so an
-///    update never blocks in-flight queries and no reader ever
-///    observes a half-updated view. (libstdc++'s
-///    atomic<shared_ptr> would make the swap lock-free, but its
-///    spin-bit protocol unlocks reads with memory_order_relaxed, which
-///    is a formal data race TSan rightly reports — the plain mutex is
-///    uncontended in practice since readers pin once per batch.)
+///  * QueryEngine multiplexes queries onto the current snapshot.
+///    read() pins it through the calling thread's reader slot -- two
+///    stores to a cache line no other thread writes plus one atomic
+///    load -- without a lock and without touching the shared_ptr
+///    refcount, both of which serialized four warm clients on one
+///    line. publish() swaps snapshots without waiting for readers: a
+///    reader that pinned the old snapshot keeps answering against it,
+///    because publish() retires the old owner and releases it only
+///    once every reader slot that was active at the swap has exited
+///    (checked at publish(), in snapshot() and in the destructor). No
+///    update blocks in-flight queries and no reader ever observes a
+///    half-updated view. snapshot() still hands out shared_ptrs, under
+///    a mutex, for callers that pin a version across many calls.
 ///  * evalMayAlias() runs a query batch through the shared ThreadPool,
 ///    chunked so each worker grabs the snapshot pointer once.
 ///  * AliasService glues core::IncrementalDriver to the engine:
@@ -32,7 +34,9 @@
 
 #include "core/IncrementalDriver.h"
 #include "query/QuerySnapshot.h"
+#include "support/ThreadSlots.h"
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -54,30 +58,35 @@ struct MayAliasQuery {
 class QueryEngine {
 public:
   QueryEngine() = default;
+  /// Precondition: no read() is in flight.
+  ~QueryEngine();
+
+  QueryEngine(const QueryEngine &) = delete;
+  QueryEngine &operator=(const QueryEngine &) = delete;
 
   /// Installs \p Snap as the snapshot served from now on. Queries
   /// already running against the previous snapshot finish against it
-  /// unperturbed; the old snapshot is released outside the lock.
-  void publish(std::shared_ptr<const QuerySnapshot> Snap) {
-    std::shared_ptr<const QuerySnapshot> Old;
-    {
-      std::lock_guard<std::mutex> Lock(CurrentMutex);
-      Old = std::move(Current);
-      Current = std::move(Snap);
-    }
-    // Old's destructor (potentially the last reference to a whole
-    // analysis snapshot) runs here, after the lock is dropped.
-  }
+  /// unperturbed; it is released (outside the lock) once they have all
+  /// exited -- here, or at a later publish() or snapshot().
+  void publish(std::shared_ptr<const QuerySnapshot> Snap);
 
   /// The snapshot currently served (null before the first publish).
   /// Holding the returned pointer pins that version for as long as the
   /// caller needs consistent multi-query reads.
-  std::shared_ptr<const QuerySnapshot> snapshot() const {
-    std::lock_guard<std::mutex> Lock(CurrentMutex);
-    return Current;
+  std::shared_ptr<const QuerySnapshot> snapshot() const;
+
+  bool hasSnapshot() const {
+    return Current.load(std::memory_order_acquire) != nullptr;
   }
 
-  bool hasSnapshot() const { return snapshot() != nullptr; }
+  /// Calls \p F with the current snapshot (null before the first
+  /// publish), pinned for the duration of the call, and returns its
+  /// result. The pin is lock-free and per thread; \p F may nest
+  /// further reads but must not keep the pointer past its return.
+  template <class Fn> decltype(auto) read(Fn &&F) const {
+    Pin P(*this);
+    return F(P.get());
+  }
 
   /// Single-query conveniences. Precondition: a snapshot is published.
   AliasAnswer mayAlias(ir::VarId A, ir::VarId B) const;
@@ -102,8 +111,52 @@ public:
                                     ThreadPool *Pool = nullptr) const;
 
 private:
-  mutable std::mutex CurrentMutex;
-  std::shared_ptr<const QuerySnapshot> Current;
+  /// A thread's reader slot. Seq is odd while the thread is inside a
+  /// read() (outermost level; Depth counts nesting) and moves on every
+  /// enter and exit, so "Seq differs from the odd value recorded at a
+  /// swap" means the reader active at the swap has exited.
+  struct ReaderSlot {
+    std::atomic<uint64_t> Seq{0};
+    uint32_t Depth = 0; ///< Only the owning thread touches it.
+  };
+
+  /// Pins the current snapshot for one read(). Threads beyond
+  /// support::MaxThreadSlots have no slot of their own and pin through
+  /// a snapshot() shared_ptr instead.
+  class Pin {
+  public:
+    explicit Pin(const QueryEngine &E);
+    ~Pin();
+    Pin(const Pin &) = delete;
+    Pin &operator=(const Pin &) = delete;
+    const QuerySnapshot *get() const { return Snap; }
+
+  private:
+    ReaderSlot *Slot = nullptr;
+    const QuerySnapshot *Snap = nullptr;
+    std::shared_ptr<const QuerySnapshot> Held;
+  };
+
+  /// An owner replaced by publish(), with the (slot, odd Seq) pairs of
+  /// the readers active at the swap.
+  struct Retired {
+    std::shared_ptr<const QuerySnapshot> Snap;
+    std::vector<std::pair<unsigned, uint64_t>> Waits;
+  };
+
+  /// Moves every retired owner whose readers have all exited into
+  /// \p Free (destroyed by the caller, outside the lock). Caller holds
+  /// OwnerMutex.
+  void reclaimLocked(
+      std::vector<std::shared_ptr<const QuerySnapshot>> &Free) const;
+
+  /// The served snapshot, as read by Pin.
+  std::atomic<const QuerySnapshot *> Current{nullptr};
+  mutable support::PerThread<ReaderSlot> Readers;
+
+  mutable std::mutex OwnerMutex; ///< Guards Owner and RetiredOwners.
+  std::shared_ptr<const QuerySnapshot> Owner; ///< Owns *Current.
+  mutable std::vector<Retired> RetiredOwners;
 };
 
 /// IncrementalDriver + QueryEngine, wired so that every program update

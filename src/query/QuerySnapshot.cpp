@@ -56,7 +56,11 @@ bool sortedIntersects(const std::vector<ir::VarId> &A,
 }
 
 void mergeSortedUnique(std::vector<ir::VarId> &Into,
-                       std::vector<ir::VarId> From) {
+                       const std::vector<ir::VarId> &From) {
+  if (Into.empty()) {
+    Into = From;
+    return;
+  }
   Into.insert(Into.end(), From.begin(), From.end());
   std::sort(Into.begin(), Into.end());
   Into.erase(std::unique(Into.begin(), Into.end()), Into.end());
@@ -82,7 +86,8 @@ QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
                              QueryOptions OptsIn,
                              std::shared_ptr<fscs::SummaryCache> CacheIn)
     : Prog(std::move(P)), Cover(std::move(CoverIn)), Opts(std::move(OptsIn)),
-      Cache(std::move(CacheIn)), CG(*Prog), Steens(*Prog) {
+      Cache(std::move(CacheIn)), CG(*Prog), Steens(*Prog),
+      Entries(new Entry[Cover.size()]) {
   Steens.run();
   if (Cache)
     ProgFP = core::programFingerprint(*Prog);
@@ -122,65 +127,86 @@ const std::vector<uint32_t> &QuerySnapshot::clustersOf(ir::VarId V) const {
 // Materialization
 //===----------------------------------------------------------------------===//
 
-std::shared_ptr<QuerySnapshot::Entry>
-QuerySnapshot::materialize(uint32_t ClusterIdx) const {
-  std::shared_ptr<Entry> E;
-  {
-    std::lock_guard<std::mutex> Lock(LruMutex);
-    auto It = Resident.find(ClusterIdx);
-    if (It != Resident.end()) {
-      LruOrder.splice(LruOrder.begin(), LruOrder, LruPos[ClusterIdx]);
-      E = It->second;
-    } else {
-      E = std::make_shared<Entry>();
-      Resident.emplace(ClusterIdx, E);
-      LruOrder.push_front(ClusterIdx);
-      LruPos[ClusterIdx] = LruOrder.begin();
-      size_t Cap = std::max<size_t>(1, Opts.MaxMaterializedClusters);
-      while (Resident.size() > Cap) {
-        uint32_t Victim = LruOrder.back();
-        LruOrder.pop_back();
-        LruPos.erase(Victim);
-        // Readers holding the evicted entry's shared_ptr keep it alive;
-        // it just stops being findable (and re-materializes next time).
-        Resident.erase(Victim);
-        NumEvictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+std::unique_lock<std::mutex>
+QuerySnapshot::acquire(uint32_t ClusterIdx) const {
+  Entry &E = Entries[ClusterIdx];
+  // Test first: a bit that is already set costs no cache-line write.
+  if (!E.Referenced.load(std::memory_order_relaxed))
+    E.Referenced.store(true, std::memory_order_relaxed);
+  std::unique_lock<std::mutex> Lock(E.M);
+  if (!E.AA) {
+    // Materializing one cluster holds only its own entry lock, so it
+    // never blocks queries against others; waiters for *this* cluster
+    // queue behind the construction.
+    materializeLocked(ClusterIdx, E);
+    size_t Cap = std::max<size_t>(1, Opts.MaxMaterializedClusters);
+    if (NumResident.load(std::memory_order_relaxed) > Cap)
+      evict(Cap, ClusterIdx);
   }
+  return Lock;
+}
 
-  // Construct outside the LRU lock so materializing one cluster never
-  // blocks queries against others; the per-entry mutex makes waiters
-  // for *this* cluster queue behind the construction.
-  std::lock_guard<std::mutex> Lock(E->M);
-  if (!E->AA) {
-    auto AA = std::make_unique<fscs::ClusterAliasAnalysis>(
-        *Prog, CG, Steens, Cover[ClusterIdx], Opts.EngineOpts);
-    NumMaterializations.fetch_add(1, std::memory_order_relaxed);
-    bool Adopted = false;
-    if (Cache) {
-      support::Digest Key =
-          fscs::clusterSummaryKey(ProgFP, Cover[ClusterIdx], Opts.EngineOpts);
-      if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
-              Cache->lookup(Key)) {
-        fscs::SummaryEngine::State S = Hit->Engine;
-        AA->adoptState(std::move(S), Hit->Dove);
-        NumCacheAdoptions.fetch_add(1, std::memory_order_relaxed);
-        Adopted = true;
-      }
+void QuerySnapshot::materializeLocked(uint32_t ClusterIdx, Entry &E) const {
+  auto AA = std::make_unique<fscs::ClusterAliasAnalysis>(
+      *Prog, CG, Steens, Cover[ClusterIdx], Opts.EngineOpts);
+  NumMaterializations.fetch_add(1, std::memory_order_relaxed);
+  bool Adopted = false;
+  if (Cache) {
+    support::Digest Key =
+        fscs::clusterSummaryKey(ProgFP, Cover[ClusterIdx], Opts.EngineOpts);
+    if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
+            Cache->lookup(Key)) {
+      fscs::SummaryEngine::State S = Hit->Engine;
+      AA->adoptState(std::move(S), Hit->Dove);
+      NumCacheAdoptions.fetch_add(1, std::memory_order_relaxed);
+      Adopted = true;
     }
-    if (Adopted || !Opts.DemandMode) {
-      // Cache replay is already the cheap path, and eager mode pays the
-      // full preparation up front by definition.
-      if (!Adopted)
-        AA->prepare();
-      E->Phase.store(EntryPhase::Full, std::memory_order_relaxed);
-    }
-    // Demand mode without a cached run: leave the entry Cold. The query
-    // path advances it Cold -> Partial -> Full on demand.
-    E->AA = std::move(AA);
   }
-  return E;
+  if (Adopted || !Opts.DemandMode) {
+    // Cache replay is already the cheap path, and eager mode pays the
+    // full preparation up front by definition.
+    if (!Adopted)
+      AA->prepare();
+    E.Phase.store(EntryPhase::Full, std::memory_order_relaxed);
+  }
+  // Demand mode without a cached run: leave the entry Cold. The query
+  // path advances it Cold -> Partial -> Full on demand.
+  E.AA = std::move(AA);
+  NumResident.fetch_add(1, std::memory_order_relaxed);
+}
+
+size_t QuerySnapshot::evict(size_t Target, uint32_t Keep) const {
+  std::lock_guard<std::mutex> Lock(EvictMutex);
+  const size_t N = Cover.size();
+  size_t Evicted = 0;
+  // The first sweep clears reference bits; from the third on they are
+  // ignored, so queries that keep re-referencing entries cannot stall
+  // the hand. Entries locked by a query are in use and skipped: the
+  // hand only ever try-locks, so a caller holding its own entry (Keep)
+  // cannot deadlock against it.
+  for (size_t Step = 0;
+       NumResident.load(std::memory_order_relaxed) > Target && Step < 3 * N;
+       ++Step) {
+    uint32_t CI = Hand;
+    Hand = static_cast<uint32_t>((Hand + 1) % N);
+    Entry &E = Entries[CI];
+    if (CI == Keep)
+      continue;
+    if (Step < 2 * N && E.Referenced.exchange(false, std::memory_order_relaxed))
+      continue;
+    std::unique_lock<std::mutex> EntryLock(E.M, std::try_to_lock);
+    if (!EntryLock.owns_lock() || !E.AA)
+      continue;
+    // A queued promotion job finds AA null (or a fresh Cold analysis
+    // after a re-materialization) and handles both.
+    E.AA.reset();
+    E.PendingWalks.clear();
+    E.Phase.store(EntryPhase::Cold, std::memory_order_relaxed);
+    NumResident.fetch_sub(1, std::memory_order_relaxed);
+    NumEvictions.fetch_add(1, std::memory_order_relaxed);
+    ++Evicted;
+  }
+  return Evicted;
 }
 
 void QuerySnapshot::advancePartialLocked(Entry &E) const {
@@ -208,28 +234,28 @@ void QuerySnapshot::notePendingLocked(Entry &E, ir::VarId V,
   E.PendingWalks.emplace_back(V, Loc);
 }
 
-void QuerySnapshot::schedulePromotionLocked(
-    const std::shared_ptr<Entry> &E) const {
-  if (E->PromotionQueued ||
-      E->Phase.load(std::memory_order_relaxed) == EntryPhase::Full)
+void QuerySnapshot::schedulePromotionLocked(uint32_t ClusterIdx) const {
+  Entry &E = Entries[ClusterIdx];
+  if (E.PromotionQueued ||
+      E.Phase.load(std::memory_order_relaxed) == EntryPhase::Full)
     return;
   ThreadPool *Pool = Opts.PromotionPool.get();
   if (!Pool)
     return; // No pool: the entry keeps serving partially.
-  E->PromotionQueued = true;
+  E.PromotionQueued = true;
   {
     std::lock_guard<std::mutex> Lock(PromoMutex);
     ++PendingPromotions;
   }
   NumPromotionsScheduled.fetch_add(1, std::memory_order_relaxed);
   // The job holds a strong reference to the snapshot: promoteEntry
-  // reads Cover/Prog, which must outlive the job. The pool is external
-  // by contract (see QueryOptions::PromotionPool), so the last release
-  // never joins the pool from one of its own workers.
+  // reads Cover/Prog and the entry, which must outlive the job. The
+  // pool is external by contract (see QueryOptions::PromotionPool), so
+  // the last release never joins the pool from one of its own workers.
   std::shared_ptr<const QuerySnapshot> Self = shared_from_this();
-  if (!Pool->submit([Self, E] { Self->promoteEntry(*E); })) {
+  if (!Pool->submit([Self, ClusterIdx] { Self->promoteEntry(ClusterIdx); })) {
     // Pool already shutting down; roll the accounting back.
-    E->PromotionQueued = false;
+    E.PromotionQueued = false;
     NumPromotionsScheduled.fetch_sub(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> Lock(PromoMutex);
     --PendingPromotions;
@@ -237,7 +263,8 @@ void QuerySnapshot::schedulePromotionLocked(
   }
 }
 
-void QuerySnapshot::promoteEntry(Entry &E) const {
+void QuerySnapshot::promoteEntry(uint32_t ClusterIdx) const {
+  Entry &E = Entries[ClusterIdx];
   try {
     std::lock_guard<std::mutex> Lock(E.M);
     if (E.AA &&
@@ -252,7 +279,7 @@ void QuerySnapshot::promoteEntry(Entry &E) const {
       std::vector<std::pair<ir::VarId, ir::LocId>> Walks;
       Walks.swap(E.PendingWalks);
       for (std::pair<ir::VarId, ir::LocId> W : Walks)
-        (void)E.AA->pointsTo(W.first, W.second);
+        (void)E.AA->pointsToRef(W.first, W.second);
       E.Phase.store(EntryPhase::Full, std::memory_order_relaxed);
     }
     E.PromotionQueued = false;
@@ -274,21 +301,10 @@ void QuerySnapshot::waitPromotionsIdle() const {
 }
 
 size_t QuerySnapshot::trimResident(size_t MaxResident) const {
-  std::lock_guard<std::mutex> Lock(LruMutex);
-  size_t Evicted = 0;
-  // Same floor as materialize(): the most-recent entry always stays
-  // resident, so a global-budget trim can never race a concurrent
-  // materialization into repeatedly evicting the cluster it serves.
-  size_t Floor = std::max<size_t>(1, MaxResident);
-  while (Resident.size() > Floor && !LruOrder.empty()) {
-    uint32_t Victim = LruOrder.back();
-    LruOrder.pop_back();
-    LruPos.erase(Victim);
-    Resident.erase(Victim);
-    NumEvictions.fetch_add(1, std::memory_order_relaxed);
-    ++Evicted;
-  }
-  return Evicted;
+  // Same floor as acquire(): one entry always stays resident, so a
+  // global-budget trim can never race a concurrent materialization
+  // into repeatedly evicting the cluster it serves.
+  return evict(std::max<size_t>(1, MaxResident), UINT32_MAX);
 }
 
 const analysis::AndersenAnalysis &QuerySnapshot::andersen() const {
@@ -305,24 +321,10 @@ const analysis::AndersenAnalysis &QuerySnapshot::andersen() const {
 // Queries
 //===----------------------------------------------------------------------===//
 
-void QuerySnapshot::countAnswer(AnswerSource S) const {
-  switch (S) {
-  case AnswerSource::Index:
-    NumIndexAnswers.fetch_add(1, std::memory_order_relaxed);
-    break;
-  case AnswerSource::Fscs:
-    NumFscsAnswers.fetch_add(1, std::memory_order_relaxed);
-    break;
-  case AnswerSource::FscsPartial:
-    NumFscsPartialAnswers.fetch_add(1, std::memory_order_relaxed);
-    break;
-  case AnswerSource::Andersen:
-    NumAndersenAnswers.fetch_add(1, std::memory_order_relaxed);
-    break;
-  case AnswerSource::Steensgaard:
-    NumSteensgaardAnswers.fetch_add(1, std::memory_order_relaxed);
-    break;
-  }
+void QuerySnapshot::countWalks(const fscs::ClusterAliasAnalysis &AA,
+                               uint64_t Before) const {
+  if (uint64_t N = AA.numWalks() - Before)
+    Counters.add(WalksCounter, N);
 }
 
 AliasAnswer QuerySnapshot::fallbackMayAlias(ir::VarId A, ir::VarId B) const {
@@ -395,32 +397,38 @@ AliasAnswer QuerySnapshot::mayAliasAt(ir::VarId A, ir::VarId B,
         AnyFallback = true;
         continue;
       }
-      std::shared_ptr<Entry> E = materialize(CI);
-      std::lock_guard<std::mutex> Lock(E->M);
+      std::unique_lock<std::mutex> Lock = acquire(CI);
+      Entry &E = Entries[CI];
       if (Opts.DemandMode &&
-          E->Phase.load(std::memory_order_relaxed) != EntryPhase::Full) {
+          E.Phase.load(std::memory_order_relaxed) != EntryPhase::Full) {
         // Cold-cluster fast path: a bounded warmup plus a definite-only
         // walk. Definite origin sets are subsets of the full ones, so an
         // intersection here is an intersection on the fully prepared
         // analysis too -- the eager path would return the same "yes"
         // (its intersect check precedes the Complete check). No
         // intersection proves nothing; fall through to the full answer.
-        advancePartialLocked(*E);
+        advancePartialLocked(E);
         fscs::ClusterAliasAnalysis::PointsToResult DA =
-            E->AA->pointsToDefinite(A, Loc);
+            E.AA->pointsToDefinite(A, Loc);
         fscs::ClusterAliasAnalysis::PointsToResult DB =
-            E->AA->pointsToDefinite(B, Loc);
+            E.AA->pointsToDefinite(B, Loc);
         if (sortedIntersects(DA.Objects, DB.Objects)) {
-          notePendingLocked(*E, A, Loc);
-          notePendingLocked(*E, B, Loc);
-          schedulePromotionLocked(E);
+          notePendingLocked(E, A, Loc);
+          notePendingLocked(E, B, Loc);
+          schedulePromotionLocked(CI);
           countAnswer(AnswerSource::FscsPartial);
           return {true, AnswerSource::FscsPartial};
         }
-        completeLocked(*E);
+        completeLocked(E);
       }
-      fscs::ClusterAliasAnalysis::PointsToResult PA = E->AA->pointsTo(A, Loc);
-      fscs::ClusterAliasAnalysis::PointsToResult PB = E->AA->pointsTo(B, Loc);
+      // A != B, so the two references name distinct memo entries.
+      fscs::ClusterAliasAnalysis &AA = *E.AA;
+      uint64_t Walks = AA.numWalks();
+      const fscs::ClusterAliasAnalysis::PointsToResult &PA =
+          AA.pointsToRef(A, Loc);
+      const fscs::ClusterAliasAnalysis::PointsToResult &PB =
+          AA.pointsToRef(B, Loc);
+      countWalks(AA, Walks);
       if (sortedIntersects(PA.Objects, PB.Objects)) {
         countAnswer(AnswerSource::Fscs);
         return {true, AnswerSource::Fscs};
@@ -467,27 +475,31 @@ PointsToAnswer QuerySnapshot::pointsToAt(ir::VarId V, ir::LocId Loc) const {
         AnyFallback = true;
         continue;
       }
-      std::shared_ptr<Entry> E = materialize(CI);
-      std::lock_guard<std::mutex> Lock(E->M);
+      std::unique_lock<std::mutex> Lock = acquire(CI);
+      Entry &E = Entries[CI];
       if (Opts.DemandMode &&
-          E->Phase.load(std::memory_order_relaxed) != EntryPhase::Full) {
+          E.Phase.load(std::memory_order_relaxed) != EntryPhase::Full) {
         // Serve the definite under-approximation now; the background
         // promotion makes the next query over this cluster exact. The
         // answer is marked incomplete, so clients widen as they would
         // for any truncated set.
-        advancePartialLocked(*E);
+        advancePartialLocked(E);
         fscs::ClusterAliasAnalysis::PointsToResult D =
-            E->AA->pointsToDefinite(V, Loc);
-        mergeSortedUnique(Ans.Objects, std::move(D.Objects));
-        notePendingLocked(*E, V, Loc);
-        schedulePromotionLocked(E);
+            E.AA->pointsToDefinite(V, Loc);
+        mergeSortedUnique(Ans.Objects, D.Objects);
+        notePendingLocked(E, V, Loc);
+        schedulePromotionLocked(CI);
         AnyPartial = true;
         continue;
       }
-      fscs::ClusterAliasAnalysis::PointsToResult R = E->AA->pointsTo(V, Loc);
+      fscs::ClusterAliasAnalysis &AA = *E.AA;
+      uint64_t Walks = AA.numWalks();
+      const fscs::ClusterAliasAnalysis::PointsToResult &R =
+          AA.pointsToRef(V, Loc);
+      countWalks(AA, Walks);
       // Objects a truncated run *found* are real -- keep them and widen
       // with the fallback stage below.
-      mergeSortedUnique(Ans.Objects, std::move(R.Objects));
+      mergeSortedUnique(Ans.Objects, R.Objects);
       if (!R.Complete)
         Truncated = true;
     }
@@ -515,13 +527,12 @@ PointsToAnswer QuerySnapshot::pointsToAt(ir::VarId V, ir::LocId Loc) const {
 
 SnapshotStats QuerySnapshot::stats() const {
   SnapshotStats S;
-  S.IndexAnswers = NumIndexAnswers.load(std::memory_order_relaxed);
-  S.FscsAnswers = NumFscsAnswers.load(std::memory_order_relaxed);
-  S.FscsPartialAnswers =
-      NumFscsPartialAnswers.load(std::memory_order_relaxed);
-  S.AndersenAnswers = NumAndersenAnswers.load(std::memory_order_relaxed);
-  S.SteensgaardAnswers =
-      NumSteensgaardAnswers.load(std::memory_order_relaxed);
+  S.IndexAnswers = Counters.sum(size_t(AnswerSource::Index));
+  S.FscsAnswers = Counters.sum(size_t(AnswerSource::Fscs));
+  S.FscsPartialAnswers = Counters.sum(size_t(AnswerSource::FscsPartial));
+  S.AndersenAnswers = Counters.sum(size_t(AnswerSource::Andersen));
+  S.SteensgaardAnswers = Counters.sum(size_t(AnswerSource::Steensgaard));
+  S.Walks = Counters.sum(WalksCounter);
   S.Materializations = NumMaterializations.load(std::memory_order_relaxed);
   S.CacheAdoptions = NumCacheAdoptions.load(std::memory_order_relaxed);
   S.Evictions = NumEvictions.load(std::memory_order_relaxed);
@@ -529,14 +540,10 @@ SnapshotStats QuerySnapshot::stats() const {
       NumPromotionsScheduled.load(std::memory_order_relaxed);
   S.PromotionsCompleted =
       NumPromotionsCompleted.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> Lock(LruMutex);
-    S.Resident = Resident.size();
-    for (const auto &[CI, E] : Resident) {
-      (void)CI;
-      if (E->Phase.load(std::memory_order_relaxed) == EntryPhase::Partial)
-        ++S.PartialResident;
-    }
-  }
+  S.Resident = NumResident.load(std::memory_order_relaxed);
+  for (size_t CI = 0; CI < Cover.size(); ++CI)
+    if (Entries[CI].Phase.load(std::memory_order_relaxed) ==
+        EntryPhase::Partial)
+      ++S.PartialResident;
   return S;
 }

@@ -16,8 +16,10 @@
 ///  * *lazily materialized per-cluster FSCS analyses*. The cascade's
 ///    per-cluster results are replayed from the shared SummaryCache
 ///    when available (ClusterAliasAnalysis::adoptState), otherwise
-///    recomputed on first demand; a configurable LRU cap bounds how
-///    many clusters are resident at once;
+///    recomputed on first demand; a configurable cap, enforced by a
+///    CLOCK sweep, bounds how many clusters are resident at once. Each
+///    analysis memoizes its points-to answers, so a warm query is a
+///    lock of its cluster's entry plus memo lookups;
 ///  * a *sound precision-fallback chain*. Clusters whose cascade run
 ///    was flagged BudgetHit/Approximated may have lost origins, so a
 ///    "no alias" verdict from their FSCS data cannot be trusted; such
@@ -44,13 +46,12 @@
 #include "fscs/SummaryCache.h"
 #include "ir/CallGraph.h"
 #include "ir/Ir.h"
+#include "support/ThreadSlots.h"
 
 #include <atomic>
 #include <condition_variable>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -79,9 +80,10 @@ const char *answerSourceName(AnswerSource S);
 
 /// Serving configuration.
 struct QueryOptions {
-  /// LRU cap on concurrently materialized per-cluster FSCS analyses.
-  /// Evicted clusters re-materialize on the next query (cheaply, when
-  /// the summary cache still holds their run).
+  /// Cap on concurrently materialized per-cluster FSCS analyses
+  /// (at least 1), enforced by CLOCK eviction. Evicted clusters
+  /// re-materialize on the next query (cheaply, when the summary cache
+  /// still holds their run).
   size_t MaxMaterializedClusters = 64;
 
   /// Fall back to whole-program Andersen for flagged clusters; when
@@ -146,9 +148,12 @@ struct SnapshotStats {
   uint64_t FscsPartialAnswers = 0; ///< Definite-only partial answers.
   uint64_t AndersenAnswers = 0;
   uint64_t SteensgaardAnswers = 0;
+  /// FSCS points-to walks run because the answer memo missed; the
+  /// rest of the FSCS-rung lookups were served from the memo.
+  uint64_t Walks = 0;
   uint64_t Materializations = 0; ///< Cluster analyses constructed.
   uint64_t CacheAdoptions = 0;   ///< ...of which replayed a cached run.
-  uint64_t Evictions = 0;        ///< LRU evictions.
+  uint64_t Evictions = 0;        ///< CLOCK evictions.
   uint64_t Resident = 0;         ///< Currently materialized clusters
                                  ///< (partial entries included).
   uint64_t PartialResident = 0;  ///< ...of which are partial (demand).
@@ -240,15 +245,15 @@ public:
   /// answers at promotion quiescence; serving paths never need it.
   void waitPromotionsIdle() const;
 
-  /// Evicts least-recently-used materialized cluster analyses until at
-  /// most \p MaxResident remain; returns how many were evicted. The
+  /// Evicts materialized cluster analyses (CLOCK order: entries not
+  /// queried since the hand last passed go first) until at most
+  /// max(1, \p MaxResident) remain; returns how many were evicted. The
   /// cross-tenant memory accountant (serving/TenantRegistry.h) calls
   /// this on over-budget tenants. Sound by construction: eviction only
   /// discards *materialized state* -- the next query re-materializes
   /// the cluster from the same content-addressed inputs (summary-cache
-  /// replay or recomputation), so no answer ever changes. Readers
-  /// holding an evicted entry's shared_ptr finish against it
-  /// unperturbed.
+  /// replay or recomputation), so no answer ever changes. Entries a
+  /// reader is using right now (their lock is held) are skipped.
   size_t trimResident(size_t MaxResident) const;
 
 private:
@@ -262,17 +267,19 @@ private:
   /// straight to Full). Monotone: never moves backwards.
   enum class EntryPhase : uint8_t { Cold = 0, Partial = 1, Full = 2 };
 
-  /// One materialized per-cluster analysis. ClusterAliasAnalysis
-  /// queries mutate engine memo state, so each entry carries its own
-  /// mutex; handing entries out as shared_ptr keeps an evicted entry
-  /// alive for the reader currently holding it (and for a background
-  /// promotion job running against it).
-  struct Entry {
+  /// The serving state of one cluster, alive as long as the snapshot.
+  /// ClusterAliasAnalysis queries mutate engine and memo state, so each
+  /// entry carries its own mutex; AA is null while the cluster is not
+  /// resident. Padded to a cache line: queries on different clusters
+  /// never share one.
+  struct alignas(support::CacheLine) Entry {
     std::mutex M;
-    std::unique_ptr<fscs::ClusterAliasAnalysis> AA;
+    std::unique_ptr<fscs::ClusterAliasAnalysis> AA; ///< Under M.
     /// Written under M; atomic so the resident gauge can read it
-    /// without taking every entry lock.
+    /// without taking every entry lock. Reset to Cold on eviction.
     std::atomic<EntryPhase> Phase{EntryPhase::Cold};
+    /// CLOCK reference bit: set by queries, cleared by the hand.
+    std::atomic<bool> Referenced{false};
     /// True while a promotion job is queued or running. Under M.
     bool PromotionQueued = false;
     /// (var, loc) walks served partially; the promotion job re-runs
@@ -281,7 +288,16 @@ private:
     std::vector<std::pair<ir::VarId, ir::LocId>> PendingWalks;
   };
 
-  std::shared_ptr<Entry> materialize(uint32_t ClusterIdx) const;
+  /// Locks cluster \p ClusterIdx's entry and returns the lock, with
+  /// the entry's analysis materialized (evicting others, under the
+  /// lock, to stay within the cap).
+  std::unique_lock<std::mutex> acquire(uint32_t ClusterIdx) const;
+  /// Constructs the entry's analysis. Caller holds E.M; E.AA is null.
+  void materializeLocked(uint32_t ClusterIdx, Entry &E) const;
+  /// Runs the CLOCK hand until at most \p Target entries are resident,
+  /// never evicting \p Keep (whose lock the caller may hold) or an
+  /// entry locked by a reader; returns how many it evicted.
+  size_t evict(size_t Target, uint32_t Keep) const;
   /// Cold -> Partial: runs the bounded dovetail warmup. Caller holds
   /// E.M.
   void advancePartialLocked(Entry &E) const;
@@ -290,15 +306,20 @@ private:
   /// Records a partially-served walk for promotion replay. Caller
   /// holds E.M.
   void notePendingLocked(Entry &E, ir::VarId V, ir::LocId Loc) const;
-  /// Queues a background promotion for \p E if a pool is configured
-  /// and none is queued. Caller holds E->M.
-  void schedulePromotionLocked(const std::shared_ptr<Entry> &E) const;
+  /// Queues a background promotion for cluster \p ClusterIdx if a pool
+  /// is configured and none is queued. Caller holds its entry's M.
+  void schedulePromotionLocked(uint32_t ClusterIdx) const;
   /// The promotion job body: finish the dovetail, replay pending
   /// walks, flip the entry to Full.
-  void promoteEntry(Entry &E) const;
+  void promoteEntry(uint32_t ClusterIdx) const;
   const analysis::AndersenAnalysis &andersen() const;
   AliasAnswer fallbackMayAlias(ir::VarId A, ir::VarId B) const;
-  void countAnswer(AnswerSource S) const;
+  void countAnswer(AnswerSource S) const {
+    Counters.add(static_cast<size_t>(S));
+  }
+  /// Counts the walks \p AA ran since its numWalks() was \p Before.
+  void countWalks(const fscs::ClusterAliasAnalysis &AA,
+                  uint64_t Before) const;
 
   std::shared_ptr<const ir::Program> Prog;
   std::vector<core::Cluster> Cover;
@@ -317,18 +338,19 @@ private:
   mutable std::once_flag AndersenOnce;
   mutable std::unique_ptr<analysis::AndersenAnalysis> AndersenFallback;
 
-  /// LRU-capped materialized cluster analyses.
-  mutable std::mutex LruMutex;
-  mutable std::unordered_map<uint32_t, std::shared_ptr<Entry>> Resident;
-  mutable std::list<uint32_t> LruOrder; ///< Front = most recent.
-  mutable std::unordered_map<uint32_t, std::list<uint32_t>::iterator>
-      LruPos;
+  /// One entry per cluster id. CLOCK residency: NumResident counts
+  /// entries with an analysis; the hand (under EvictMutex) sweeps the
+  /// entries when it exceeds the cap.
+  std::unique_ptr<Entry[]> Entries;
+  mutable std::atomic<size_t> NumResident{0};
+  mutable std::mutex EvictMutex;
+  mutable uint32_t Hand = 0; ///< Guarded by EvictMutex.
 
-  mutable std::atomic<uint64_t> NumIndexAnswers{0};
-  mutable std::atomic<uint64_t> NumFscsAnswers{0};
-  mutable std::atomic<uint64_t> NumFscsPartialAnswers{0};
-  mutable std::atomic<uint64_t> NumAndersenAnswers{0};
-  mutable std::atomic<uint64_t> NumSteensgaardAnswers{0};
+  /// Per-rung answer counters (indexed by AnswerSource) plus the walk
+  /// counter, sharded per thread: the hot path never shares a line.
+  static constexpr size_t WalksCounter =
+      static_cast<size_t>(AnswerSource::Steensgaard) + 1;
+  mutable support::ShardedCounters<WalksCounter + 1> Counters;
   mutable std::atomic<uint64_t> NumMaterializations{0};
   mutable std::atomic<uint64_t> NumCacheAdoptions{0};
   mutable std::atomic<uint64_t> NumEvictions{0};

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 using namespace bsaa;
 using namespace bsaa::serving;
@@ -126,27 +127,34 @@ TenantId TenantRegistry::addTenant(std::string Name) {
   }
 
   std::lock_guard<std::mutex> Lock(TenantsMutex);
+  size_t N = Tenants.size();
   Tenants.push_back(std::move(Ten));
-  return static_cast<TenantId>(Tenants.size() - 1);
+  if (N == IndexCapacity) {
+    IndexCapacity = std::max<size_t>(8, 2 * IndexCapacity);
+    auto Grown = std::make_unique<Tenant *[]>(IndexCapacity);
+    for (size_t I = 0; I < N; ++I)
+      Grown[I] = Tenants[I].get();
+    Index.store(Grown.get(), std::memory_order_release);
+    IndexGenerations.push_back(std::move(Grown));
+  }
+  Index.load(std::memory_order_relaxed)[N] = Tenants[N].get();
+  // Publishes the slot just written (and the array, if it grew).
+  NumTenants.store(N + 1, std::memory_order_release);
+  return static_cast<TenantId>(N);
 }
 
 size_t TenantRegistry::numTenants() const {
-  std::lock_guard<std::mutex> Lock(TenantsMutex);
-  return Tenants.size();
+  return NumTenants.load(std::memory_order_acquire);
 }
 
 TenantRegistry::Tenant &TenantRegistry::tenant(TenantId T) {
-  std::lock_guard<std::mutex> Lock(TenantsMutex);
-  if (T >= Tenants.size())
-    throw std::out_of_range("TenantRegistry: no such tenant id");
-  return *Tenants[T]; // Heap-allocated: stable across vector growth.
+  return const_cast<Tenant &>(std::as_const(*this).tenant(T));
 }
 
 const TenantRegistry::Tenant &TenantRegistry::tenant(TenantId T) const {
-  std::lock_guard<std::mutex> Lock(TenantsMutex);
-  if (T >= Tenants.size())
+  if (T >= NumTenants.load(std::memory_order_acquire))
     throw std::out_of_range("TenantRegistry: no such tenant id");
-  return *Tenants[T];
+  return *Index.load(std::memory_order_acquire)[T];
 }
 
 //===----------------------------------------------------------------------===//
@@ -157,13 +165,9 @@ SubmitStatus TenantRegistry::submitEdit(TenantId T,
                                         std::unique_ptr<ir::Program> NewProg,
                                         const std::string &TouchedFunction,
                                         uint64_t Tag) {
-  Tenant *Ten = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(TenantsMutex);
-    if (T >= Tenants.size())
-      return SubmitStatus::UnknownTenant;
-    Ten = Tenants[T].get();
-  }
+  if (T >= numTenants())
+    return SubmitStatus::UnknownTenant;
+  Tenant *Ten = &tenant(T);
   if (ShuttingDown.load(std::memory_order_acquire))
     return SubmitStatus::ShuttingDown;
 
@@ -312,65 +316,56 @@ TenantRegistry::snapshot(TenantId T) const {
   return tenant(T).Service->engine().snapshot();
 }
 
+template <class Fn> auto TenantRegistry::timedQuery(TenantId T, Fn &&F) {
+  Tenant &Ten = tenant(T);
+  auto Ans = Ten.Service->engine().read([&](const query::QuerySnapshot *S) {
+    if (!S)
+      throw std::logic_error("TenantRegistry: query before first publish");
+    uint64_t Start = nowNanos();
+    auto A = F(*S);
+    Ten.QueryLat.record(nowNanos() - Start);
+    return A;
+  });
+  noteQueries(Ten, 1);
+  return Ans;
+}
+
 query::AliasAnswer TenantRegistry::mayAlias(TenantId T, ir::VarId A,
                                             ir::VarId B) {
-  Tenant &Ten = tenant(T);
-  std::shared_ptr<const query::QuerySnapshot> S =
-      Ten.Service->engine().snapshot();
-  if (!S)
-    throw std::logic_error("TenantRegistry: query before first publish");
-  uint64_t Start = nowNanos();
-  query::AliasAnswer Ans = S->mayAlias(A, B);
-  Ten.QueryLat.record(nowNanos() - Start);
-  Ten.Queries.fetch_add(1, std::memory_order_relaxed);
-  Ten.LastQueryTick.store(QueryTick.fetch_add(1, std::memory_order_relaxed) +
-                              1,
-                          std::memory_order_relaxed);
-  noteQueries(1);
-  return Ans;
+  return timedQuery(T, [&](const query::QuerySnapshot &S) {
+    return S.mayAlias(A, B);
+  });
 }
 
 query::PointsToAnswer TenantRegistry::pointsToAt(TenantId T, ir::VarId V,
                                                  ir::LocId Loc) {
-  Tenant &Ten = tenant(T);
-  std::shared_ptr<const query::QuerySnapshot> S =
-      Ten.Service->engine().snapshot();
-  if (!S)
-    throw std::logic_error("TenantRegistry: query before first publish");
-  uint64_t Start = nowNanos();
-  query::PointsToAnswer Ans = S->pointsToAt(V, Loc);
-  Ten.QueryLat.record(nowNanos() - Start);
-  Ten.Queries.fetch_add(1, std::memory_order_relaxed);
-  Ten.LastQueryTick.store(QueryTick.fetch_add(1, std::memory_order_relaxed) +
-                              1,
-                          std::memory_order_relaxed);
-  noteQueries(1);
-  return Ans;
+  return timedQuery(T, [&](const query::QuerySnapshot &S) {
+    return S.pointsToAt(V, Loc);
+  });
 }
 
 std::vector<uint8_t>
 TenantRegistry::evalMayAlias(TenantId T,
                              const std::vector<query::MayAliasQuery> &Queries) {
   Tenant &Ten = tenant(T);
-  std::shared_ptr<const query::QuerySnapshot> S =
-      Ten.Service->engine().snapshot();
-  if (!S)
-    throw std::logic_error("TenantRegistry: query before first publish");
-  std::vector<uint8_t> Results(Queries.size(), 0);
-  for (size_t I = 0; I < Queries.size(); ++I) {
-    const query::MayAliasQuery &Q = Queries[I];
-    uint64_t Start = nowNanos();
-    query::AliasAnswer A = (Q.Loc == ir::InvalidLoc)
-                               ? S->mayAlias(Q.A, Q.B)
-                               : S->mayAliasAt(Q.A, Q.B, Q.Loc);
-    Ten.QueryLat.record(nowNanos() - Start);
-    Results[I] = A.MayAlias ? 1 : 0;
-  }
-  Ten.Queries.fetch_add(Queries.size(), std::memory_order_relaxed);
-  Ten.LastQueryTick.store(QueryTick.fetch_add(1, std::memory_order_relaxed) +
-                              1,
-                          std::memory_order_relaxed);
-  noteQueries(Queries.size());
+  std::vector<uint8_t> Results =
+      Ten.Service->engine().read([&](const query::QuerySnapshot *S) {
+        if (!S)
+          throw std::logic_error(
+              "TenantRegistry: query before first publish");
+        std::vector<uint8_t> Out(Queries.size(), 0);
+        for (size_t I = 0; I < Queries.size(); ++I) {
+          const query::MayAliasQuery &Q = Queries[I];
+          uint64_t Start = nowNanos();
+          query::AliasAnswer A = (Q.Loc == ir::InvalidLoc)
+                                     ? S->mayAlias(Q.A, Q.B)
+                                     : S->mayAliasAt(Q.A, Q.B, Q.Loc);
+          Ten.QueryLat.record(nowNanos() - Start);
+          Out[I] = A.MayAlias ? 1 : 0;
+        }
+        return Out;
+      });
+  noteQueries(Ten, Queries.size());
   return Results;
 }
 
@@ -378,9 +373,12 @@ TenantRegistry::evalMayAlias(TenantId T,
 // Cross-tenant memory accountant
 //===----------------------------------------------------------------------===//
 
-void TenantRegistry::noteQueries(uint64_t N) {
+void TenantRegistry::noteQueries(Tenant &Ten, uint64_t N) {
   if (Opts.GlobalMaxResidentClusters == 0)
     return;
+  Ten.LastQueryTick.store(QueryTick.fetch_add(1, std::memory_order_relaxed) +
+                              1,
+                          std::memory_order_relaxed);
   // Count queries, not calls: one big batch must advance the probe as
   // far as many single queries would.
   uint64_t Before = BudgetProbe.fetch_add(N, std::memory_order_relaxed);
@@ -465,7 +463,6 @@ TenantStats TenantRegistry::stats(TenantId T) const {
   St.EditsRejected = Ten.Rejected.load(std::memory_order_relaxed);
   St.EditsApplied = Ten.Applied.load(std::memory_order_relaxed);
   St.Publishes = St.EditsApplied;
-  St.Queries = Ten.Queries.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> Lock(Ten.QueueMutex);
     St.QueueDepth = Ten.Queue.size();
@@ -479,6 +476,7 @@ TenantStats TenantRegistry::stats(TenantId T) const {
     return *Secs * 1e3;
   };
   support::LatencyHistogram::Snapshot Q = Ten.QueryLat.snapshot();
+  St.Queries = Q.Total;
   St.QueryP50Ms = Ms(Q.quantileSecondsIfAny(0.50));
   St.QueryP95Ms = Ms(Q.quantileSecondsIfAny(0.95));
   St.QueryP99Ms = Ms(Q.quantileSecondsIfAny(0.99));
@@ -542,7 +540,8 @@ std::string TenantRegistry::toStatsJson() const {
     OS << ",\n       \"race_warnings\": " << St.RaceWarnings;
     OS << ",\n       \"snapshot\": {\"index_answers\": "
        << St.Snapshot.IndexAnswers << ", \"fscs_answers\": "
-       << St.Snapshot.FscsAnswers << ", \"fscs_partial_answers\": "
+       << St.Snapshot.FscsAnswers << ", \"walks\": " << St.Snapshot.Walks
+       << ", \"fscs_partial_answers\": "
        << St.Snapshot.FscsPartialAnswers << ", \"andersen_answers\": "
        << St.Snapshot.AndersenAnswers << ", \"steensgaard_answers\": "
        << St.Snapshot.SteensgaardAnswers << ", \"materializations\": "

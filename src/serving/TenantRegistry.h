@@ -250,11 +250,12 @@ private:
     std::atomic<uint64_t> CoalescedCount{0};
     std::atomic<uint64_t> Rejected{0};
     std::atomic<uint64_t> Applied{0};
-    std::atomic<uint64_t> Queries{0};
     /// Global tick of this tenant's most recent query; the cross-tenant
-    /// accountant evicts the stalest tenants first.
+    /// accountant evicts the stalest tenants first. Only maintained
+    /// when GlobalMaxResidentClusters != 0.
     std::atomic<uint64_t> LastQueryTick{0};
 
+    /// One sample per query; its total is the tenant's query count.
     support::LatencyHistogram QueryLat;
     support::LatencyHistogram PublishLat;
 
@@ -278,9 +279,15 @@ private:
   /// materialized clusters fit GlobalMaxResidentClusters.
   void enforceGlobalBudget();
 
-  /// Amortized budget check on the query path: \p N queries just ran;
-  /// enforce whenever the running count crosses a 256-query boundary.
-  void noteQueries(uint64_t N);
+  /// Query-path bookkeeping of the cross-tenant accountant (a no-op
+  /// without a global budget): \p N queries just ran on \p Ten; stamp
+  /// its recency and enforce whenever the running count crosses a
+  /// 256-query boundary.
+  void noteQueries(Tenant &Ten, uint64_t N);
+
+  /// Runs \p F on tenant \p T's pinned current snapshot and records
+  /// the query's latency; throws before the first publish.
+  template <class Fn> auto timedQuery(TenantId T, Fn &&F);
 
   ServingOptions Opts;
   /// Shared by drain jobs, background cluster promotions (stamped into
@@ -291,8 +298,17 @@ private:
   /// inside one of its own workers.
   std::shared_ptr<ThreadPool> Pool;
 
-  mutable std::mutex TenantsMutex; ///< Guards Tenants growth.
+  /// Serializes addTenant(); guards Tenants and IndexGenerations.
+  mutable std::mutex TenantsMutex;
   std::vector<std::unique_ptr<Tenant>> Tenants;
+  /// Lock-free lookup for tenant(): the first NumTenants entries of
+  /// *Index are valid. addTenant() grows the array by doubling and
+  /// keeps every generation alive, since readers may still hold an
+  /// older one.
+  std::vector<std::unique_ptr<Tenant *[]>> IndexGenerations;
+  size_t IndexCapacity = 0; ///< Guarded by TenantsMutex.
+  std::atomic<Tenant **> Index{nullptr};
+  std::atomic<size_t> NumTenants{0};
 
   std::atomic<bool> ShuttingDown{false};
 

@@ -3,21 +3,11 @@
 #include "support/LatencyHistogram.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace bsaa;
 using namespace bsaa::support;
 
-namespace {
-
-/// Monotonic, never reused (see support/Statistics.cpp): a destroyed
-/// histogram's id never resolves in any thread's cache again.
-std::atomic<uint64_t> NextHistogramId{1};
-
-} // namespace
-
-LatencyHistogram::LatencyHistogram()
-    : InstanceId(NextHistogramId.fetch_add(1, std::memory_order_relaxed)) {}
+LatencyHistogram::LatencyHistogram() = default;
 
 LatencyHistogram::~LatencyHistogram() = default;
 
@@ -67,15 +57,15 @@ uint64_t LatencyHistogram::bucketUpperBound(uint32_t Index) {
 }
 
 LatencyHistogram::Shard &LatencyHistogram::myShard() {
-  thread_local std::unordered_map<uint64_t, Shard *> Cache;
-  auto It = Cache.find(InstanceId);
-  if (It != Cache.end())
-    return *It->second;
+  std::atomic<Shard *> &Slot = BySlot[threadSlot() % MaxThreadSlots];
+  if (Shard *S = Slot.load(std::memory_order_acquire))
+    return *S;
   std::lock_guard<std::mutex> Lock(RegistryMutex);
+  if (Shard *S = Slot.load(std::memory_order_relaxed))
+    return *S; // Slots past MaxThreadSlots share; another sharer won.
   Shards.push_back(std::make_unique<Shard>());
-  Shard *S = Shards.back().get();
-  Cache.emplace(InstanceId, S);
-  return *S;
+  Slot.store(Shards.back().get(), std::memory_order_release);
+  return *Shards.back();
 }
 
 void LatencyHistogram::record(uint64_t Nanos) {

@@ -17,16 +17,17 @@
 /// Quantiles report a bucket's *upper* bound, so p99 never understates
 /// the latency an SLO gate is checking.
 ///
-/// Shards follow the support/Statistics.h ownership pattern: a thread's
-/// shard is created on its first record() and owned by the histogram,
-/// so counts from exited threads survive; the thread-local cache is
-/// keyed by a never-reused instance id, so a stale cache entry for a
-/// destroyed histogram can never resolve.
+/// Shards are indexed by the recording thread's dense slot
+/// (support/ThreadSlots.h): a slot's shard is created on its first
+/// record() and owned by the histogram, so counts from exited threads
+/// survive (a later thread that reuses the slot keeps adding to them).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSAA_SUPPORT_LATENCYHISTOGRAM_H
 #define BSAA_SUPPORT_LATENCYHISTOGRAM_H
+
+#include "support/ThreadSlots.h"
 
 #include <array>
 #include <atomic>
@@ -57,8 +58,7 @@ public:
 
   /// Records one duration. Wait-free against other recorders: a single
   /// relaxed fetch_add in the calling thread's own shard (shard
-  /// creation on a thread's first record takes the registry mutex
-  /// once).
+  /// creation on a slot's first record takes the registry mutex once).
   void record(uint64_t Nanos);
 
   /// Bucket index for \p Nanos -- exposed for the boundary unit tests.
@@ -120,7 +120,8 @@ private:
 
   Shard &myShard();
 
-  const uint64_t InstanceId;
+  /// Shard of each thread slot (null until the slot's first record).
+  std::array<std::atomic<Shard *>, MaxThreadSlots> BySlot{};
   mutable std::mutex RegistryMutex; ///< Guards Shards (growth only).
   std::vector<std::unique_ptr<Shard>> Shards;
 };

@@ -8,10 +8,13 @@
 //    over-approximate the baseline's answer;
 //  * the fallback chain, forced by a tiny step budget: flagged clusters
 //    must route through Andersen / Steensgaard and stay sound;
-//  * the inverted index short-circuit, LRU materialization cap, and
+//  * the inverted index short-circuit, materialization cap, and
 //    summary-cache adoption;
+//  * the answer memo: repeated sequences equal a fresh snapshot, and
+//    entries made stale by later walks are re-walked;
 //  * concurrent readers during snapshot swaps (run under -DBSAA_TSAN=ON
-//    to check the wait-free publish claim for real).
+//    to check the wait-free publish claim for real), and the reader-
+//    slot rule that a retired snapshot outlives exactly its readers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -451,6 +454,255 @@ TEST(QueryConcurrency, ReadersKeepAnsweringAcrossSnapshotSwaps) {
   // The final published snapshot serves the final program version.
   std::shared_ptr<const QuerySnapshot> Final = Service.engine().snapshot();
   EXPECT_EQ(&Final->program(), &Service.driver().program());
+}
+
+//===--------------------------------------------------------------------===//
+// Answer memo: served answers are byte-identical to re-walks
+//===--------------------------------------------------------------------===//
+
+/// One query of a replayable sequence: pointsToAt when B is
+/// InvalidVar, mayAliasAt otherwise.
+struct MemoQuery {
+  ir::VarId A = ir::InvalidVar;
+  ir::VarId B = ir::InvalidVar;
+  ir::LocId Loc = ir::InvalidLoc;
+};
+
+/// Every field of every answer of \p Qs on \p Snap, flattened.
+std::vector<std::vector<uint32_t>> answerAll(const QuerySnapshot &Snap,
+                                             const std::vector<MemoQuery> &Qs) {
+  std::vector<std::vector<uint32_t>> Out;
+  for (const MemoQuery &Q : Qs) {
+    if (Q.B == ir::InvalidVar) {
+      PointsToAnswer A = Snap.pointsToAt(Q.A, Q.Loc);
+      std::vector<uint32_t> Row(A.Objects.begin(), A.Objects.end());
+      Row.push_back(static_cast<uint32_t>(A.Source));
+      Row.push_back(A.Complete);
+      Out.push_back(std::move(Row));
+    } else {
+      AliasAnswer A = Snap.mayAliasAt(Q.A, Q.B, Q.Loc);
+      Out.push_back({A.MayAlias, static_cast<uint32_t>(A.Source)});
+    }
+  }
+  return Out;
+}
+
+// For 50 seeds: a random sequence Q queried twice on one snapshot (the
+// second pass mostly from the memo, with every entry a later walk made
+// stale re-walked) equals a fresh snapshot queried once. Every third
+// seed adopts the cascade's cached runs. (No step budget: a budgeted
+// engine's answers depend on its query history by design, so only a
+// re-walk, not a fresh snapshot, is the oracle there -- the targeted
+// test below covers the BudgetHit flip.)
+TEST(QueryMemo, RepeatedSequenceMatchesFreshSnapshotOn50Seeds) {
+  uint64_t Pass1Walks = 0, Pass2Walks = 0;
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::shared_ptr<ir::Program> P = makeProgram(Seed);
+    ASSERT_TRUE(P != nullptr);
+    core::BootstrapOptions BOpts;
+    BOpts.AndersenThreshold = 4;
+    auto Build = [&] {
+      core::BootstrapOptions B = BOpts;
+      if (Seed % 3 == 0)
+        B.SummaryCache = std::make_shared<fscs::SummaryCache>();
+      return buildSnapshot(P, B, QueryOptions());
+    };
+
+    std::vector<ir::VarId> Ptrs = pointerVars(*P);
+    ASSERT_FALSE(Ptrs.empty());
+    uint64_t Rng = 0x9E3779B97F4A7C15ull * Seed;
+    auto Next = [&Rng] {
+      Rng ^= Rng << 13;
+      Rng ^= Rng >> 7;
+      Rng ^= Rng << 17;
+      return Rng;
+    };
+    std::vector<MemoQuery> Qs(300);
+    for (MemoQuery &Q : Qs) {
+      Q.A = Ptrs[Next() % Ptrs.size()];
+      if (Next() % 4 != 0)
+        Q.B = Ptrs[Next() % Ptrs.size()];
+      // Mostly canonical locations (repeats hit the memo), sometimes
+      // any location (new walks make earlier memo entries stale).
+      Q.Loc = Next() % 3 == 0
+                  ? static_cast<ir::LocId>(Next() % P->numLocs())
+                  : query::canonicalAliasLoc(
+                        *P, Q.A, Q.B == ir::InvalidVar ? Q.A : Q.B);
+    }
+
+    auto Snap = Build();
+    auto First = answerAll(*Snap, Qs);
+    uint64_t W1 = Snap->stats().Walks;
+    auto Second = answerAll(*Snap, Qs);
+    Pass1Walks += W1;
+    Pass2Walks += Snap->stats().Walks - W1;
+    auto Fresh = answerAll(*Build(), Qs);
+    EXPECT_EQ(First, Fresh);
+    EXPECT_EQ(Second, Fresh);
+  }
+  // Non-vacuity: the sequences walked, and the second passes were
+  // served mostly from the memo.
+  EXPECT_GT(Pass1Walks, 0u);
+  EXPECT_LT(Pass2Walks, Pass1Walks);
+}
+
+// A memo entry made stale by a later walk -- one that creates summary
+// keys, an FSCI memo entry, or exhausts the step budget -- is re-walked,
+// never served.
+TEST(QueryMemo, StaleEntryIsReWalkedNotServed) {
+  std::shared_ptr<ir::Program> P = makeProgram(3);
+  ASSERT_TRUE(P != nullptr);
+  analysis::SteensgaardAnalysis Steens(*P);
+  Steens.run();
+  ir::CallGraph CG(*P);
+  core::Cluster Whole = core::wholeProgramCluster(*P);
+  std::vector<ir::VarId> Ptrs = pointerVars(*P);
+  ASSERT_FALSE(Ptrs.empty());
+
+  // The calls made on the analysis under test, replayed on a fresh one
+  // at the end: pointsTo when Fsci is false, fsciPointsTo otherwise.
+  struct Call {
+    ir::VarId V;
+    ir::LocId Loc;
+    bool Fsci;
+  };
+  std::vector<Call> Calls;
+  fscs::ClusterAliasAnalysis AA(*P, CG, Steens, Whole);
+  AA.prepare();
+  auto PointsTo = [&](ir::VarId V, ir::LocId Loc) {
+    Calls.push_back({V, Loc, false});
+    return AA.pointsTo(V, Loc);
+  };
+
+  ir::VarId V0 = Ptrs[0];
+  ir::LocId L0 = query::canonicalAliasLoc(*P, V0, V0);
+  ASSERT_NE(L0, ir::InvalidLoc);
+  PointsTo(V0, L0);
+  PointsTo(V0, L0);
+  uint64_t W = AA.numWalks();
+  PointsTo(V0, L0);
+  ASSERT_EQ(AA.numWalks(), W) << "a repeated walk was not memoized";
+
+  // Case 1: a walk elsewhere creates summary keys.
+  bool Bumped = false;
+  for (ir::LocId L = 0; L < P->numLocs() && !Bumped; ++L)
+    for (ir::VarId V : Ptrs) {
+      uint64_t Before = AA.engine().version();
+      PointsTo(V, L);
+      if (AA.engine().version() != Before) {
+        Bumped = true;
+        break;
+      }
+    }
+  ASSERT_TRUE(Bumped) << "no walk changed the engine";
+  W = AA.numWalks();
+  PointsTo(V0, L0);
+  EXPECT_EQ(AA.numWalks(), W + 1) << "stale answer served after new keys";
+  PointsTo(V0, L0);
+
+  // Case 2: a new FSCI memo entry.
+  Bumped = false;
+  for (ir::LocId L = 0; L < P->numLocs() && !Bumped; ++L)
+    for (ir::VarId V : Ptrs) {
+      uint64_t Before = AA.engine().version();
+      Calls.push_back({V, L, true});
+      (void)AA.engine().fsciPointsTo(V, L);
+      if (AA.engine().version() != Before) {
+        Bumped = true;
+        break;
+      }
+    }
+  ASSERT_TRUE(Bumped) << "no FSCI query added a memo entry";
+  W = AA.numWalks();
+  fscs::ClusterAliasAnalysis::PointsToResult Final = PointsTo(V0, L0);
+  EXPECT_EQ(AA.numWalks(), W + 1) << "stale answer served after FSCI insert";
+
+  // The whole history replayed on a fresh analysis gives the same final
+  // answer.
+  fscs::ClusterAliasAnalysis Ref(*P, CG, Steens, Whole);
+  Ref.prepare();
+  fscs::ClusterAliasAnalysis::PointsToResult Expected;
+  for (const Call &C : Calls) {
+    if (C.Fsci)
+      (void)Ref.engine().fsciPointsTo(C.V, C.Loc);
+    else
+      Expected = Ref.pointsTo(C.V, C.Loc);
+  }
+  EXPECT_EQ(Final.Objects, Expected.Objects);
+  EXPECT_EQ(Final.Complete, Expected.Complete);
+
+  // Case 3: the step budget runs out. A budget one step above what the
+  // warmup plus the (V0, L0) walk need lets both finish exactly as
+  // unbudgeted; the first walk that needs more traversal steps then
+  // flips BudgetHit.
+  fscs::SummaryEngine::Options Tight;
+  {
+    fscs::ClusterAliasAnalysis Probe(*P, CG, Steens, Whole);
+    Probe.prepare();
+    Probe.pointsTo(V0, L0);
+    Tight.StepBudget = Probe.engine().stepsUsed() + 1;
+  }
+  fscs::ClusterAliasAnalysis Budgeted(*P, CG, Steens, Whole, Tight);
+  Budgeted.prepare();
+  ASSERT_FALSE(Budgeted.engine().budgetExhausted());
+  Budgeted.pointsTo(V0, L0);
+  Budgeted.pointsTo(V0, L0);
+  ASSERT_TRUE(Budgeted.pointsTo(V0, L0).Complete);
+  for (ir::LocId L = 0; L < P->numLocs(); ++L)
+    for (ir::VarId V : Ptrs)
+      if (!Budgeted.engine().budgetExhausted())
+        Budgeted.pointsTo(V, L);
+  ASSERT_TRUE(Budgeted.engine().budgetExhausted())
+      << "no walk exhausted the budget";
+  W = Budgeted.numWalks();
+  EXPECT_FALSE(Budgeted.pointsTo(V0, L0).Complete)
+      << "complete answer served after the budget ran out";
+  EXPECT_EQ(Budgeted.numWalks(), W + 1);
+}
+
+//===--------------------------------------------------------------------===//
+// Reader slots: retired snapshots outlive exactly their readers
+//===--------------------------------------------------------------------===//
+
+TEST(QueryEngineSlots, RetiredSnapshotLivesUntilItsReaderExits) {
+  std::shared_ptr<ir::Program> P = makeProgram(2);
+  ASSERT_TRUE(P != nullptr);
+  core::BootstrapOptions BOpts;
+  query::QueryEngine Engine;
+  std::shared_ptr<const QuerySnapshot> First =
+      buildSnapshot(P, BOpts, QueryOptions());
+  std::weak_ptr<const QuerySnapshot> FirstWeak = First;
+  Engine.publish(std::move(First));
+
+  std::atomic<int> Phase{0};
+  const QuerySnapshot *Seen = nullptr;
+  const QuerySnapshot *NestedSeen = nullptr;
+  std::thread Reader([&] {
+    Engine.read([&](const QuerySnapshot *S) {
+      Seen = S;
+      Phase.store(1);
+      while (Phase.load() != 2)
+        std::this_thread::yield();
+      // A nested read pins the newer snapshot inside the outer pin.
+      Engine.read([&](const QuerySnapshot *N) { NestedSeen = N; });
+      return 0;
+    });
+  });
+  while (Phase.load() != 1)
+    std::this_thread::yield();
+
+  Engine.publish(buildSnapshot(P, BOpts, QueryOptions()));
+  EXPECT_FALSE(FirstWeak.expired()) << "released under an active reader";
+  (void)Engine.snapshot();
+  EXPECT_FALSE(FirstWeak.expired());
+  Phase.store(2);
+  Reader.join();
+
+  EXPECT_EQ(Seen, FirstWeak.lock().get());
+  EXPECT_EQ(NestedSeen, Engine.snapshot().get());
+  // snapshot() above reclaimed the first owner once the reader exited.
+  EXPECT_TRUE(FirstWeak.expired());
 }
 
 } // namespace

@@ -10,7 +10,10 @@
 //
 // No torn snapshots: a reader's batch pins one snapshot, so its
 // verdicts must be internally consistent (and sane 0/1 bytes) no matter
-// how many publishes happen mid-batch.
+// how many publishes happen mid-batch. Single queries pin through the
+// engine's lock-free reader slots while a publisher republishes and
+// trims residency; their answers must match a cold snapshot, and every
+// retired snapshot must be released once its readers are gone.
 //
 // This binary is ctest-labeled "stress": the CI TSan job runs it (full
 // suite); the release/asan/ubsan jobs exclude it with `ctest -LE
@@ -30,6 +33,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 using namespace bsaa;
@@ -238,4 +242,113 @@ TEST(ServingStress, ParallelSubmittersAccountExactly) {
   EXPECT_EQ(St.EditsApplied, St.EditsAccepted);
   EXPECT_EQ(St.QueueDepth, 0u);
   EXPECT_EQ(Reg.appliedTags(T).size(), St.EditsApplied);
+}
+
+//===--------------------------------------------------------------------===//
+// Lock-free single queries across republishes and residency trims
+//===--------------------------------------------------------------------===//
+
+TEST(ServingStress, SlotPinnedQueriesMatchColdAcrossPublishesAndTrims) {
+  workload::GeneratorConfig Cfg = stressConfig(903);
+  workload::EditState St = workload::initialEditState(Cfg);
+
+  serving::ServingOptions SOpts = stressOptions();
+  SOpts.AutoDrain = false; // The publisher drains on its own thread.
+  serving::TenantRegistry Reg(SOpts);
+  serving::TenantId T = Reg.addTenant("republished");
+  ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+            serving::SubmitStatus::Accepted);
+  Reg.drainNow(T);
+  ASSERT_TRUE(Reg.ready(T));
+
+  // Cold reference: a separate service over the same program.
+  query::AliasService Cold(SOpts.BOpts);
+  Cold.update(compileVersion(Cfg, St));
+  std::shared_ptr<const query::QuerySnapshot> Ref = Cold.engine().snapshot();
+
+  struct Q {
+    ir::VarId A, B; ///< B == InvalidVar: pointsToAt(A).
+    ir::LocId Loc;
+  };
+  std::vector<Q> Qs;
+  {
+    const ir::Program &P = Ref->program();
+    std::vector<ir::VarId> Ptrs;
+    for (ir::VarId V = 0; V < P.numVars(); ++V)
+      if (P.var(V).isPointer())
+        Ptrs.push_back(V);
+    ASSERT_GE(Ptrs.size(), 2u);
+    for (size_t I = 0; I < Ptrs.size() && Qs.size() < 120; ++I) {
+      Qs.push_back({Ptrs[I], ir::InvalidVar,
+                    query::canonicalAliasLoc(P, Ptrs[I], Ptrs[I])});
+      for (size_t J = I + 1; J < Ptrs.size() && J < I + 4; ++J)
+        Qs.push_back({Ptrs[I], Ptrs[J], ir::InvalidLoc});
+    }
+  }
+  auto Answer = [](auto &&MayAlias, auto &&PointsTo, const Q &X) {
+    if (X.B == ir::InvalidVar) {
+      query::PointsToAnswer A = PointsTo(X.A, X.Loc);
+      return std::make_tuple(A.Objects, int(A.Source), A.Complete);
+    }
+    query::AliasAnswer A = MayAlias(X.A, X.B);
+    return std::make_tuple(std::vector<ir::VarId>(), int(A.Source),
+                           A.MayAlias);
+  };
+  using Row = std::tuple<std::vector<ir::VarId>, int, bool>;
+  std::vector<Row> Expected;
+  for (const Q &X : Qs)
+    Expected.push_back(Answer(
+        [&](ir::VarId A, ir::VarId B) { return Ref->mayAlias(A, B); },
+        [&](ir::VarId V, ir::LocId L) { return Ref->pointsToAt(V, L); }, X));
+
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Mismatches{0};
+  std::atomic<uint64_t> Publishes{0};
+  std::vector<std::thread> Readers;
+  for (int R = 0; R < 4; ++R)
+    Readers.emplace_back([&, R] {
+      // At least 6 rounds, and on until 8 republishes raced the reads.
+      for (int Round = 0; Round < 6 || Publishes.load() < 8; ++Round)
+        for (size_t I = R; I < Qs.size() + R; ++I) {
+          size_t K = I % Qs.size();
+          Row Got = Answer(
+              [&](ir::VarId A, ir::VarId B) { return Reg.mayAlias(T, A, B); },
+              [&](ir::VarId V, ir::LocId L) {
+                return Reg.pointsToAt(T, V, L);
+              },
+              Qs[K]);
+          if (Got != Expected[K])
+            Mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+
+  // Publisher: republish the same program version and trim the served
+  // snapshot to one resident cluster, over and over.
+  std::vector<std::weak_ptr<const query::QuerySnapshot>> Published;
+  std::thread Publisher([&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+                serving::SubmitStatus::Accepted);
+      Reg.drainNow(T);
+      std::shared_ptr<const query::QuerySnapshot> S = Reg.snapshot(T);
+      Published.push_back(S);
+      S->trimResident(1);
+      Publishes.fetch_add(1);
+    }
+  });
+
+  for (std::thread &R : Readers)
+    R.join();
+  Stop.store(true, std::memory_order_relaxed);
+  Publisher.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_GT(Published.size(), 0u);
+
+  // One more publish after every reader exited releases every retired
+  // snapshot: nothing pins them any more.
+  ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+            serving::SubmitStatus::Accepted);
+  Reg.drainNow(T);
+  for (const std::weak_ptr<const query::QuerySnapshot> &W : Published)
+    EXPECT_TRUE(W.expired());
 }
