@@ -194,6 +194,7 @@ int main(int Argc, char **Argv) {
   bool StoreRun = !StoreDir.empty();
   double StoreColdSeconds = 0, StoreWarmSeconds = 0, StoreHitRate = 0;
   unsigned long long StorePuts = 0, StoreHits = 0;
+  unsigned long long StoreRecords = 0, StoreLiveBytes = 0;
   bool StoreStatsIdentical = false, StoreVerdictsIdentical = false;
   if (StoreRun) {
     // Cold lifetime: fresh caches over the (presumed empty) store.
@@ -221,6 +222,9 @@ int main(int Argc, char **Argv) {
     support::CacheCounters C = WarmO.SummaryCache->counters();
     StoreHits = C.StoreHits;
     StoreHitRate = C.storeHitRate();
+    support::CacheStoreCounters SC = WarmO.Store->counters();
+    StoreRecords = SC.Records;
+    StoreLiveBytes = SC.LiveBytes;
 
     // Verdict identity: serve the whole pair batch from the warm
     // cascade and compare against the storeless engine's answers.
@@ -361,6 +365,8 @@ int main(int Argc, char **Argv) {
                 "restart %.3fs (%llu revived, hit rate %.2f)\n",
                 StoreColdSeconds, StorePuts, StoreWarmSeconds, StoreHits,
                 StoreHitRate);
+    std::printf("    store: %llu records, %.2f MB live\n", StoreRecords,
+                double(StoreLiveBytes) / 1e6);
     std::printf("    warm stats %s, warm verdicts %s\n",
                 StoreStatsIdentical ? "byte-identical" : "DIVERGED",
                 StoreVerdictsIdentical ? "byte-identical" : "DIVERGED");
@@ -397,6 +403,7 @@ int main(int Argc, char **Argv) {
         "\"store\": {\"enabled\": %s, \"cold_cascade_seconds\": %.6f, "
         "\"warm_cascade_seconds\": %.6f, \"store_puts\": %llu, "
         "\"store_hits\": %llu, \"warm_store_hit_rate\": %.4f, "
+        "\"store_records\": %llu, \"store_live_bytes\": %llu, "
         "\"warm_stats_identical\": %s, \"warm_verdicts_identical\": %s}, "
         "\"cold_p99\": {\"enabled\": %s, \"queries\": %zu, "
         "\"eager_p50_ms\": %.4f, \"eager_p99_ms\": %.4f, "
@@ -417,7 +424,8 @@ int main(int Argc, char **Argv) {
         (unsigned long long)St.CacheAdoptions,
         (unsigned long long)St.Evictions, StoreRun ? "true" : "false",
         StoreColdSeconds, StoreWarmSeconds, StorePuts, StoreHits,
-        StoreHitRate, StoreStatsIdentical ? "true" : "false",
+        StoreHitRate, StoreRecords, StoreLiveBytes,
+        StoreStatsIdentical ? "true" : "false",
         StoreVerdictsIdentical ? "true" : "false",
         ColdP99 ? "true" : "false", ColdQueries, EagerP50Ms, EagerP99Ms,
         DemandP50Ms, DemandP99Ms, ColdImprovement, ColdPartialAnswers,

@@ -337,8 +337,9 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
   fscs::accumulateDovetailStats(AA.dovetailStats(), stats());
 
   if (Opts.SummaryCache) {
-    // Publish the complete memoized product so a future hit replays
-    // this run bit-for-bit (first insert wins on a racing key).
+    // Publish the memoized product a later query can read, so a future
+    // hit replays this run bit-for-bit (first insert wins on a racing
+    // key).
     fscs::CachedClusterRun Run;
     Run.Engine = AA.engine().exportState();
     Run.Dove = AA.dovetailStats();

@@ -3,6 +3,7 @@
 #include "fscs/StateCodec.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace bsaa;
 using namespace bsaa::fscs;
@@ -48,41 +49,43 @@ void encodeSparseBitVector(const SparseBitVector &S, ByteWriter &W) {
   });
 }
 
+/// True if any key carries ResultHashes or Waiters; a settled export
+/// carries neither, and the state then encodes without those per-key
+/// sections (see the file comment).
+bool hasScaffold(const SummaryEngine::State &St) {
+  for (const SummaryEngine::KeyState &K : St.Keys)
+    if (!K.ResultHashes.empty() || !K.Waiters.empty())
+      return true;
+  return false;
+}
+
 void encodeState(const SummaryEngine::State &St, ByteWriter &W) {
+  const bool Scaffold = hasScaffold(St);
   W.u32(static_cast<uint32_t>(St.Keys.size()));
+  W.u8(Scaffold ? 1 : 0);
   for (const SummaryEngine::KeyState &K : St.Keys) {
+    assert(K.WL.empty() && K.Seen.empty() && "encode exported states only");
     W.u32(K.AnchorLoc);
     encodeRef(K.R, W);
+    // Each tuple's Anchor/AnchorLoc are the key's own (addResult).
     W.u32(static_cast<uint32_t>(K.Results.size()));
     for (const SummaryTuple &T : K.Results) {
-      encodeRef(T.Anchor, W);
-      W.u32(T.AnchorLoc);
       encodeRef(T.Origin, W);
       encodeCondition(T.Cond, W);
     }
-    encodeHashSet(K.ResultHashes, W);
-    W.u32(static_cast<uint32_t>(K.WL.size()));
-    for (const SummaryEngine::TraversalTuple &T : K.WL) {
-      W.u32(T.M);
-      encodeRef(T.Q, W);
-      encodeCondition(T.Cond, W);
-    }
-    encodeHashSet(K.Seen, W);
-    W.u32(static_cast<uint32_t>(K.Waiters.size()));
-    for (const SummaryEngine::Waiter &Wt : K.Waiters) {
-      W.u32(Wt.Dependent);
-      W.u32(Wt.CallLoc);
-      encodeCondition(Wt.CondAtCall, W);
-      W.u64(Wt.Consumed);
+    if (Scaffold) {
+      encodeHashSet(K.ResultHashes, W);
+      W.u32(static_cast<uint32_t>(K.Waiters.size()));
+      for (const SummaryEngine::Waiter &Wt : K.Waiters) {
+        W.u32(Wt.Dependent);
+        W.u32(Wt.CallLoc);
+        encodeCondition(Wt.CondAtCall, W);
+        W.u64(Wt.Consumed);
+      }
     }
     encodeHashSet(K.WaiterHashes, W);
   }
-  W.u32(static_cast<uint32_t>(St.KeyIndex.size()));
-  for (const auto &[MapKey, Id] : St.KeyIndex) {
-    W.u32(MapKey.first);
-    W.u64(MapKey.second);
-    W.u32(Id);
-  }
+  // KeyIndex is not encoded: decoding rebuilds it from the keys.
   W.u32(static_cast<uint32_t>(St.FsciMemo.size()));
   for (const auto &[MapKey, Bits] : St.FsciMemo) {
     W.u32(MapKey.first);
@@ -169,8 +172,17 @@ bool decodeHashSet(ByteReader &R, std::unordered_set<uint64_t> &Out) {
   if (!plausibleCount(R, N))
     return false;
   Out.reserve(N);
-  for (uint32_t I = 0; I < N; ++I)
-    Out.insert(R.u64());
+  uint64_t Prev = 0;
+  for (uint32_t I = 0; I < N; ++I) {
+    uint64_t H = R.u64();
+    // Strictly ascending, as encodeHashSet writes them.
+    if (I > 0 && H <= Prev) {
+      R.fail();
+      return false;
+    }
+    Out.insert(H);
+    Prev = H;
+  }
   return R.ok();
 }
 
@@ -195,6 +207,11 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
   uint32_t NumKeys = R.u32();
   if (!plausibleCount(R, NumKeys))
     return false;
+  uint8_t Scaffold = R.u8();
+  if (Scaffold > 1) {
+    R.fail();
+    return false;
+  }
   St.Keys.resize(NumKeys);
   for (SummaryEngine::KeyState &K : St.Keys) {
     K.AnchorLoc = R.u32();
@@ -204,63 +221,40 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
       return false;
     K.Results.resize(NumResults);
     for (SummaryTuple &T : K.Results) {
-      T.Anchor = decodeRef(R);
-      T.AnchorLoc = R.u32();
+      T.Anchor = K.R;
+      T.AnchorLoc = K.AnchorLoc;
       T.Origin = decodeRef(R);
       if (!decodeCondition(R, T.Cond))
         return false;
     }
-    if (!decodeHashSet(R, K.ResultHashes))
-      return false;
-    uint32_t NumWL = R.u32();
-    if (!plausibleCount(R, NumWL))
-      return false;
-    for (uint32_t I = 0; I < NumWL; ++I) {
-      SummaryEngine::TraversalTuple T;
-      T.M = R.u32();
-      T.Q = decodeRef(R);
-      if (!decodeCondition(R, T.Cond))
+    if (Scaffold) {
+      if (!decodeHashSet(R, K.ResultHashes))
         return false;
-      K.WL.push_back(std::move(T));
-    }
-    if (!decodeHashSet(R, K.Seen))
-      return false;
-    uint32_t NumWaiters = R.u32();
-    if (!plausibleCount(R, NumWaiters))
-      return false;
-    K.Waiters.resize(NumWaiters);
-    for (SummaryEngine::Waiter &Wt : K.Waiters) {
-      Wt.Dependent = R.u32();
-      if (Wt.Dependent >= NumKeys) {
-        R.fail();
+      uint32_t NumWaiters = R.u32();
+      if (!plausibleCount(R, NumWaiters))
         return false;
+      K.Waiters.resize(NumWaiters);
+      for (SummaryEngine::Waiter &Wt : K.Waiters) {
+        Wt.Dependent = R.u32();
+        if (Wt.Dependent >= NumKeys) {
+          R.fail();
+          return false;
+        }
+        Wt.CallLoc = R.u32();
+        if (!decodeCondition(R, Wt.CondAtCall))
+          return false;
+        Wt.Consumed = static_cast<size_t>(R.u64());
       }
-      Wt.CallLoc = R.u32();
-      if (!decodeCondition(R, Wt.CondAtCall))
-        return false;
-      Wt.Consumed = static_cast<size_t>(R.u64());
     }
     if (!decodeHashSet(R, K.WaiterHashes))
       return false;
   }
-
-  uint32_t NumIndex = R.u32();
-  if (!plausibleCount(R, NumIndex))
+  // Canonical form: the scaffold sections are present iff some key
+  // fills one (what encodeState writes), and every key owns a distinct
+  // index slot (what ensureKey maintains).
+  if (!R.ok() || (Scaffold && !hasScaffold(St)) || !St.rebuildKeyIndex()) {
+    R.fail();
     return false;
-  std::pair<ir::LocId, uint64_t> PrevIdxKey{};
-  for (uint32_t I = 0; I < NumIndex; ++I) {
-    std::pair<ir::LocId, uint64_t> MapKey;
-    MapKey.first = R.u32();
-    MapKey.second = R.u64();
-    uint32_t Id = R.u32();
-    // Strictly ascending keys (encode order) + in-range ids: the
-    // decoded map is exactly the encoded one, rebuilt in O(n).
-    if (!R.ok() || Id >= NumKeys || (I > 0 && !(PrevIdxKey < MapKey))) {
-      R.fail();
-      return false;
-    }
-    St.KeyIndex.emplace_hint(St.KeyIndex.end(), MapKey, Id);
-    PrevIdxKey = MapKey;
   }
 
   uint32_t NumMemo = R.u32();

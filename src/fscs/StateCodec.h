@@ -5,12 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Versioned binary codec for CachedClusterRun -- the SummaryEngine
-/// State (keys, summary tuples, worklists, FSCI memo) plus the dovetail
-/// and engine accounting a cache hit replays. This is the payload the
-/// persistent CacheStore holds under clusterSummaryKey digests, so a
-/// restarted process (or a freshly onboarded tenant) can import whole
-/// cluster fixpoints instead of re-solving them.
+/// Versioned binary codec for CachedClusterRun -- the part of the
+/// SummaryEngine State a later query can read (keys, summary tuples,
+/// FSCI memo, and the traversal scaffolding only where it is live; see
+/// SummaryEngine::exportState) plus the dovetail and engine accounting
+/// a cache hit replays. This is the payload the persistent CacheStore
+/// holds under clusterSummaryKey digests, so a restarted process (or a
+/// freshly onboarded tenant) can import whole cluster fixpoints instead
+/// of re-solving them. Only exported states are encoded: they carry no
+/// Seen sets or worklists.
+///
+/// Layout (version 2): the key count, then one scaffold byte. A settled
+/// export carries no ResultHashes or Waiters on any key; its scaffold
+/// byte is 0 and both sections are absent for every key. Otherwise the
+/// byte is 1 and every key carries both. Each key holds its
+/// (AnchorLoc, R), its result tuples as (Origin, Cond) -- a tuple's
+/// Anchor and AnchorLoc are always the key's own -- the scaffold
+/// sections if present, and its WaiterHashes. KeyIndex is not stored:
+/// decoding rebuilds it from the keys. The FSCI memo, steps and flags
+/// follow.
 ///
 /// Encoding is deterministic: the unordered hash sets inside KeyState
 /// are serialized sorted, and the std::maps in their natural order, so
@@ -19,10 +32,12 @@
 ///
 /// Decoding is total: it consumes untrusted bytes through the
 /// bounds-checked ByteReader, validates every invariant the in-memory
-/// types rely on (canonical conditions, ascending map keys, in-range
-/// KeyIds, valid enum values, exact input consumption), and returns
-/// false on any violation. A corrupt or version-skewed payload can
-/// therefore only produce a cache miss, never a malformed State.
+/// types rely on (canonical conditions, strictly ascending hash sets
+/// and map keys, distinct key slots, in-range KeyIds, valid enum
+/// values, a scaffold byte that matches the sections, exact input
+/// consumption), and returns false on any violation. A corrupt or
+/// version-skewed payload can therefore only produce a cache miss,
+/// never a malformed State.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +54,10 @@ namespace fscs {
 /// refinement codecs (core/StoreCodecs.h) use 2 and 3.
 constexpr uint8_t StoreFamilySummary = 1;
 
-/// Bump on any layout change; readers treat other versions as a miss.
-constexpr uint8_t SummaryCodecVersion = 1;
+/// Bump on any layout change; readers treat other versions as a miss,
+/// and the store lets a record of this version supersede one of any
+/// other version under the same key (support/CacheStore.h).
+constexpr uint8_t SummaryCodecVersion = 2;
 
 /// Serializes \p Run into \p W (deterministic; see file comment).
 void encodeCachedClusterRun(const CachedClusterRun &Run,

@@ -14,13 +14,14 @@
 /// refs, and engine options over the same program, the second run hits
 /// the cache instead of re-running SummaryEngine.
 ///
-/// The cache entry is the engine's complete memoized State (per-key
-/// summary tuples + FSCI memo + accounting) plus the dovetail-warmup
-/// accounting, so a hit replays *bit-identical* per-cluster metrics and
-/// can serve arbitrary further queries through
-/// ClusterAliasAnalysis::adoptState. Soundness of the key derivation
-/// (why digest equality implies state equality) is argued in DESIGN.md,
-/// "Summary-cache key derivation".
+/// The cache entry is the engine's exported State (per-key summary
+/// tuples + FSCI memo + accounting, and traversal scaffolding only where
+/// a later query can still reach it; see SummaryEngine::exportState)
+/// plus the dovetail-warmup accounting, so a hit replays
+/// *bit-identical* per-cluster metrics and can serve arbitrary further
+/// queries through ClusterAliasAnalysis::adoptState. Soundness of the
+/// key derivation (why digest equality implies state equality) is
+/// argued in DESIGN.md, "Summary-cache key derivation".
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,6 +17,11 @@ uint64_t refHash(Ref R) {
   return (uint64_t(R.Var) << 2) | uint64_t(uint8_t(R.Deref + 1));
 }
 
+/// KeyIndex slot of the summary key (Loc, R).
+std::pair<LocId, uint64_t> keySlot(LocId Loc, Ref R) {
+  return std::make_pair(Loc, refHash(R));
+}
+
 uint64_t tupleHash(LocId M, Ref Q, const Condition &Cond) {
   uint64_t H = Cond.hash();
   H ^= (uint64_t(M) << 32) ^ refHash(Q);
@@ -118,7 +123,7 @@ bool SummaryEngine::mayModify(FuncId G, Ref Q) {
 //===--------------------------------------------------------------------===//
 
 SummaryEngine::KeyId SummaryEngine::ensureKey(LocId Loc, Ref R) {
-  auto MapKey = std::make_pair(Loc, refHash(R));
+  auto MapKey = keySlot(Loc, R);
   auto It = St.KeyIndex.find(MapKey);
   if (It != St.KeyIndex.end())
     return It->second;
@@ -757,24 +762,66 @@ uint64_t SummaryEngine::State::approxBytes() const {
   return N;
 }
 
+bool SummaryEngine::State::settled() const {
+  for (const KeyState &KS : Keys)
+    for (const Waiter &W : KS.Waiters)
+      if (W.Consumed < KS.Results.size())
+        return false;
+  return true;
+}
+
+bool SummaryEngine::State::rebuildKeyIndex() {
+  KeyIndex.clear();
+  for (KeyId K = 0; K < Keys.size(); ++K)
+    if (!KeyIndex.emplace(keySlot(Keys[K].AnchorLoc, Keys[K].R), K).second)
+      return false;
+  return true;
+}
+
+SummaryEngine::State SummaryEngine::exportState() const {
+  // Field by field: copying St whole and clearing the dead sections
+  // afterwards would pay for the copy it throws away.
+  const bool Settled = St.settled();
+  // Every public query drains until no feed is pending or the budget
+  // stops it, so only a budget-hit state is unsettled.
+  assert((Settled || St.BudgetHit) && "export after an interrupted drain");
+  State Out;
+  Out.Keys.resize(St.Keys.size());
+  for (size_t K = 0; K < St.Keys.size(); ++K) {
+    const KeyState &From = St.Keys[K];
+    KeyState &To = Out.Keys[K];
+    To.AnchorLoc = From.AnchorLoc;
+    To.R = From.R;
+    To.Results = From.Results;
+    if (!Settled || !St.BudgetHit)
+      To.WaiterHashes = From.WaiterHashes;
+    if (!Settled) {
+      To.ResultHashes = From.ResultHashes;
+      To.Waiters = From.Waiters;
+    }
+  }
+  Out.KeyIndex = St.KeyIndex;
+  Out.FsciMemo = St.FsciMemo;
+  Out.Steps = St.Steps;
+  Out.BudgetHit = St.BudgetHit;
+  Out.Approximated = St.Approximated;
+  return Out;
+}
+
 void SummaryEngine::importState(State S) {
   St = std::move(S);
   ++Version;
   // Rebuild the transient scheduling scaffolding so the restored engine
-  // picks up exactly where the exporting engine stopped: keys with
-  // pending worklist tuples reactivate (they only exist when the export
-  // happened under an exhausted step budget), and providers whose
-  // waiters have unconsumed results are queued for feeding. Under an
-  // unexhausted budget both sets are empty -- the state is a fixpoint.
+  // picks up exactly where the exporting engine stopped: providers
+  // whose waiters have unconsumed results are queued for feeding. A
+  // settled state has none -- it is a fixpoint for every key it holds.
+  // No key is active: exported states carry no worklists, which only
+  // survive a drain() that the budget stopped, and then stay dead.
   ActiveKeys.clear();
   PendingFeeds.clear();
   KeyActive.assign(St.Keys.size(), 0);
   FeedQueued.assign(St.Keys.size(), 0);
   for (KeyId K = 0; K < St.Keys.size(); ++K) {
-    if (!St.Keys[K].WL.empty()) {
-      KeyActive[K] = 1;
-      ActiveKeys.push_back(K);
-    }
     for (const Waiter &W : St.Keys[K].Waiters) {
       if (W.Consumed < St.Keys[K].Results.size() && !FeedQueued[K]) {
         FeedQueued[K] = 1;

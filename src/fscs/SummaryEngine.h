@@ -249,17 +249,42 @@ public:
     bool BudgetHit = false;
     bool Approximated = false;
 
+    /// True if no waiter has unconsumed provider results: no feed is
+    /// pending, so no existing key can gain a tuple or a traversal
+    /// step after import (see exportState()).
+    bool settled() const;
+
+    /// Rebuilds KeyIndex from every key's (AnchorLoc, R), the mapping
+    /// ensureKey() maintains. Returns false if two keys share an index
+    /// slot, which no engine run produces.
+    bool rebuildKeyIndex();
+
     /// Payload-size estimate for the cache's byte gauge.
     uint64_t approxBytes() const;
   };
 
-  /// Deep-copies the memoized product (call after queries are done).
-  State exportState() const { return St; }
+  /// Copies the part of the memoized product a later query can read
+  /// (call after queries are done). Every key's AnchorLoc, R and
+  /// Results, KeyIndex, FsciMemo, Steps and the flags always travel.
+  /// The traversal scaffolding travels only where it is live:
+  ///
+  ///  * a settled() state has no pending feed, so no existing key ever
+  ///    enqueues or adds a result again: Seen, WL, Waiters and
+  ///    ResultHashes are dead. WaiterHashes stay unless the budget is
+  ///    hit, because a new key's splice dedupes against an existing
+  ///    provider's waiter hashes.
+  ///  * a state is unsettled only when the step budget stopped drain()
+  ///    with feeds queued. It keeps ResultHashes, Waiters and
+  ///    WaiterHashes, so importState() re-queues the same feeds.
+  ///  * under BudgetHit, enqueue() returns early and drain() stops at
+  ///    the first active key, so Seen and WL never travel.
+  State exportState() const;
 
   /// Installs \p S as this engine's memoized product. Only valid on an
   /// engine constructed over the same program, cluster, and options
-  /// that produced \p S; transient scheduling state is rebuilt so
-  /// subsequent queries behave as on the original engine.
+  /// that produced \p S, and on a state without worklists (as
+  /// exportState() makes them); transient scheduling state is rebuilt
+  /// so subsequent queries behave as on the original engine.
   void importState(State S);
 
 private:

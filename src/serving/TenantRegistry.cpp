@@ -504,6 +504,20 @@ std::string TenantRegistry::toStatsJson() const {
   OS << "    \"edit_queue_capacity\": " << Opts.EditQueueCapacity << ",\n";
   OS << "    \"global_max_resident_clusters\": "
      << Opts.GlobalMaxResidentClusters << ",\n";
+  // The shared persistent store, cumulative since open(): live bytes
+  // over records is the per-record footprint, and put duplicates
+  // against gets show records that keep missing.
+  OS << "    \"store\": ";
+  if (Opts.BOpts.Store) {
+    support::CacheStoreCounters SC = Opts.BOpts.Store->counters();
+    OS << "{\"records\": " << SC.Records
+       << ", \"live_bytes\": " << SC.LiveBytes << ", \"gets\": " << SC.Gets
+       << ", \"hits\": " << SC.GetHits << ", \"puts\": " << SC.Puts
+       << ", \"put_duplicates\": " << SC.PutDuplicates
+       << ", \"corrupt_dropped\": " << SC.CorruptDropped << "},\n";
+  } else {
+    OS << "null,\n";
+  }
   OS << "    \"tenants\": [";
   for (size_t I = 0; I < N; ++I) {
     TenantStats St = stats(static_cast<TenantId>(I));

@@ -217,7 +217,8 @@ public:
   TenantStats stats(TenantId T) const;
 
   /// All tenants' stats as one JSON document (the --stats-json payload
-  /// of bench/serving_load).
+  /// of bench/serving_load), plus the shared CacheStore's counters
+  /// ("store", null without one).
   std::string toStatsJson() const;
 
   /// Test access to the underlying per-tenant service.

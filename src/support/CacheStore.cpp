@@ -23,31 +23,49 @@ using namespace bsaa::support;
 
 namespace {
 
-struct Crc32Table {
-  uint32_t T[256];
-  Crc32Table() {
+/// Slicing-by-8 tables: T[0] is the classic bytewise table, and T[K][I]
+/// advances T[K-1][I] by one more zero byte, so eight table lookups
+/// fold eight input bytes at once.
+struct Crc32Tables {
+  uint32_t T[8][256];
+  Crc32Tables() {
     for (uint32_t I = 0; I < 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K < 8; ++K)
         C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (uint32_t I = 0; I < 256; ++I)
+      for (int K = 1; K < 8; ++K)
+        T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xffu];
   }
 };
 
-const Crc32Table &crcTable() {
-  static const Crc32Table Table;
-  return Table;
+const Crc32Tables &crcTables() {
+  static const Crc32Tables Tables;
+  return Tables;
+}
+
+uint32_t loadLe32(const uint8_t *P) {
+  return uint32_t(P[0]) | (uint32_t(P[1]) << 8) | (uint32_t(P[2]) << 16) |
+         (uint32_t(P[3]) << 24);
 }
 
 } // namespace
 
 uint32_t bsaa::support::crc32(const void *Data, size_t Len, uint32_t Seed) {
   const uint8_t *P = static_cast<const uint8_t *>(Data);
-  const Crc32Table &Tab = crcTable();
+  const auto &T = crcTables().T;
   uint32_t C = Seed ^ 0xffffffffu;
-  for (size_t I = 0; I < Len; ++I)
-    C = Tab.T[(C ^ P[I]) & 0xffu] ^ (C >> 8);
+  for (; Len >= 8; P += 8, Len -= 8) {
+    uint32_t Lo = loadLe32(P) ^ C;
+    uint32_t Hi = loadLe32(P + 4);
+    C = T[7][Lo & 0xffu] ^ T[6][(Lo >> 8) & 0xffu] ^
+        T[5][(Lo >> 16) & 0xffu] ^ T[4][Lo >> 24] ^ T[3][Hi & 0xffu] ^
+        T[2][(Hi >> 8) & 0xffu] ^ T[1][(Hi >> 16) & 0xffu] ^ T[0][Hi >> 24];
+  }
+  for (; Len > 0; ++P, --Len)
+    C = T[0][(C ^ *P) & 0xffu] ^ (C >> 8);
   return C ^ 0xffffffffu;
 }
 
@@ -236,8 +254,7 @@ uint64_t CacheStore::scanRecords(uint32_t SegIdx, uint64_t Off, uint64_t End,
     E.Family = Family;
     E.Version = Version;
     E.Crc = Crc;
-    if (Index.emplace(K, E).second)
-      LiveBytes += PayloadLen; // First wins across scan order.
+    indexRecord(K, E);
     Off += RecordHeaderSize + PayloadLen;
   }
   return Off; // Appends into this segment overwrite any torn tail.
@@ -391,9 +408,24 @@ bool CacheStore::appendRecord(const Digest &K, uint8_t Family,
   E.Version = Version;
   E.Crc = Crc;
   S.Tail += RecordHeaderSize + Payload.size();
-  Index.emplace(K, E);
-  LiveBytes += Payload.size();
+  indexRecord(K, E);
   return true;
+}
+
+bool CacheStore::supersedes(uint8_t Family, uint8_t Version,
+                            const IndexEntry &Old) {
+  return Family == Old.Family && Version != Old.Version;
+}
+
+void CacheStore::indexRecord(const Digest &K, const IndexEntry &E) {
+  auto [It, Inserted] = Index.try_emplace(K, E);
+  if (!Inserted) {
+    if (!supersedes(E.Family, E.Version, It->second))
+      return; // The indexed record wins: first-wins within a version.
+    LiveBytes -= It->second.PayloadLen;
+    It->second = E;
+  }
+  LiveBytes += E.PayloadLen;
 }
 
 bool CacheStore::put(const Digest &K, uint8_t Family, uint8_t Version,
@@ -401,7 +433,8 @@ bool CacheStore::put(const Digest &K, uint8_t Family, uint8_t Version,
   std::lock_guard<std::mutex> Lock(Mu);
   if (WriteFailed)
     return false;
-  if (Index.find(K) != Index.end()) {
+  auto It = Index.find(K);
+  if (It != Index.end() && !supersedes(Family, Version, It->second)) {
     ++PutDuplicates; // First-wins: content digests mean identical value.
     return false;
   }

@@ -27,21 +27,26 @@
 /// a *wrong* payload unrepresentable short of a 2^-32 collision, and a
 /// miss merely re-runs the analysis the cache would have skipped.
 ///
-/// Semantics mirror ShardedCache: put() is first-wins (a key already
-/// present is never overwritten -- keys are content digests, so a
-/// second writer computed an identical value), get() returns the
-/// payload plus the codec version it was written with (the caller
-/// treats a version mismatch as a miss). compact() rewrites the live
-/// records into fresh segments, dropping torn tails and superseded
-/// duplicates.
+/// Semantics mirror ShardedCache: among records of one codec version
+/// put() is first-wins (a key already present is never overwritten --
+/// keys are content digests, so a second writer computed an identical
+/// value), get() returns the payload plus the codec version it was
+/// written with (the caller treats a version mismatch as a miss). A
+/// record of the same family but a *different* version supersedes the
+/// indexed one, in put() and in the open() scan alike: a version-skewed
+/// record is a miss its reader re-solves, and the re-solved record must
+/// replace it rather than lose to it forever. compact() rewrites the
+/// live records into fresh segments, dropping torn tails, first-wins
+/// losers and superseded versions.
 ///
 /// Concurrency: all operations are serialized by one internal mutex --
 /// the store is the *slow* tier consulted only on in-memory misses, so
 /// lock granularity is not on any hot path. One CacheStore instance may
-/// be shared by many caches and tenants within a process; concurrent
-/// writers from *separate* processes are not supported (readers of a
-/// store another process grew after open() simply miss the new
-/// records).
+/// be shared by many caches and tenants within a process. A get() that
+/// misses the index re-scans the segment tails first (rescanTails), so
+/// a reader also sees records another store instance or process
+/// appended after its open(). Concurrent *writers* from separate
+/// processes are not supported: their appends can interleave.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -199,8 +204,9 @@ public:
   std::optional<Record> get(const Digest &K, uint8_t Family);
 
   /// Appends \p Payload under \p K unless the key is already present
-  /// (first-wins, matching ShardedCache). Returns true if the record
-  /// was appended.
+  /// with the same \p Version (first-wins, matching ShardedCache); a
+  /// record of the same family and another version is superseded.
+  /// Returns true if the record was appended.
   bool put(const Digest &K, uint8_t Family, uint8_t Version,
            const std::vector<uint8_t> &Payload);
 
@@ -210,7 +216,8 @@ public:
   uint64_t size() const;
 
   /// Rewrites live records into fresh segments and deletes the old
-  /// files: drops torn tails, corrupt regions, and first-wins losers.
+  /// files: drops torn tails, corrupt regions, first-wins losers and
+  /// superseded versions.
   /// Returns the number of records carried over.
   uint64_t compact();
 
@@ -257,6 +264,16 @@ private:
   /// a writer permanently misses everything written after its open().
   /// Called under Mu.
   void rescanTails();
+
+  /// True if a record of (\p Family, \p Version) replaces \p Old in the
+  /// index: same family, different codec version.
+  static bool supersedes(uint8_t Family, uint8_t Version,
+                         const IndexEntry &Old);
+
+  /// Indexes \p E under \p K: a new key, or a superseding version of
+  /// an indexed one; otherwise the indexed record wins. Keeps LiveBytes
+  /// in step. Called under Mu.
+  void indexRecord(const Digest &K, const IndexEntry &E);
 
   /// Appends a record to the active segment, rotating first if needed.
   /// Called under Mu. Returns false if the write failed (store becomes

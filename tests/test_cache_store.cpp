@@ -152,6 +152,41 @@ TEST(Crc32, KnownVectorAndChaining) {
   EXPECT_EQ(support::crc32(S, 0), 0u);
 }
 
+namespace {
+
+/// The classic one-byte-at-a-time CRC-32 the sliced one must equal.
+uint32_t bytewiseCrc32(const uint8_t *P, size_t Len, uint32_t Seed) {
+  uint32_t C = Seed ^ 0xffffffffu;
+  for (size_t I = 0; I < Len; ++I) {
+    C ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xedb88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xffffffffu;
+}
+
+} // namespace
+
+TEST(Crc32, SlicingBy8MatchesBytewiseReference) {
+  // Every length 0..300 at every start alignment: the sliced loop, its
+  // bytewise tail, and the hand-off between them all get exercised.
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    std::mt19937_64 Rng(Seed);
+    std::vector<uint8_t> Buf(300 + 8);
+    for (uint8_t &B : Buf)
+      B = static_cast<uint8_t>(Rng());
+    uint32_t Chain = static_cast<uint32_t>(Rng());
+    for (size_t Align = 0; Align < 8; ++Align)
+      for (size_t Len = 0; Len <= 300; ++Len) {
+        const uint8_t *P = Buf.data() + Align;
+        ASSERT_EQ(support::crc32(P, Len), bytewiseCrc32(P, Len, 0))
+            << "seed " << Seed << " align " << Align << " len " << Len;
+        ASSERT_EQ(support::crc32(P, Len, Chain), bytewiseCrc32(P, Len, Chain))
+            << "seed " << Seed << " align " << Align << " len " << Len;
+      }
+  }
+}
+
 TEST(ByteIo, RoundTrip) {
   ByteWriter W;
   W.u8(0xab);
@@ -223,6 +258,50 @@ TEST(CacheStore, PutGetFirstWinsReopen) {
   ASSERT_TRUE(E.has_value());
   EXPECT_TRUE(E->Payload.empty());
   EXPECT_EQ(S->counters().CorruptDropped, 0u);
+}
+
+TEST(CacheStore, OtherVersionSupersedesInPutScanAndCompact) {
+  TempDir Dir;
+  const Digest K = key(5, 6);
+  {
+    auto S = CacheStore::open(Dir.Path);
+    ASSERT_TRUE(S->put(K, /*Family=*/1, /*Version=*/1, payload({1, 1, 1})));
+    // First-wins among records of one version.
+    EXPECT_FALSE(S->put(K, 1, 1, payload({7})));
+    // Another family under the key never replaces it either.
+    EXPECT_FALSE(S->put(K, 2, 2, payload({7})));
+    // A new codec version of the same family supersedes.
+    ASSERT_TRUE(S->put(K, 1, 2, payload({2, 2})));
+    EXPECT_FALSE(S->put(K, 1, 2, payload({9, 9})));
+    auto R = S->get(K, 1);
+    ASSERT_TRUE(R.has_value());
+    EXPECT_EQ(R->Version, 2);
+    EXPECT_EQ(R->Payload, payload({2, 2}));
+    auto C = S->counters();
+    EXPECT_EQ(C.Records, 1u);
+    EXPECT_EQ(C.LiveBytes, 2u);
+    EXPECT_EQ(C.Puts, 2u);
+    EXPECT_EQ(C.PutDuplicates, 3u);
+  }
+  {
+    // The open() scan applies the same rule: the later v2 record wins
+    // over the v1 record before it in the segment.
+    auto S = CacheStore::open(Dir.Path);
+    auto R = S->get(K, 1);
+    ASSERT_TRUE(R.has_value());
+    EXPECT_EQ(R->Version, 2);
+    EXPECT_EQ(R->Payload, payload({2, 2}));
+    EXPECT_EQ(S->counters().LiveBytes, 2u);
+    EXPECT_EQ(S->compact(), 1u);
+  }
+  // Compaction kept only the superseding record.
+  auto S = CacheStore::open(Dir.Path);
+  auto R = S->get(K, 1);
+  ASSERT_TRUE(R.has_value());
+  EXPECT_EQ(R->Version, 2);
+  EXPECT_EQ(R->Payload, payload({2, 2}));
+  EXPECT_EQ(std::filesystem::file_size(onlySegment(Dir.Path)),
+            8u + 32u + 2u);
 }
 
 TEST(CacheStore, SegmentRotationAndCompact) {
@@ -400,39 +479,45 @@ ir::Ref randomRef(std::mt19937_64 &Rng) {
                  static_cast<int8_t>(int(Rng() % 4) - 1)};
 }
 
-/// A randomized but invariant-respecting CachedClusterRun: canonical
-/// conditions, in-range waiter KeyIds, naturally sorted maps.
+/// A randomized but invariant-respecting exported CachedClusterRun:
+/// canonical conditions, in-range waiter KeyIds, distinct key slots,
+/// tuples anchored at their key, KeyIndex as the engine keeps it, no
+/// Seen sets or worklists. Odd seeds carry ResultHashes and Waiters,
+/// even seeds are settled exports.
 fscs::CachedClusterRun randomRun(uint64_t Seed) {
   std::mt19937_64 Rng(Seed);
   fscs::CachedClusterRun Run;
   fscs::SummaryEngine::State &St = Run.Engine;
+  const bool Scaffold = Seed % 2;
 
   size_t NumKeys = 1 + Rng() % 5;
-  St.Keys.resize(NumKeys);
-  for (auto &K : St.Keys) {
+  while (St.Keys.size() < NumKeys) {
+    fscs::SummaryEngine::KeyState K;
     K.AnchorLoc = static_cast<ir::LocId>(Rng() % 200);
     K.R = randomRef(Rng);
+    bool Taken = false;
+    for (const auto &Other : St.Keys)
+      Taken |= Other.AnchorLoc == K.AnchorLoc && Other.R == K.R;
+    if (!Taken)
+      St.Keys.push_back(std::move(K));
+  }
+  for (auto &K : St.Keys) {
     size_t NR = Rng() % 4;
     for (size_t I = 0; I < NR; ++I) {
       fscs::SummaryTuple T;
-      T.Anchor = randomRef(Rng);
-      T.AnchorLoc = static_cast<ir::LocId>(Rng() % 200);
+      T.Anchor = K.R;
+      T.AnchorLoc = K.AnchorLoc;
       T.Origin = randomRef(Rng);
       T.Cond = randomCondition(Rng);
       K.Results.push_back(std::move(T));
     }
+    for (size_t I = 0, N = Rng() % 4; I < N; ++I)
+      K.WaiterHashes.insert(Rng());
+    if (!Scaffold)
+      continue;
     for (size_t I = 0, N = Rng() % 6; I < N; ++I)
       K.ResultHashes.insert(Rng());
-    for (size_t I = 0, N = Rng() % 3; I < N; ++I) {
-      fscs::SummaryEngine::TraversalTuple T;
-      T.M = static_cast<ir::LocId>(Rng() % 200);
-      T.Q = randomRef(Rng);
-      T.Cond = randomCondition(Rng);
-      K.WL.push_back(std::move(T));
-    }
-    for (size_t I = 0, N = Rng() % 8; I < N; ++I)
-      K.Seen.insert(Rng());
-    for (size_t I = 0, N = Rng() % 3; I < N; ++I) {
+    for (size_t I = 0, N = 1 + Rng() % 3; I < N; ++I) {
       fscs::SummaryEngine::Waiter Wt;
       Wt.Dependent = static_cast<fscs::SummaryEngine::KeyId>(Rng() % NumKeys);
       Wt.CallLoc = static_cast<ir::LocId>(Rng() % 200);
@@ -440,12 +525,8 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
       Wt.Consumed = Rng() % 10;
       K.Waiters.push_back(std::move(Wt));
     }
-    for (size_t I = 0, N = Rng() % 4; I < N; ++I)
-      K.WaiterHashes.insert(Rng());
   }
-  for (size_t I = 0, N = Rng() % 6; I < N; ++I)
-    St.KeyIndex[{static_cast<ir::LocId>(Rng() % 500), Rng()}] =
-        static_cast<fscs::SummaryEngine::KeyId>(Rng() % NumKeys);
+  EXPECT_TRUE(St.rebuildKeyIndex());
   for (size_t I = 0, N = Rng() % 5; I < N; ++I) {
     SparseBitVector B;
     for (size_t J = 0, M = Rng() % 40; J < M; ++J)
@@ -468,35 +549,69 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
   return Run;
 }
 
+std::vector<uint8_t> encodeRun(const fscs::CachedClusterRun &Run) {
+  ByteWriter W;
+  fscs::encodeCachedClusterRun(Run, W);
+  return W.take();
+}
+
+bool decodes(const std::vector<uint8_t> &Bytes) {
+  fscs::CachedClusterRun Back;
+  return fscs::decodeCachedClusterRun(Bytes.data(), Bytes.size(), Back);
+}
+
 } // namespace
 
 TEST(StateCodec, RoundTripRandomSeeds) {
   for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
     fscs::CachedClusterRun Run = randomRun(Seed);
-    ByteWriter W;
-    fscs::encodeCachedClusterRun(Run, W);
+    std::vector<uint8_t> Bytes = encodeRun(Run);
 
     fscs::CachedClusterRun Back;
-    ASSERT_TRUE(fscs::decodeCachedClusterRun(W.bytes().data(),
-                                             W.bytes().size(), Back))
+    ASSERT_TRUE(fscs::decodeCachedClusterRun(Bytes.data(), Bytes.size(), Back))
         << "seed " << Seed;
     // Encoding is deterministic (sorted hash sets, ordered maps), so
     // byte equality of re-encoding == semantic equality of the runs.
-    ByteWriter W2;
-    fscs::encodeCachedClusterRun(Back, W2);
-    EXPECT_EQ(W.bytes(), W2.bytes()) << "seed " << Seed;
+    EXPECT_EQ(Bytes, encodeRun(Back)) << "seed " << Seed;
+    // The derived fields come back as the engine keeps them.
+    EXPECT_EQ(Back.Engine.KeyIndex, Run.Engine.KeyIndex) << "seed " << Seed;
+    ASSERT_EQ(Back.Engine.Keys.size(), Run.Engine.Keys.size());
+    for (size_t K = 0; K < Run.Engine.Keys.size(); ++K) {
+      const auto &A = Run.Engine.Keys[K].Results;
+      const auto &B = Back.Engine.Keys[K].Results;
+      ASSERT_EQ(A.size(), B.size()) << "seed " << Seed;
+      for (size_t I = 0; I < A.size(); ++I) {
+        EXPECT_EQ(A[I].Anchor, B[I].Anchor) << "seed " << Seed;
+        EXPECT_EQ(A[I].AnchorLoc, B[I].AnchorLoc) << "seed " << Seed;
+      }
+    }
   }
 }
 
+TEST(StateCodec, SettledStateOmitsScaffoldSections) {
+  // A settled export and the same state with one waiter added differ by
+  // the two per-key scaffold sections.
+  fscs::CachedClusterRun Lean = randomRun(2);
+  ASSERT_TRUE(Lean.Engine.settled());
+  fscs::CachedClusterRun Full = Lean;
+  Full.Engine.Keys[0].Waiters.push_back(
+      fscs::SummaryEngine::Waiter{0, 1, fscs::Condition(), 0});
+  const size_t Keys = Lean.Engine.Keys.size();
+  // Per key: two counts (4 bytes each), plus one waiter of dependent,
+  // call loc, an empty condition (5 bytes) and Consumed.
+  EXPECT_EQ(encodeRun(Full).size(),
+            encodeRun(Lean).size() + Keys * 2 * 4 + 4 + 4 + 5 + 8);
+}
+
 TEST(StateCodec, EveryTruncationRejected) {
-  fscs::CachedClusterRun Run = randomRun(42);
-  ByteWriter W;
-  fscs::encodeCachedClusterRun(Run, W);
-  ASSERT_GT(W.bytes().size(), 4u);
-  for (size_t Len = 0; Len < W.bytes().size(); ++Len) {
-    fscs::CachedClusterRun Back;
-    EXPECT_FALSE(fscs::decodeCachedClusterRun(W.bytes().data(), Len, Back))
-        << "prefix of length " << Len << " decoded";
+  for (uint64_t Seed : {41u, 42u}) {
+    std::vector<uint8_t> Bytes = encodeRun(randomRun(Seed));
+    ASSERT_GT(Bytes.size(), 4u);
+    for (size_t Len = 0; Len < Bytes.size(); ++Len) {
+      fscs::CachedClusterRun Back;
+      EXPECT_FALSE(fscs::decodeCachedClusterRun(Bytes.data(), Len, Back))
+          << "seed " << Seed << ": prefix of length " << Len << " decoded";
+    }
   }
 }
 
@@ -507,22 +622,67 @@ TEST(StateCodec, InvalidStructuresRejected) {
     fscs::CachedClusterRun Bad = Run;
     fscs::SummaryEngine::Waiter Wt;
     Wt.Dependent = 1000;
+    Wt.CallLoc = 0;
     Bad.Engine.Keys[0].Waiters.push_back(Wt);
-    ByteWriter W;
-    fscs::encodeCachedClusterRun(Bad, W);
-    fscs::CachedClusterRun Back;
-    EXPECT_FALSE(
-        fscs::decodeCachedClusterRun(W.bytes().data(), W.bytes().size(), Back));
+    EXPECT_FALSE(decodes(encodeRun(Bad)));
+  }
+  {
+    // Two keys in one index slot.
+    fscs::CachedClusterRun Bad = Run;
+    Bad.Engine.Keys.push_back(Bad.Engine.Keys[0]);
+    EXPECT_FALSE(decodes(encodeRun(Bad)));
+  }
+  {
+    // Scaffold byte set although no key carries scaffolding: with no
+    // keys the sections are trivially empty.
+    fscs::CachedClusterRun Empty;
+    std::vector<uint8_t> Bytes = encodeRun(Empty);
+    ASSERT_TRUE(decodes(Bytes));
+    Bytes[4] = 1;
+    EXPECT_FALSE(decodes(Bytes));
+    Bytes[4] = 2;
+    EXPECT_FALSE(decodes(Bytes));
   }
   {
     // Trailing garbage.
-    ByteWriter W;
-    fscs::encodeCachedClusterRun(Run, W);
-    W.u8(0);
-    fscs::CachedClusterRun Back;
-    EXPECT_FALSE(
-        fscs::decodeCachedClusterRun(W.bytes().data(), W.bytes().size(), Back));
+    std::vector<uint8_t> Bytes = encodeRun(Run);
+    Bytes.push_back(0);
+    EXPECT_FALSE(decodes(Bytes));
   }
+}
+
+TEST(StateCodec, OldVersionRecordMissesThenIsSupersededByReSolve) {
+  // A store written by the previous summary codec: its record is a
+  // version-skewed miss; the re-solved run written through must then be
+  // served after a reopen and after compaction instead of losing to
+  // the old record forever.
+  TempDir Dir;
+  const Digest K = key(77, 78);
+  const fscs::CachedClusterRun Run = randomRun(12);
+  {
+    auto Store = CacheStore::open(Dir.Path);
+    ASSERT_TRUE(Store->put(K, fscs::StoreFamilySummary,
+                           fscs::SummaryCodecVersion - 1, payload({1, 2, 3})));
+    fscs::SummaryCache Cache;
+    Cache.attachStore(Store);
+    EXPECT_EQ(Cache.lookup(K), nullptr) << "version skew must miss";
+    Cache.insert(K, Run); // The re-solve, written through.
+    EXPECT_EQ(Cache.counters().StorePuts, 1u);
+    EXPECT_EQ(Store->counters().Records, 1u);
+  }
+  auto ServedFresh = [&] {
+    auto Store = CacheStore::open(Dir.Path);
+    fscs::SummaryCache Cache;
+    Cache.attachStore(Store);
+    std::shared_ptr<const fscs::CachedClusterRun> Hit = Cache.lookup(K);
+    ASSERT_NE(Hit, nullptr);
+    EXPECT_EQ(encodeRun(*Hit), encodeRun(Run));
+    EXPECT_EQ(Cache.counters().StoreHits, 1u);
+    EXPECT_EQ(Store->counters().LiveBytes, encodeRun(Run).size());
+  };
+  ServedFresh();
+  EXPECT_EQ(CacheStore::open(Dir.Path)->compact(), 1u);
+  ServedFresh();
 }
 
 TEST(StoreCodecs, SliceRoundTrip) {

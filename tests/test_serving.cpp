@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -492,6 +493,7 @@ TEST(Serving, ToStatsJsonCoversEveryTenant) {
   EXPECT_NE(Json.find("\"ready\": true"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"ready\": false"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"query_ms\""), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"store\": null"), std::string::npos) << Json;
 }
 
 TEST(Serving, IdleTenantQuantilesAreNullNotZero) {
@@ -592,6 +594,20 @@ TEST(Serving, WarmStartFromSharedStoreMatchesColdRegistry) {
       << "a fully warm tenant revives every summary instead of computing";
   EXPECT_GE(C.storeHitRate(), 0.5)
       << "ISSUE acceptance: warm hit rate >= 0.5";
+
+  // The registry's stats export the shared store's counters.
+  support::CacheStoreCounters SC = Warm.options().BOpts.Store->counters();
+  EXPECT_GT(SC.Records, 0u);
+  EXPECT_GT(SC.GetHits, 0u);
+  EXPECT_EQ(SC.Puts, 0u);
+  std::ostringstream Want;
+  Want << "\"store\": {\"records\": " << SC.Records
+       << ", \"live_bytes\": " << SC.LiveBytes << ", \"gets\": " << SC.Gets
+       << ", \"hits\": " << SC.GetHits
+       << ", \"puts\": 0, \"put_duplicates\": " << SC.PutDuplicates
+       << ", \"corrupt_dropped\": 0}";
+  std::string Json = Warm.toStatsJson();
+  EXPECT_NE(Json.find(Want.str()), std::string::npos) << Json;
 
   std::error_code Ec;
   std::filesystem::remove_all(StoreDir, Ec);

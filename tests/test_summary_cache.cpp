@@ -16,11 +16,14 @@
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
 #include "fscs/ClusterAliasAnalysis.h"
+#include "fscs/StateCodec.h"
 #include "fscs/SummaryCache.h"
 #include "support/Statistics.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 using namespace bsaa;
 
@@ -327,6 +330,130 @@ TEST(SummaryCache, AdoptedStateAnswersQueriesIdentically) {
   EXPECT_EQ(EA.Keys, EB.Keys);
   EXPECT_EQ(EA.BudgetHit, EB.BudgetHit);
   EXPECT_EQ(EA.Approximated, EB.Approximated);
+}
+
+//===--------------------------------------------------------------------===//
+// Export equivalence: the lean export answers like the live engine
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+bool sameTuples(const std::vector<fscs::SummaryTuple> &A,
+                const std::vector<fscs::SummaryTuple> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (!(A[I].Anchor == B[I].Anchor) || A[I].AnchorLoc != B[I].AnchorLoc ||
+        !(A[I].Origin == B[I].Origin) || !(A[I].Cond == B[I].Cond))
+      return false;
+  return true;
+}
+
+} // namespace
+
+TEST(SummaryCache, LeanExportAnswersLikeTheLiveEngineOn100Seeds) {
+  // A live engine and a fresh one importing its export (through the
+  // store codec) receive the same follow-up queries, including ones
+  // that create new keys; every answer and all accounting must agree.
+  // Small step budgets make budget-hit states with pending feeds.
+  const uint64_t Budgets[] = {40, 150, 600, 3000, 20000};
+  unsigned Settled = 0, UnsettledBudgetHit = 0, SettledBudgetHit = 0;
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    auto P = generate(Seed);
+    ASSERT_TRUE(P);
+    ir::CallGraph CG(*P);
+    analysis::SteensgaardAnalysis S(*P);
+    S.run();
+    core::Cluster Whole = core::wholeProgramCluster(*P);
+    fscs::SummaryEngine::Options Opts;
+    Opts.StepBudget = Budgets[Seed % 5];
+
+    // The driver's workload: dovetail, then every pointer at its exit.
+    fscs::ClusterAliasAnalysis Live(*P, CG, S, Whole, Opts);
+    Live.prepare();
+    for (ir::VarId V = 0; V < P->numVars(); ++V) {
+      const ir::Variable &Var = P->var(V);
+      ir::FuncId Owner =
+          Var.Owner != ir::InvalidFunc ? Var.Owner : P->entryFunction();
+      if (!Var.isPointer() || Owner == ir::InvalidFunc)
+        continue;
+      Live.pointsTo(V, P->func(Owner).Exit);
+      if (Live.engine().budgetExhausted())
+        break;
+    }
+
+    fscs::CachedClusterRun Run;
+    Run.Engine = Live.engine().exportState();
+    Run.Dove = Live.dovetailStats();
+    Run.Stats = Live.engine().stats();
+    const fscs::SummaryEngine::State &Ex = Run.Engine;
+    bool IsSettled = Ex.settled();
+    Settled += IsSettled;
+    UnsettledBudgetHit += !IsSettled && Ex.BudgetHit;
+    SettledBudgetHit += IsSettled && Ex.BudgetHit;
+    EXPECT_TRUE(IsSettled || Ex.BudgetHit) << "seed " << Seed;
+    for (const fscs::SummaryEngine::KeyState &K : Ex.Keys) {
+      EXPECT_TRUE(K.Seen.empty() && K.WL.empty())
+          << "seed " << Seed << ": export carries a traversal";
+      if (IsSettled)
+        EXPECT_TRUE(K.Waiters.empty() && K.ResultHashes.empty())
+            << "seed " << Seed << ": settled export carries scaffolding";
+      if (IsSettled && Ex.BudgetHit)
+        EXPECT_TRUE(K.WaiterHashes.empty()) << "seed " << Seed;
+    }
+
+    support::ByteWriter W;
+    fscs::encodeCachedClusterRun(Run, W);
+    fscs::CachedClusterRun Back;
+    ASSERT_TRUE(fscs::decodeCachedClusterRun(W.bytes().data(),
+                                             W.bytes().size(), Back))
+        << "seed " << Seed;
+    support::ByteWriter W2;
+    fscs::encodeCachedClusterRun(Back, W2);
+    ASSERT_EQ(W.bytes(), W2.bytes()) << "seed " << Seed;
+    fscs::ClusterAliasAnalysis Adopted(*P, CG, S, Whole, Opts);
+    Adopted.adoptState(std::move(Back.Engine), Back.Dove);
+
+    fscs::SummaryEngine &A = Live.engine();
+    fscs::SummaryEngine &B = Adopted.engine();
+    std::mt19937_64 Rng(Seed * 7919);
+    for (int Q = 0; Q < 40; ++Q) {
+      ir::LocId L = static_cast<ir::LocId>(Rng() % P->numLocs());
+      ir::VarId V = static_cast<ir::VarId>(Rng() % P->numVars());
+      switch (Rng() % 3) {
+      case 0: { // Often a new key.
+        ir::Ref R{V, static_cast<int8_t>(int(Rng() % 3) - 1)};
+        EXPECT_TRUE(sameTuples(A.summaryAt(L, R), B.summaryAt(L, R)))
+            << "seed " << Seed << " query " << Q;
+        break;
+      }
+      case 1: { // An exported key.
+        if (Ex.Keys.empty())
+          break;
+        const fscs::SummaryEngine::KeyState &K =
+            Ex.Keys[Rng() % Ex.Keys.size()];
+        EXPECT_TRUE(sameTuples(A.summaryAt(K.AnchorLoc, K.R),
+                               B.summaryAt(K.AnchorLoc, K.R)))
+            << "seed " << Seed << " query " << Q;
+        break;
+      }
+      default:
+        EXPECT_EQ(A.fsciPointsTo(V, L), B.fsciPointsTo(V, L))
+            << "seed " << Seed << " query " << Q;
+        break;
+      }
+      ASSERT_EQ(A.stepsUsed(), B.stepsUsed()) << "seed " << Seed << " " << Q;
+      ASSERT_EQ(A.numSummaryTuples(), B.numSummaryTuples())
+          << "seed " << Seed << " query " << Q;
+      ASSERT_EQ(A.budgetExhausted(), B.budgetExhausted()) << "seed " << Seed;
+      ASSERT_EQ(A.hasApproximation(), B.hasApproximation())
+          << "seed " << Seed;
+    }
+  }
+  // Every export shape occurred.
+  EXPECT_GT(Settled - SettledBudgetHit, 0u);
+  EXPECT_GT(SettledBudgetHit, 0u);
+  EXPECT_GT(UnsettledBudgetHit, 0u);
 }
 
 //===--------------------------------------------------------------------===//
