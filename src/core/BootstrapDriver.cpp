@@ -5,7 +5,6 @@
 #include "analysis/Andersen.h"
 #include "analysis/OneLevelFlow.h"
 #include "core/AliasCover.h"
-#include "core/ClusterDependencies.h"
 #include "core/RelevantStatements.h"
 #include "fscs/ClusterAliasAnalysis.h"
 #include "support/Statistics.h"
@@ -33,7 +32,7 @@ void core::detail::submitClusterJobOrThrow(ThreadPool &Pool,
 
 BootstrapDriver::BootstrapDriver(const Program &P, BootstrapOptions Opts)
     : Prog(P), Opts(std::move(Opts)), CG(P) {
-  if (this->Opts.SummaryCache || this->Opts.RelevantSliceCache)
+  if (this->Opts.RelevantSliceCache)
     ProgFP = programFingerprint(P);
 }
 
@@ -44,6 +43,8 @@ const analysis::SteensgaardAnalysis &BootstrapDriver::steensgaard() {
       Steens->adoptSolutionFrom(*Opts.AdoptSteensgaard);
     else
       Steens->run();
+    if (Opts.SummaryCache)
+      ScopeKeys = std::make_unique<ScopeKeyIndex>(Prog, CG, *Steens);
   }
   return *Steens;
 }
@@ -280,26 +281,10 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
   R.CostKey = clusterCostKey(Prog, C);
   Timer T;
 
-  support::Digest Key{0, 0};
-  support::Digest ScopeKey{0, 0};
-  const bool UseScope = Opts.SummaryCache && Opts.ScopedSummaryKeys;
-  bool ScopeKeyComputed = false;
   if (Opts.SummaryCache) {
-    Key = fscs::clusterSummaryKey(ProgFP, C, Opts.EngineOpts);
-    std::shared_ptr<const fscs::CachedClusterRun> Hit =
-        Opts.SummaryCache->lookup(Key);
-    if (!Hit && UseScope) {
-      // Exact-program miss: the cluster may still be untouched by
-      // whatever edit separates this program from the one that filled
-      // the cache. The dependency-scope key hashes everything the run
-      // can observe, so a hit here replays just as soundly.
-      ScopeKey = clusterScopeKey(Prog, CG, *Steens, C, Opts.EngineOpts);
-      ScopeKeyComputed = true;
-      Hit = Opts.SummaryCache->lookup(ScopeKey);
-      if (Hit) // Republish under this program's exact key.
-        Opts.SummaryCache->insertAlias(Key, Hit);
-    }
-    if (Hit) {
+    R.Key = ScopeKeys->key(C, Opts.EngineOpts);
+    if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
+            Opts.SummaryCache->lookup(R.Key)) {
       // Replay the memoized run: identical metrics, identical global
       // statistics contributions, no SummaryEngine re-execution.
       fillClusterMetrics(R, Hit->Stats, Hit->Dove);
@@ -344,13 +329,7 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
     Run.Engine = AA.engine().exportState();
     Run.Dove = AA.dovetailStats();
     Run.Stats = ES;
-    std::shared_ptr<const fscs::CachedClusterRun> Stored =
-        Opts.SummaryCache->insert(Key, std::move(Run));
-    if (UseScope) {
-      if (!ScopeKeyComputed)
-        ScopeKey = clusterScopeKey(Prog, CG, *Steens, C, Opts.EngineOpts);
-      Opts.SummaryCache->insertAlias(ScopeKey, std::move(Stored));
-    }
+    Opts.SummaryCache->insert(R.Key, std::move(Run));
   }
   return R;
 }

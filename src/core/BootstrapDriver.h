@@ -29,6 +29,7 @@
 #include "analysis/Andersen.h"
 #include "analysis/Steensgaard.h"
 #include "core/Cluster.h"
+#include "core/ClusterDependencies.h"
 #include "core/RelevantStatements.h"
 #include "fscs/SummaryCache.h"
 #include "fscs/SummaryEngine.h"
@@ -104,15 +105,17 @@ struct BootstrapOptions {
   std::function<void(const Cluster &)> ClusterHook;
 
   /// Cross-cluster FSCS memoization (null = disabled). Shared between
-  /// cluster workers and, because entries are keyed by a program
-  /// fingerprint, safely shareable across driver instances and across
-  /// programs: overlapping covers and repeated ablation configurations
-  /// hit the cache instead of re-running SummaryEngine. A hit replays
-  /// bit-identical per-cluster metrics and global statistics.
+  /// cluster workers and, because entries are keyed by the cluster's
+  /// dependency scope (core/ClusterDependencies.h), safely shareable
+  /// across driver instances, program versions and programs:
+  /// overlapping covers, repeated ablation configurations and clusters
+  /// an edit left untouched hit the cache instead of re-running
+  /// SummaryEngine. A hit replays bit-identical per-cluster metrics and
+  /// global statistics.
   std::shared_ptr<fscs::SummaryCache> SummaryCache;
 
-  /// Algorithm-1 result memoization (null = disabled), keyed the same
-  /// way by (program fingerprint, member list).
+  /// Algorithm-1 result memoization (null = disabled), keyed by
+  /// (program fingerprint, member list).
   std::shared_ptr<SliceCache> RelevantSliceCache;
 
   /// Andersen refinement memoization for oversized partitions (null =
@@ -120,14 +123,6 @@ struct BootstrapOptions {
   /// content-addressed over the actual solver inputs, so it is sound
   /// on the One-Flow fall-through pieces too.
   std::shared_ptr<RefinementCache> AndersenRefinementCache;
-
-  /// Additionally key summary-cache entries by the cluster's
-  /// *dependency scope* (core/ClusterDependencies.h), not just the
-  /// whole-program fingerprint. Scope keys survive edits outside a
-  /// cluster's dependency cone, which is what makes re-analysis after
-  /// a program edit incremental. Requires SummaryCache; ignored
-  /// without one.
-  bool ScopedSummaryKeys = false;
 
   /// Solved Steensgaard instance (over a previous program version) to
   /// adopt instead of re-solving. The caller MUST have verified the
@@ -185,6 +180,10 @@ struct ClusterRunResult {
   /// Served from the summary cache (all non-timing fields replayed from
   /// the memoized run; Seconds measures the lookup instead).
   bool FromCache = false;
+  /// The run's summary-cache key, its dependency-scope digest (all
+  /// zero when no SummaryCache is attached). Query snapshots adopt
+  /// cached runs and the race checker keys its facts by it.
+  support::Digest Key;
 };
 
 /// Whole-pipeline outcome: the raw material of a Table 1 row.
@@ -218,7 +217,8 @@ class BootstrapDriver {
 public:
   BootstrapDriver(const ir::Program &P, BootstrapOptions Opts);
 
-  /// Stage 1: Steensgaard (memoized).
+  /// Stage 1: Steensgaard (memoized). With a SummaryCache attached,
+  /// also builds the scope-key index over the solved partitions.
   const analysis::SteensgaardAnalysis &steensgaard();
 
   /// Stages 1-2(-3): the cluster cover per the options, slices
@@ -276,10 +276,12 @@ private:
   BootstrapOptions Opts;
   ir::CallGraph CG;
   std::unique_ptr<analysis::SteensgaardAnalysis> Steens;
+  /// Summary-cache key index over Steens (null without a SummaryCache).
+  std::unique_ptr<ScopeKeyIndex> ScopeKeys;
   double AndersenSeconds = 0;
   double OneFlowSecs = 0;
-  /// Program content fingerprint for cache keys; computed once in the
-  /// constructor when a cache is attached (0 otherwise).
+  /// Program content fingerprint for slice-cache keys; computed once
+  /// in the constructor when that cache is attached (0 otherwise).
   uint64_t ProgFP = 0;
 };
 

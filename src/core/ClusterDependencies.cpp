@@ -52,33 +52,150 @@ std::vector<FuncId> core::dependentFunctions(const Program &P,
 
 namespace {
 
-/// Identity + type record of one variable, by raw id (a key hit must
-/// certify cached VarIds verbatim).
-void hashVarRecord(support::ContentHasher &H, const Program &P, VarId V) {
-  H.u32(V);
-  const Variable &Var = P.var(V);
-  H.u32(uint32_t(Var.Kind));
-  H.u32(uint32_t(Var.Base));
-  H.u32(Var.PtrDepth);
-  H.u32(Var.Owner);
+support::Digest bodyDigest(const Program &P, FuncId F) {
+  support::ContentHasher H;
+  const Function &Fn = P.func(F);
+  H.u32(F);
+  H.u32(Fn.Entry);
+  H.u32(Fn.Exit);
+  H.u32(Fn.RetVal);
+  H.u32(Fn.FuncObj);
+  H.u64(Fn.Params.size());
+  for (VarId V : Fn.Params)
+    H.u32(V);
+  H.u64(Fn.Locations.size());
+  for (LocId L : Fn.Locations) {
+    const Location &Loc = P.loc(L);
+    H.u32(L);
+    H.u32(uint32_t(Loc.Kind));
+    H.u32(Loc.Lhs);
+    H.u32(Loc.Rhs);
+    H.u32(Loc.IndirectTarget);
+    H.u64(Loc.Callees.size());
+    for (FuncId G : Loc.Callees)
+      H.u32(G);
+    H.str(Loc.CondKey);
+    H.u64(Loc.CondVars.size());
+    for (VarId V : Loc.CondVars)
+      H.u32(V);
+    H.u64(Loc.SuccArm.size());
+    for (uint8_t A : Loc.SuccArm)
+      H.u32(A);
+    H.u64(Loc.Succs.size());
+    for (LocId S : Loc.Succs)
+      H.u32(S);
+    // Preds are the transpose of Succs across the scope: derived.
+  }
+  return H.digest();
+}
+
+void sortUnique(std::vector<uint32_t> &V) {
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
 }
 
 } // namespace
 
+ScopeKeyIndex::ScopeKeyIndex(const Program &P, const CallGraph &CG,
+                             const analysis::SteensgaardAnalysis &Steens)
+    : P(P), CG(CG), Steens(Steens) {
+  uint32_t NF = P.numFuncs();
+  BodyDigest.resize(NF);
+  FuncParts.resize(NF);
+  FuncCallees.resize(NF);
+  for (FuncId F = 0; F < NF; ++F) {
+    BodyDigest[F] = bodyDigest(P, F);
+    // Steensgaard seeds: everything the body and signature name.
+    std::vector<uint32_t> &Parts = FuncParts[F];
+    auto AddVar = [&](VarId V) {
+      if (V != InvalidVar)
+        Parts.push_back(Steens.partitionOf(V));
+    };
+    const Function &Fn = P.func(F);
+    for (VarId V : Fn.Params)
+      AddVar(V);
+    AddVar(Fn.RetVal);
+    AddVar(Fn.FuncObj);
+    for (LocId L : Fn.Locations) {
+      const Location &Loc = P.loc(L);
+      AddVar(Loc.Lhs);
+      AddVar(Loc.Rhs);
+      AddVar(Loc.IndirectTarget);
+      for (VarId V : Loc.CondVars)
+        AddVar(V);
+      if (Loc.Kind == StmtKind::Call)
+        FuncCallees[F].insert(FuncCallees[F].end(), Loc.Callees.begin(),
+                              Loc.Callees.end());
+    }
+    sortUnique(Parts);
+    sortUnique(FuncCallees[F]);
+  }
+
+  // Reachability bottom-up over the call-graph condensation
+  // (components are numbered callees-first).
+  const SccResult &Sccs = CG.sccs();
+  CompReach.resize(Sccs.numComponents());
+  for (uint32_t Comp = 0; Comp < Sccs.numComponents(); ++Comp)
+    for (uint32_t F : Sccs.Members[Comp]) {
+      CompReach[Comp].set(F);
+      for (FuncId G : CG.callees(F))
+        if (Sccs.Component[G] != Comp)
+          CompReach[Comp].unionWith(CompReach[Sccs.Component[G]]);
+    }
+
+  // hasPred is a *global* property (anything anywhere pointing into the
+  // partition makes stores able to reach it), so it is recorded per
+  // partition even though the pointing partition may lie outside a
+  // cluster's scope.
+  uint32_t NP = Steens.numPartitions();
+  std::vector<uint8_t> HasPred(NP, 0);
+  for (uint32_t Part = 0; Part < NP; ++Part) {
+    uint32_t Succ = Steens.pointsToPartition(Part);
+    if (Succ != analysis::InvalidPartition)
+      HasPred[Succ] = 1;
+  }
+  PartDigest.resize(NP);
+  std::unordered_map<uint32_t, uint32_t> FirstInClass;
+  for (uint32_t Part = 0; Part < NP; ++Part) {
+    const std::vector<VarId> &Members = Steens.partitionMembers(Part);
+    support::ContentHasher H;
+    H.u32(Steens.depthOfPartition(Part));
+    H.boolean(HasPred[Part]);
+    H.u64(Members.size());
+    // Identity + type record of every member (enumerated as deref
+    // candidates), by raw id: a key hit must certify cached VarIds
+    // verbatim.
+    for (VarId V : Members) {
+      const Variable &Var = P.var(V);
+      H.u32(V).u32(uint32_t(Var.Kind)).u32(uint32_t(Var.Base));
+      H.u32(Var.PtrDepth).u32(Var.Owner);
+    }
+    // mayAlias is pointee-*cell* equality, strictly finer than sharing
+    // a partition. Raw cell ids are meaningless across solver
+    // instances, so hash each member's class as the index of its
+    // first member. No class spans two partitions (the solver unites
+    // variables with equal pointee classes), so these groupings
+    // together carry the whole may-alias relation of the scope.
+    FirstInClass.clear();
+    for (uint32_t I = 0; I < Members.size(); ++I)
+      H.u32(FirstInClass.emplace(Steens.pointeeClassOf(Members[I]), I)
+                .first->second);
+    PartDigest[Part] = H.digest();
+  }
+}
+
 support::Digest
-core::clusterScopeKey(const Program &P, const CallGraph &CG,
-                      const analysis::SteensgaardAnalysis &Steens,
-                      const Cluster &C,
-                      const fscs::SummaryEngine::Options &Opts) {
+ScopeKeyIndex::key(const Cluster &C,
+                   const fscs::SummaryEngine::Options &Opts) const {
   support::ContentHasher H;
-  H.u64(0x53434f50'454b4559ull); // "SCOPEKEY"
+  H.u64(0x53434f50'454b5932ull); // "SCOPEKY2"
 
   H.u64(Opts.MaxCondAtoms);
   H.u64(Opts.MaxResultsPerKey);
   H.u64(Opts.StepBudget);
   H.u64(Opts.MaxDerefFanout);
 
-  // Cluster identity, raw (same fields as the exact-program key).
+  // Cluster identity, raw.
   H.u64(C.Members.size());
   for (VarId V : C.Members)
     H.u32(V);
@@ -95,40 +212,8 @@ core::clusterScopeKey(const Program &P, const CallGraph &CG,
   // Full content of the dependency scope D, raw ids throughout.
   std::vector<FuncId> D = dependentFunctions(P, CG, C);
   H.u64(D.size());
-  for (FuncId F : D) {
-    const Function &Fn = P.func(F);
-    H.u32(F);
-    H.u32(Fn.Entry);
-    H.u32(Fn.Exit);
-    H.u32(Fn.RetVal);
-    H.u32(Fn.FuncObj);
-    H.u64(Fn.Params.size());
-    for (VarId V : Fn.Params)
-      H.u32(V);
-    H.u64(Fn.Locations.size());
-    for (LocId L : Fn.Locations) {
-      const Location &Loc = P.loc(L);
-      H.u32(L);
-      H.u32(uint32_t(Loc.Kind));
-      H.u32(Loc.Lhs);
-      H.u32(Loc.Rhs);
-      H.u32(Loc.IndirectTarget);
-      H.u64(Loc.Callees.size());
-      for (FuncId G : Loc.Callees)
-        H.u32(G);
-      H.str(Loc.CondKey);
-      H.u64(Loc.CondVars.size());
-      for (VarId V : Loc.CondVars)
-        H.u32(V);
-      H.u64(Loc.SuccArm.size());
-      for (uint8_t A : Loc.SuccArm)
-        H.u32(A);
-      H.u64(Loc.Succs.size());
-      for (LocId S : Loc.Succs)
-        H.u32(S);
-      // Preds are the transpose of Succs across the scope: derived.
-    }
-  }
+  for (FuncId F : D)
+    H.u64(BodyDigest[F].Hi).u64(BodyDigest[F].Lo);
 
   // Descent decisions at call sites: reaching a call in D, the engine
   // asks whether the callee's subtree carries slice statements and
@@ -136,103 +221,46 @@ core::clusterScopeKey(const Program &P, const CallGraph &CG,
   // of every slice owner reachable from the callee). The callee bodies
   // themselves may be outside D; what the engine reads from them is
   // exactly the set of reachable slice owners, so hash that set per
-  // (call site, callee). Reachability is computed bottom-up over the
-  // call-graph condensation (components are numbered callees-first).
-  const SccResult &Sccs = CG.sccs();
-  SparseBitVector SliceOwners;
+  // callee of a call site in D.
+  std::vector<FuncId> SliceOwners;
   for (LocId L : C.Statements)
     if (P.loc(L).Owner != InvalidFunc)
-      SliceOwners.set(P.loc(L).Owner);
-  std::vector<SparseBitVector> CompReach(Sccs.numComponents());
-  std::vector<uint64_t> CompDigest(Sccs.numComponents());
-  for (uint32_t Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
-    for (uint32_t F : Sccs.Members[Comp]) {
-      if (SliceOwners.test(F))
-        CompReach[Comp].set(F);
-      for (FuncId G : CG.callees(F))
-        if (Sccs.Component[G] != Comp)
-          CompReach[Comp].unionWith(CompReach[Sccs.Component[G]]);
-    }
-    support::ContentHasher CH;
-    CH.u64(CompReach[Comp].count());
-    CompReach[Comp].forEach([&](uint32_t F) { CH.u32(F); });
-    CompDigest[Comp] = CH.digest().Lo;
-  }
+      SliceOwners.push_back(P.loc(L).Owner);
+  sortUnique(SliceOwners);
+  const SccResult &Sccs = CG.sccs();
   for (FuncId F : D)
-    for (LocId L : P.func(F).Locations) {
-      const Location &Loc = P.loc(L);
-      if (Loc.Kind != StmtKind::Call)
-        continue;
-      for (FuncId G : Loc.Callees) {
-        H.u32(G);
-        H.u64(CompDigest[Sccs.Component[G]]);
-      }
+    for (FuncId G : FuncCallees[F]) {
+      const SparseBitVector &Reach = CompReach[Sccs.Component[G]];
+      H.u32(G);
+      for (FuncId O : SliceOwners)
+        if (Reach.test(O))
+          H.u32(O);
+      H.u64(0xffffffffffffffffull); // End of G's reachable owners.
     }
 
-  // Steensgaard facts the run consults. Seed vars: everything named by
-  // D's locations and signatures plus the cluster's own vars; then
-  // close partitions under the points-to successor chain (dereference
-  // enumeration walks succ partitions and their member lists) and fold
-  // the members of every closed partition back into the var set.
-  std::vector<VarId> RV;
-  auto AddVar = [&](VarId V) {
-    if (V != InvalidVar)
-      RV.push_back(V);
+  // Steensgaard facts the run consults: the partitions of everything
+  // D and the cluster name, closed under the points-to successor chain
+  // (dereference enumeration walks succ partitions and their member
+  // lists).
+  constexpr uint32_t Unset = UINT32_MAX;
+  std::vector<uint32_t> Pos(Steens.numPartitions(), Unset);
+  std::vector<uint32_t> RP;
+  auto AddPart = [&](uint32_t Part) {
+    if (Part != analysis::InvalidPartition && Pos[Part] == Unset) {
+      Pos[Part] = 0;
+      RP.push_back(Part);
+    }
   };
   for (VarId V : C.Members)
-    AddVar(V);
+    AddPart(Steens.partitionOf(V));
   for (const Ref &R : C.TrackedRefs)
-    AddVar(R.Var);
-  for (FuncId F : D) {
-    const Function &Fn = P.func(F);
-    for (VarId V : Fn.Params)
-      AddVar(V);
-    AddVar(Fn.RetVal);
-    AddVar(Fn.FuncObj);
-    for (LocId L : Fn.Locations) {
-      const Location &Loc = P.loc(L);
-      AddVar(Loc.Lhs);
-      AddVar(Loc.Rhs);
-      AddVar(Loc.IndirectTarget);
-      for (VarId V : Loc.CondVars)
-        AddVar(V);
-    }
-  }
-  std::sort(RV.begin(), RV.end());
-  RV.erase(std::unique(RV.begin(), RV.end()), RV.end());
-
-  std::vector<uint32_t> RP;
-  {
-    std::vector<uint8_t> InRP(Steens.numPartitions(), 0);
-    std::vector<uint32_t> PW;
-    auto AddPart = [&](uint32_t Part) {
-      if (Part != analysis::InvalidPartition && !InRP[Part]) {
-        InRP[Part] = 1;
-        PW.push_back(Part);
-      }
-    };
-    for (VarId V : RV)
-      AddPart(Steens.partitionOf(V));
-    while (!PW.empty()) {
-      uint32_t Part = PW.back();
-      PW.pop_back();
-      AddPart(Steens.pointsToPartition(Part));
-    }
-    for (uint32_t Part = 0; Part < Steens.numPartitions(); ++Part)
-      if (InRP[Part])
-        RP.push_back(Part);
-  }
-
-  // hasPred is a *global* property (anything anywhere pointing into the
-  // partition makes stores able to reach it), so it must be recorded
-  // per relevant partition even though the pointing partition may lie
-  // outside the scope.
-  std::vector<uint8_t> HasPred(Steens.numPartitions(), 0);
-  for (uint32_t Part = 0; Part < Steens.numPartitions(); ++Part) {
-    uint32_t Succ = Steens.pointsToPartition(Part);
-    if (Succ != analysis::InvalidPartition)
-      HasPred[Succ] = 1;
-  }
+    if (R.Var != InvalidVar)
+      AddPart(Steens.partitionOf(R.Var));
+  for (FuncId F : D)
+    for (uint32_t Part : FuncParts[F])
+      AddPart(Part);
+  for (size_t I = 0; I < RP.size(); ++I)
+    AddPart(Steens.pointsToPartition(RP[I]));
 
   // Partition ids and hierarchy-node ids are solver numbering
   // artifacts: an edit that changes the union structure *anywhere*
@@ -246,47 +274,18 @@ core::clusterScopeKey(const Program &P, const CallGraph &CG,
     return Steens.partitionMembers(A).front() <
            Steens.partitionMembers(B).front();
   });
-  std::unordered_map<uint32_t, uint32_t> CanonPart, CanonNode;
   for (uint32_t I = 0; I < RP.size(); ++I)
-    CanonPart.emplace(RP[I], I);
+    Pos[RP[I]] = I;
+  std::unordered_map<uint32_t, uint32_t> CanonNode;
   H.u64(RP.size());
   for (uint32_t I = 0; I < RP.size(); ++I) {
     uint32_t Part = RP[I];
-    H.u32(Steens.depthOfPartition(Part));
+    H.u64(PartDigest[Part].Hi).u64(PartDigest[Part].Lo);
     H.u32(CanonNode.emplace(Steens.hierarchyNodeOf(Part), I).first->second);
     uint32_t Succ = Steens.pointsToPartition(Part);
     // Succ is in RP by closure; InvalidPartition maps to a sentinel.
-    H.u32(Succ == analysis::InvalidPartition ? 0xffffffffu
-                                             : CanonPart.at(Succ));
-    H.boolean(HasPred[Part]);
-    const std::vector<VarId> &Members = Steens.partitionMembers(Part);
-    H.u64(Members.size());
-    for (VarId V : Members) {
-      H.u32(V);
-      RV.push_back(V); // Enumerated as deref candidates: type-relevant.
-    }
+    H.u32(Succ == analysis::InvalidPartition ? 0xffffffffu : Pos[Succ]);
   }
-
-  std::sort(RV.begin(), RV.end());
-  RV.erase(std::unique(RV.begin(), RV.end()), RV.end());
-  H.u64(RV.size());
-  for (VarId V : RV)
-    hashVarRecord(H, P, V);
-
-  // mayAlias between scope vars is pointee-*cell* equality, which is
-  // strictly finer than sharing a partition. Hash the grouping in
-  // canonical form (index of the first scope var in each cell class) --
-  // raw cell ids are meaningless across solver instances.
-  {
-    std::unordered_map<uint32_t, uint32_t> FirstInClass;
-    for (uint32_t I = 0; I < RV.size(); ++I) {
-      auto [It, Inserted] =
-          FirstInClass.emplace(Steens.pointeeClassOf(RV[I]), I);
-      H.u32(It->second);
-      (void)Inserted;
-    }
-  }
-
   return H.digest();
 }
 

@@ -7,12 +7,11 @@
 /// \file
 /// The dependency scope of a cluster: which functions a per-cluster
 /// FSCS run can observe, and a content digest of exactly that
-/// observable region. This is what makes re-analysis after a program
-/// edit incremental: the PR-2 summary cache keys clusters under a
-/// *whole-program* fingerprint, so any edit anywhere invalidates every
-/// entry; the scoped key of this header survives edits outside the
-/// cluster's dependency scope, so unaffected clusters replay from cache
-/// across program versions.
+/// observable region. That digest is the summary-cache key of every
+/// cluster run: it survives edits outside the cluster's dependency
+/// scope, so unaffected clusters replay from cache across program
+/// versions, and it is sound to share across programs for the same
+/// reason.
 ///
 /// The scope is derived from the cluster's Algorithm-1 slice plus the
 /// call graph. Writing R for the owners of the slice statements, the
@@ -25,12 +24,12 @@
 /// intra-function CFGs, ascends to callers (all in callers*), and
 /// descends into a callee only when the callee's subtree contains slice
 /// statements, i.e. the callee is an ancestor of a slice owner and
-/// hence already in D. clusterScopeKey hashes the full content of D
-/// (with raw ids: a hit must guarantee the cached engine state's
+/// hence already in D. The scope key hashes the full content of D (with
+/// raw ids: a hit must guarantee the cached engine state's
 /// VarIds/LocIds are valid verbatim), the Steensgaard facts reachable
 /// from the cluster, and the per-call-site "which slice owners does
-/// this callee reach" sets that decide descent. See DESIGN.md,
-/// "Delta fingerprinting and invalidation soundness".
+/// this callee reach" sets that decide descent. See DESIGN.md, "Delta
+/// fingerprinting and incremental re-analysis".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +40,7 @@
 #include "fscs/SummaryEngine.h"
 #include "ir/CallGraph.h"
 #include "support/ContentHash.h"
+#include "support/SparseBitVector.h"
 
 #include <vector>
 
@@ -58,15 +58,38 @@ std::vector<ir::FuncId> dependentFunctions(const ir::Program &P,
                                            const ir::CallGraph &CG,
                                            const Cluster &C);
 
-/// Content digest of everything a per-cluster FSCS run reads (see file
-/// comment). Key equality across two (program, Steensgaard) versions
-/// implies the engine observes identical inputs in both, so a cached
-/// run replays bit-identically.
-support::Digest clusterScopeKey(const ir::Program &P,
-                                const ir::CallGraph &CG,
-                                const analysis::SteensgaardAnalysis &Steens,
-                                const Cluster &C,
-                                const fscs::SummaryEngine::Options &Opts);
+/// The dependency-scope key over one (program, Steensgaard solve): the
+/// per-function and per-partition digests are computed once, so a
+/// cluster's key combines digests instead of rehashing the program.
+/// The referenced analyses must outlive the index; key() is
+/// thread-safe.
+class ScopeKeyIndex {
+public:
+  ScopeKeyIndex(const ir::Program &P, const ir::CallGraph &CG,
+                const analysis::SteensgaardAnalysis &Steens);
+
+  /// Content digest of everything a per-cluster FSCS run over \p C
+  /// reads (see file comment). Key equality across two (program,
+  /// Steensgaard) versions implies the engine observes identical
+  /// inputs in both, so a cached run replays bit-identically.
+  support::Digest key(const Cluster &C,
+                      const fscs::SummaryEngine::Options &Opts) const;
+
+private:
+  const ir::Program &P;
+  const ir::CallGraph &CG;
+  const analysis::SteensgaardAnalysis &Steens;
+  // Per function: digest of its id, signature and locations; the
+  // partitions those name; its distinct call-site callees.
+  std::vector<support::Digest> BodyDigest;
+  std::vector<std::vector<uint32_t>> FuncParts;
+  std::vector<std::vector<ir::FuncId>> FuncCallees;
+  /// Per call-graph component: the functions reachable from it.
+  std::vector<SparseBitVector> CompReach;
+  /// Per partition: digest of its depth, has-predecessor bit, member
+  /// variable records and the pointee grouping among the members.
+  std::vector<support::Digest> PartDigest;
+};
 
 /// Inverted dependency index over a cover: entry F lists the indices of
 /// the clusters in \p Cover whose dependency scope contains function F.

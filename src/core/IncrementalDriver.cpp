@@ -20,7 +20,6 @@ IncrementalDriver::IncrementalDriver(BootstrapOptions Opts)
     BaseOpts.SummaryCache = std::make_shared<fscs::SummaryCache>();
   if (!BaseOpts.AndersenRefinementCache)
     BaseOpts.AndersenRefinementCache = std::make_shared<RefinementCache>();
-  BaseOpts.ScopedSummaryKeys = true;
   // Persistence wiring: with a store configured, also give the slice
   // cache a home (otherwise optional here), then back every cache with
   // the store. Without one this still applies the byte budget.

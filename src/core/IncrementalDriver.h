@@ -51,7 +51,7 @@ struct UpdateReport {
   uint32_t NumClusters = 0;
   /// Clusters that actually re-ran SummaryEngine this update.
   uint32_t ClustersReanalyzed = 0;
-  /// Clusters replayed from the summary cache (exact or scoped key).
+  /// Clusters replayed from the summary cache (dependency-scope key).
   uint32_t ClustersFromCache = 0;
   /// Upper bound from the dependency index: clusters whose dependency
   /// cone contains an edited (changed/added) function. Every actually
@@ -76,8 +76,7 @@ struct UpdateReport {
 class IncrementalDriver {
 public:
   /// \p Opts is the per-version driver configuration. SummaryCache and
-  /// AndersenRefinementCache are created if absent; ScopedSummaryKeys
-  /// is forced on (it is the mechanism of incrementality).
+  /// AndersenRefinementCache are created if absent.
   explicit IncrementalDriver(BootstrapOptions Opts);
 
   /// Analyzes \p NewProg, reusing whatever the fingerprints prove

@@ -29,9 +29,24 @@ bool Parser::accept(TokKind K) {
   return true;
 }
 
+bool Parser::NestingGuard::ok() {
+  if (Owner.Depth <= MaxNestingDepth)
+    return true;
+  if (!Owner.TooDeep) {
+    Owner.Diags.error(Owner.cur().Pos, "nesting too deep (more than " +
+                                           std::to_string(MaxNestingDepth) +
+                                           " levels)");
+    Owner.TooDeep = true;
+  }
+  Owner.Pos = Owner.Tokens.size() - 1; // Eof: unwind without parsing.
+  return false;
+}
+
 bool Parser::expect(TokKind K, const char *Context) {
   if (accept(K))
     return true;
+  if (TooDeep)
+    return false;
   Diags.error(cur().Pos, std::string("expected ") + tokKindName(K) +
                              " in " + Context + ", found " +
                              tokKindName(cur().Kind));
@@ -272,6 +287,9 @@ std::vector<StmtPtr> Parser::parseBlock() {
 }
 
 StmtPtr Parser::parseStmt() {
+  NestingGuard Guard(*this);
+  if (!Guard.ok())
+    return nullptr;
   // Optional label: IDENT ':' not followed by '='. (An identifier can
   // only start an assignment or a call, never a ':' in this grammar.)
   std::string Label;
@@ -421,6 +439,9 @@ ExprPtr Parser::parseAdditive() {
 }
 
 ExprPtr Parser::parseUnary() {
+  NestingGuard Guard(*this);
+  if (!Guard.ok())
+    return nullptr;
   SourcePos Pos = cur().Pos;
   if (accept(TokKind::Amp)) {
     auto E = std::make_unique<Expr>(ExprKind::AddrOf, Pos);
@@ -507,14 +528,18 @@ ExprPtr Parser::parsePrimary() {
     return std::make_unique<Expr>(ExprKind::Malloc, Pos);
   }
   case TokKind::LParen: {
+    NestingGuard Guard(*this);
+    if (!Guard.ok())
+      return nullptr;
     take();
     ExprPtr E = parseExpr();
     expect(TokKind::RParen, "parenthesized expression");
     return E;
   }
   default:
-    Diags.error(Pos, std::string("expected expression, found ") +
-                         tokKindName(cur().Kind));
+    if (!TooDeep)
+      Diags.error(Pos, std::string("expected expression, found ") +
+                           tokKindName(cur().Kind));
     take();
     return nullptr;
   }

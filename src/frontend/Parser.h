@@ -65,9 +65,23 @@ private:
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();
 
+  /// Depth guard of the nesting productions (statements, unary
+  /// operators, parentheses). Past MaxNestingDepth, ok() reports
+  /// "nesting too deep" once and abandons the unit, so hostile input
+  /// can neither overflow the stack nor build a tree too deep to lower.
+  struct NestingGuard {
+    Parser &Owner;
+    explicit NestingGuard(Parser &Owner) : Owner(Owner) { ++Owner.Depth; }
+    ~NestingGuard() { --Owner.Depth; }
+    bool ok();
+  };
+  static constexpr unsigned MaxNestingDepth = 256;
+
   std::vector<Token> Tokens;
   Diagnostics &Diags;
   size_t Pos = 0;
+  unsigned Depth = 0;
+  bool TooDeep = false; ///< Bound hit: skip the rest without diagnostics.
 };
 
 } // namespace frontend

@@ -10,7 +10,7 @@
 /// FSCI memo, and the traversal scaffolding only where it is live; see
 /// SummaryEngine::exportState) plus the dovetail and engine accounting
 /// a cache hit replays. This is the payload the persistent CacheStore
-/// holds under clusterSummaryKey digests, so a restarted process (or a
+/// holds under dependency-scope keys, so a restarted process (or a
 /// freshly onboarded tenant) can import whole cluster fixpoints instead
 /// of re-solving them. Only exported states are encoded: they carry no
 /// Seen sets or worklists.

@@ -23,39 +23,3 @@ void SummaryCache::attachStore(std::shared_ptr<support::CacheStore> Store) {
   };
   Cache.attachStore(std::move(B));
 }
-
-support::Digest
-fscs::clusterSummaryKey(uint64_t ProgramFingerprint,
-                        const core::Cluster &C,
-                        const SummaryEngine::Options &Opts) {
-  support::ContentHasher H;
-  // Domain-separate from other digest families (e.g. slice-cache keys).
-  H.u64(0x5355'4d4d'4152'5943ull); // "SUMMARYC"
-  H.u64(ProgramFingerprint);
-
-  // Summary-affecting options. Every field of SummaryEngine::Options
-  // changes traversal results or accounting, so all of them key.
-  H.u64(Opts.MaxCondAtoms);
-  H.u64(Opts.MaxResultsPerKey);
-  H.u64(Opts.StepBudget);
-  H.u64(Opts.MaxDerefFanout);
-
-  // The cluster identity: members drive the query workload (and the
-  // step-budget interleaving), the slice drives every traversal, the
-  // tracked refs are part of the Algorithm-1 output attached to the
-  // cluster. Order is hashed as-is -- cluster builders produce sorted,
-  // deduplicated vectors, and order differences would change budgeted
-  // runs anyway.
-  H.u64(C.Members.size());
-  for (ir::VarId V : C.Members)
-    H.u32(V);
-  H.u64(C.Statements.size());
-  for (ir::LocId L : C.Statements)
-    H.u32(L);
-  H.u64(C.TrackedRefs.size());
-  for (ir::Ref R : C.TrackedRefs) {
-    H.u32(R.Var);
-    H.i64(R.Deref);
-  }
-  return H.digest();
-}

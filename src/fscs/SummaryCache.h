@@ -6,13 +6,16 @@
 ///
 /// \file
 /// A thread-safe, content-addressed memoization layer for per-cluster
-/// FSCS runs, shared across cluster workers and across driver
-/// instances. The disjunctive alias cover (Theorem 7) produces
-/// overlapping clusters, and ablation harnesses run the same program
-/// through several cascade configurations; whenever two runs analyze a
-/// cluster with the same members, relevant-statement slice, tracked
-/// refs, and engine options over the same program, the second run hits
-/// the cache instead of re-running SummaryEngine.
+/// FSCS runs, shared across cluster workers, driver instances and
+/// program versions. The disjunctive alias cover (Theorem 7) produces
+/// overlapping clusters, ablation harnesses run the same program
+/// through several cascade configurations, and most clusters of an
+/// edited program observe nothing the edit changed; whenever two runs
+/// analyze a cluster with the same dependency-scope key
+/// (core::ScopeKeyIndex: members, slice, tracked refs, engine options,
+/// the bodies of its dependency cone and the Steensgaard facts it
+/// reads), the second run hits the cache instead of re-running
+/// SummaryEngine. Every run is stored once, under that one key.
 ///
 /// The cache entry is the engine's exported State (per-key summary
 /// tuples + FSCI memo + accounting, and traversal scaffolding only where
@@ -28,7 +31,6 @@
 #ifndef BSAA_FSCS_SUMMARYCACHE_H
 #define BSAA_FSCS_SUMMARYCACHE_H
 
-#include "core/Cluster.h"
 #include "fscs/Dovetail.h"
 #include "fscs/SummaryEngine.h"
 #include "support/ShardedCache.h"
@@ -49,14 +51,6 @@ struct CachedClusterRun {
   }
 };
 
-/// Content-addressed digest of everything a per-cluster FSCS run
-/// depends on: the program (by fingerprint), the cluster's members,
-/// relevant-statement slice and tracked refs, and the
-/// summary-affecting engine options.
-support::Digest clusterSummaryKey(uint64_t ProgramFingerprint,
-                                  const core::Cluster &C,
-                                  const SummaryEngine::Options &Opts);
-
 /// The shared cross-cluster cache. Sharded buckets, no global lock on
 /// the hit path (see support/ShardedCache.h).
 class SummaryCache {
@@ -72,32 +66,17 @@ public:
     return Cache.insert(K, std::move(Run), Bytes);
   }
 
-  /// Publishes an already-cached run under an additional key. The
-  /// incremental driver stores every run under both its exact-program
-  /// key and its dependency-scope key (core/ClusterDependencies.h);
-  /// aliasing shares the payload instead of duplicating it, and the
-  /// byte gauge is charged only once.
-  std::shared_ptr<const CachedClusterRun>
-  insertAlias(const support::Digest &K,
-              std::shared_ptr<const CachedClusterRun> Run) {
-    return Cache.insertShared(K, std::move(Run), /*ApproxBytes=*/0);
-  }
-
   /// Attaches \p Store as the persistent tier (see
   /// support/CacheStore.h): winning inserts write their encoded run
   /// through; memory misses attempt revival from disk. Wiring-time
   /// only -- call before the cache sees traffic.
   void attachStore(std::shared_ptr<support::CacheStore> Store);
 
-  bool hasStore() const { return Cache.hasStore(); }
-
   /// Byte budget for the in-memory tier (0 = unlimited); see
   /// ShardedCache::setByteBudget.
   void setByteBudget(uint64_t B) { Cache.setByteBudget(B); }
 
   support::CacheCounters counters() const { return Cache.counters(); }
-  uint64_t size() const { return Cache.size(); }
-  void clear() { Cache.clear(); }
 
 private:
   support::ShardedCache<CachedClusterRun> Cache;

@@ -2,7 +2,6 @@
 
 #include "query/QuerySnapshot.h"
 
-#include "core/RelevantStatements.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -89,8 +88,6 @@ QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
       Cache(std::move(CacheIn)), CG(*Prog), Steens(*Prog),
       Entries(new Entry[Cover.size()]) {
   Steens.run();
-  if (Cache)
-    ProgFP = core::programFingerprint(*Prog);
 
   // Inverted pointer -> cluster index. Cluster ids are appended in
   // ascending order, so every per-variable list comes out sorted.
@@ -104,13 +101,18 @@ QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
   if (Runs) {
     assert(Runs->size() == Cover.size() &&
            "run results must align index-for-index with the cover");
+    Keys.reserve(Cover.size());
     for (uint32_t CI = 0; CI < Cover.size(); ++CI) {
       const core::ClusterRunResult &R = (*Runs)[CI];
       // A truncated run may have *lost* alias origins (it never invents
       // them), so its "no alias" verdicts are untrustworthy; route the
       // whole cluster through the fallback chain.
       NeedsFallback[CI] = (R.BudgetHit || R.Approximated) ? 1 : 0;
+      Keys.push_back(R.Key);
     }
+    // Runs of a driver without a SummaryCache carry no keys.
+    if (std::count(Keys.begin(), Keys.end(), support::Digest{}))
+      Keys.clear();
   }
 }
 
@@ -151,11 +153,9 @@ void QuerySnapshot::materializeLocked(uint32_t ClusterIdx, Entry &E) const {
       *Prog, CG, Steens, Cover[ClusterIdx], Opts.EngineOpts);
   NumMaterializations.fetch_add(1, std::memory_order_relaxed);
   bool Adopted = false;
-  if (Cache) {
-    support::Digest Key =
-        fscs::clusterSummaryKey(ProgFP, Cover[ClusterIdx], Opts.EngineOpts);
+  if (Cache && hasClusterKeys()) {
     if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
-            Cache->lookup(Key)) {
+            Cache->lookup(Keys[ClusterIdx])) {
       fscs::SummaryEngine::State S = Hit->Engine;
       AA->adoptState(std::move(S), Hit->Dove);
       NumCacheAdoptions.fetch_add(1, std::memory_order_relaxed);

@@ -91,7 +91,8 @@ struct QueryOptions {
   bool UseAndersenFallback = true;
 
   /// Engine options for materializing cluster analyses. Must equal the
-  /// options the cascade ran with for SummaryCache adoption to hit
+  /// options the cascade ran with: materialization adopts the cached
+  /// run under the run's own key, which embeds the cascade's options
   /// (AliasService enforces this).
   fscs::SummaryEngine::Options EngineOpts;
 
@@ -189,9 +190,10 @@ public:
   /// Builds a snapshot over \p Cover. \p Runs, when non-null, must be
   /// aligned index-for-index with \p Cover (BootstrapResult::Clusters
   /// after runAll over the same cover) and supplies the
-  /// BudgetHit/Approximated serving flags; null means every cluster is
-  /// trusted at FSCS precision. \p Cache, when non-null, lets
-  /// materialization replay the cascade's memoized per-cluster runs.
+  /// BudgetHit/Approximated serving flags and the runs' summary-cache
+  /// keys; null means every cluster is trusted at FSCS precision and
+  /// has no key. \p Cache, when non-null, lets materialization replay
+  /// the cascade's memoized per-cluster runs under those keys.
   static std::shared_ptr<const QuerySnapshot>
   build(std::shared_ptr<const ir::Program> P,
         std::vector<core::Cluster> Cover,
@@ -232,10 +234,16 @@ public:
   const std::vector<core::Cluster> &cover() const { return Cover; }
   const QueryOptions &options() const { return Opts; }
 
+  /// True when the snapshot was built from runs that carry
+  /// summary-cache keys (a driver with a SummaryCache attached).
+  bool hasClusterKeys() const { return Keys.size() == Cover.size(); }
+
+  /// Cluster \p Idx's dependency-scope key, as computed by the run that
+  /// produced it. Requires hasClusterKeys().
+  const support::Digest &clusterKey(uint32_t Idx) const { return Keys[Idx]; }
+
   /// The snapshot's own (already solved) call graph and Steensgaard
-  /// view of the program -- for clients that derive invalidation keys
-  /// over the same inputs serving reads (e.g. the race checker's
-  /// cluster scope keys).
+  /// view of the program.
   const ir::CallGraph &callGraph() const { return CG; }
   const analysis::SteensgaardAnalysis &steensgaard() const { return Steens; }
   SnapshotStats stats() const;
@@ -325,7 +333,9 @@ private:
   std::vector<core::Cluster> Cover;
   QueryOptions Opts;
   std::shared_ptr<fscs::SummaryCache> Cache;
-  uint64_t ProgFP = 0; ///< For SummaryCache keys (0 without a cache).
+  /// Per cluster id: the producing run's summary-cache key (empty when
+  /// the runs carried none).
+  std::vector<support::Digest> Keys;
 
   ir::CallGraph CG;
   analysis::SteensgaardAnalysis Steens;

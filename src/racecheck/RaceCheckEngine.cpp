@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <stdexcept>
 
 using namespace bsaa;
 using namespace bsaa::racecheck;
@@ -165,6 +166,11 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
                        const core::UpdateReport *Update,
                        const std::vector<FunctionFingerprint> *FPs) {
   assert(Snap && "check() needs a snapshot");
+  // The facts cache keys lock sites by their clusters' run keys.
+  if (!Snap->hasClusterKeys())
+    throw std::invalid_argument(
+        "RaceCheckEngine::check needs a snapshot built from runs that "
+        "carry summary-cache keys (a driver with a SummaryCache)");
   Timer T;
   CheckReport CR;
   if (Update)
@@ -204,7 +210,7 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
         LockClusterIdxs.insert(CI);
   CR.LockClusters = static_cast<uint32_t>(LockClusterIdxs.size());
 
-  // Per lock cluster: dependency-scope digest + fallback flag + member
+  // Per lock cluster: dependency-scope key + fallback flag + member
   // names. Scope-key equality across versions means the FSCS walk
   // observes identical inputs; the member names pin the object names a
   // resolution can return (scope content hashes raw ids, not names).
@@ -213,8 +219,7 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
     auto It = ClusterKeys.find(CI);
     if (It == ClusterKeys.end()) {
       const core::Cluster &C = S.cover()[CI];
-      support::Digest Scope = core::clusterScopeKey(
-          P, CG, S.steensgaard(), C, S.options().EngineOpts);
+      const support::Digest &Scope = S.clusterKey(CI);
       std::set<std::string> Names;
       for (VarId M : C.Members)
         Names.insert(P.var(M).Name);

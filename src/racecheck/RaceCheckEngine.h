@@ -108,6 +108,9 @@ public:
   explicit RaceCheckEngine(Options Opts);
 
   /// Re-checks races over \p Snap and publishes the new RaceReport.
+  /// \p Snap must carry its runs' summary-cache keys
+  /// (QuerySnapshot::hasClusterKeys; e.g. built from an
+  /// IncrementalDriver's runs), else std::invalid_argument is thrown.
   /// \p Update, when non-null, is the alias-layer report of the edit
   /// batch that produced \p Snap (used for the invalidation
   /// prediction); \p FPs, when non-null, are the driver's function

@@ -3,6 +3,7 @@
 #include "racecheck/RaceReport.h"
 
 #include "support/ContentHash.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -88,47 +89,18 @@ ReportDelta racecheck::diffReports(const RaceReport &Old,
 
 namespace {
 
-void appendEscaped(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
-
 void appendSite(std::ostringstream &OS, const SiteVerdict &S) {
   OS << "{\"func\": ";
-  appendEscaped(OS, S.Func);
+  support::appendJsonString(OS, S.Func);
   OS << ", \"site\": " << S.LocalIdx << ", \"stmt\": ";
-  appendEscaped(OS, S.Stmt);
+  support::appendJsonString(OS, S.Stmt);
   OS << ", \"write\": " << (S.IsWrite ? "true" : "false")
      << ", \"degraded\": " << (S.Degraded ? "true" : "false")
      << ", \"lockset\": [";
   for (size_t I = 0; I < S.Lockset.size(); ++I) {
     if (I)
       OS << ", ";
-    appendEscaped(OS, S.Lockset[I]);
+    support::appendJsonString(OS, S.Lockset[I]);
   }
   OS << "]}";
 }
@@ -147,7 +119,7 @@ std::string racecheck::toReportJson(const RaceReport &R) {
       OS << ", ";
     OS << "{\"id\": \"" << W.Id << "\", \"severity\": " << W.Severity
        << ", \"var\": ";
-    appendEscaped(OS, W.Var);
+    support::appendJsonString(OS, W.Var);
     OS << ", \"source\": \"" << query::answerSourceName(W.Source)
        << "\", \"a\": ";
     appendSite(OS, W.A);

@@ -3,6 +3,7 @@
 #include "serving/TenantRegistry.h"
 
 #include "support/CacheStore.h"
+#include "support/Json.h"
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
 
@@ -24,16 +25,6 @@ uint64_t nowNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void appendJsonString(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      OS << '\\';
-    OS << C;
-  }
-  OS << '"';
 }
 
 } // namespace
@@ -251,10 +242,12 @@ void TenantRegistry::drainLoop(Tenant &Ten) {
       }
       enforceGlobalBudget();
     } catch (...) {
-      // A version that fails to analyze is dropped; the tenant keeps
-      // serving its last good snapshot and the drain keeps going, so
-      // one poisoned edit can never wedge the queue (or, via the
-      // pool's first-error capture, some unrelated tenant's drain).
+      // A version that fails to analyze is dropped (and counted); the
+      // tenant keeps serving its last good snapshot and the drain
+      // keeps going, so one poisoned edit can never wedge the queue
+      // (or, via the pool's first-error capture, some unrelated
+      // tenant's drain).
+      Ten.Failed.fetch_add(1, std::memory_order_relaxed);
     }
   }
   std::lock_guard<std::mutex> Lock(IdleMutex);
@@ -462,6 +455,7 @@ TenantStats TenantRegistry::stats(TenantId T) const {
   St.EditsCoalesced = Ten.CoalescedCount.load(std::memory_order_relaxed);
   St.EditsRejected = Ten.Rejected.load(std::memory_order_relaxed);
   St.EditsApplied = Ten.Applied.load(std::memory_order_relaxed);
+  St.EditsFailed = Ten.Failed.load(std::memory_order_relaxed);
   St.Publishes = St.EditsApplied;
   {
     std::lock_guard<std::mutex> Lock(Ten.QueueMutex);
@@ -523,12 +517,13 @@ std::string TenantRegistry::toStatsJson() const {
     TenantStats St = stats(static_cast<TenantId>(I));
     OS << (I ? ",\n      {" : "\n      {");
     OS << "\"name\": ";
-    appendJsonString(OS, St.Name);
+    support::appendJsonString(OS, St.Name);
     OS << ", \"ready\": " << (St.Ready ? "true" : "false");
     OS << ",\n       \"edits\": {\"accepted\": " << St.EditsAccepted
        << ", \"coalesced\": " << St.EditsCoalesced
        << ", \"rejected\": " << St.EditsRejected
        << ", \"applied\": " << St.EditsApplied
+       << ", \"failed\": " << St.EditsFailed
        << ", \"queue_depth\": " << St.QueueDepth << "}";
     // Absent quantiles (idle histogram) render as JSON null -- SLO
     // gates must treat null as "no data", never as 0 ms.

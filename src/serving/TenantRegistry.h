@@ -48,7 +48,8 @@
 ///
 /// Per-tenant serving stats (p50/p95/p99 query and publish latency from
 /// support/LatencyHistogram.h, edits accepted/coalesced/rejected/
-/// applied, publishes, snapshot counters) export through toStatsJson().
+/// applied/failed, publishes, snapshot counters) export through
+/// toStatsJson().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,6 +129,9 @@ struct TenantStats {
   uint64_t EditsCoalesced = 0;
   uint64_t EditsRejected = 0;
   uint64_t EditsApplied = 0; ///< Versions analyzed and published.
+  /// Versions whose analysis threw; each is dropped and the tenant
+  /// keeps serving its last good snapshot.
+  uint64_t EditsFailed = 0;
   uint64_t Publishes = 0;    ///< == EditsApplied (every apply publishes).
   uint64_t QueueDepth = 0;
 
@@ -251,6 +255,7 @@ private:
     std::atomic<uint64_t> CoalescedCount{0};
     std::atomic<uint64_t> Rejected{0};
     std::atomic<uint64_t> Applied{0};
+    std::atomic<uint64_t> Failed{0};
     /// Global tick of this tenant's most recent query; the cross-tenant
     /// accountant evicts the stalest tenants first. Only maintained
     /// when GlobalMaxResidentClusters != 0.

@@ -108,9 +108,6 @@ public:
   /// cache sees traffic (construction-time wiring).
   void attachStore(CacheStoreBacking<V> B) { Backing = std::move(B); }
 
-  bool hasStore() const { return static_cast<bool>(Backing); }
-  std::shared_ptr<CacheStore> store() const { return Backing.Store; }
-
   /// Sets the byte budget (0 = unlimited). When the Bytes gauge
   /// exceeds it, least-recently-touched entries are evicted down to
   /// the budget at the next insert or store-revival.
@@ -164,26 +161,7 @@ public:
         return It->second.Val;
     }
     auto Entry = std::make_shared<const V>(std::move(Val));
-    return publish(S, K, std::move(Entry), ApproxBytes, /*WriteThrough=*/true);
-  }
-
-  /// Publishes an already-shared payload under \p K (first insert
-  /// wins). Lets one payload live under several keys -- e.g. an exact
-  /// program-fingerprint key and a dependency-scoped key -- without
-  /// duplicating it; \p ApproxBytes should then be 0 for the aliases.
-  /// Aliases are written through under their own key so scope-keyed
-  /// lookups hit the store after a restart too.
-  std::shared_ptr<const V> insertShared(const Digest &K,
-                                        std::shared_ptr<const V> Entry,
-                                        uint64_t ApproxBytes) {
-    Shard &S = shardFor(K);
-    {
-      std::lock_guard<std::mutex> Lock(S.M);
-      auto It = S.Map.find(K);
-      if (It != S.Map.end())
-        return It->second.Val;
-    }
-    return publish(S, K, std::move(Entry), ApproxBytes, /*WriteThrough=*/true);
+    return publish(S, K, std::move(Entry), ApproxBytes, /*Revived=*/false);
   }
 
   /// Drops every entry; counters keep accumulating.
@@ -240,13 +218,14 @@ private:
   }
 
   /// Inserts \p Entry under \p K unless a racer got there first; on a
-  /// win, charges the gauge, bumps Inserts if \p CountInsert, writes
-  /// through to the store if requested, and trims. Returns the value
-  /// now cached under the key.
+  /// win, charges the gauge and trims. A computed entry also bumps
+  /// Inserts and writes through to the store; a \p Revived one (read
+  /// from the store) does neither: revivals would skew
+  /// insert-vs-compute accounting, and writing back what was just read
+  /// is pointless. Returns the value now cached under the key.
   std::shared_ptr<const V> publish(Shard &S, const Digest &K,
                                    std::shared_ptr<const V> Entry,
-                                   uint64_t ApproxBytes, bool WriteThrough,
-                                   bool CountInsert = true) {
+                                   uint64_t ApproxBytes, bool Revived) {
     {
       std::lock_guard<std::mutex> Lock(S.M);
       auto [It, New] =
@@ -255,10 +234,10 @@ private:
       if (!New)
         return It->second.Val;
     }
-    if (CountInsert)
-      Inserts.fetch_add(1, std::memory_order_relaxed);
     Bytes.fetch_add(ApproxBytes, std::memory_order_relaxed);
-    if (WriteThrough && Backing && Backing.Encode) {
+    if (!Revived)
+      Inserts.fetch_add(1, std::memory_order_relaxed);
+    if (!Revived && Backing && Backing.Encode) {
       // Encode outside every lock: the store is the slow tier and the
       // payload is immutable.
       ByteWriter W;
@@ -281,10 +260,8 @@ private:
         uint64_t B = Backing.ApproxBytes ? Backing.ApproxBytes(Val) : 0;
         auto Entry = std::make_shared<const V>(std::move(Val));
         StoreHits.fetch_add(1, std::memory_order_relaxed);
-        // Revivals are not Inserts (they'd skew insert-vs-compute
-        // accounting) and never write back what was just read.
         return publish(shardFor(K), K, std::move(Entry), B,
-                       /*WriteThrough=*/false, /*CountInsert=*/false);
+                       /*Revived=*/true);
       }
     }
     StoreMisses.fetch_add(1, std::memory_order_relaxed);
@@ -316,9 +293,7 @@ private:
       for (const auto &[K, E] : S.Map)
         Candidates.push_back(Victim{E.Tick, E.ChargedBytes, SI, K});
     }
-    // Oldest first. Zero-byte aliases are candidates too: evicting
-    // them frees no gauge bytes directly but releases their reference
-    // to a payload whose charged twin may already be gone.
+    // Oldest first.
     std::sort(Candidates.begin(), Candidates.end(),
               [](const Victim &A, const Victim &B) { return A.Tick < B.Tick; });
 

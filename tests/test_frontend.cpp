@@ -128,6 +128,39 @@ TEST(Parser, RecoversAfterError) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+// Hostile nesting: each shape used to overflow the stack in the
+// recursive-descent parser. Past the depth bound the parser reports
+// one diagnostic and compileString returns null.
+TEST(Parser, DeepParenthesesAreRejected) {
+  std::string Src = "void main(void) { int *x; int *y; y = " +
+                    std::string(100000, '(') + "x" +
+                    std::string(100000, ')') + "; }";
+  expectError(Src, "nesting too deep");
+}
+
+TEST(Parser, DeepIfNestingIsRejected) {
+  std::string Src = "void main(void) { ";
+  for (int I = 0; I < 100000; ++I)
+    Src += "if (nondet) {";
+  Src += std::string(100000, '}') + " }";
+  expectError(Src, "nesting too deep");
+}
+
+TEST(Parser, LongDerefChainIsRejected) {
+  std::string Src = "void main(void) { int *x; int *y; y = " +
+                    std::string(100000, '*') + "x; }";
+  expectError(Src, "nesting too deep");
+}
+
+TEST(Parser, NestingWithinTheBoundCompiles) {
+  std::string Src = "void main(void) { int a; int *x; int *y; x = &a; ";
+  for (int I = 0; I < 60; ++I)
+    Src += "if (nondet) {";
+  Src += "y = " + std::string(60, '(') + "x" + std::string(60, ')') + ";";
+  Src += std::string(60, '}') + " }";
+  compileOk(Src);
+}
+
 TEST(Parser, PaperStyleLabels) {
   // The paper labels statements "1a:", "2a:", ...; those must parse.
   auto P = compileOk(R"(

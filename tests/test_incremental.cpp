@@ -290,18 +290,17 @@ TEST(ClusterDependencies, ScopeKeysSurviveAnAppendEdit) {
 
   // Appends preserve every existing VarId, so clusters pair up by
   // member list.
+  ScopeKeyIndex I0(*P0, D0.callGraph(), S0), I1(*P1, D1.callGraph(), S1);
   std::map<std::vector<ir::VarId>, support::Digest> Keys0;
   for (const Cluster &C : Cover0)
-    Keys0.emplace(C.Members,
-                  clusterScopeKey(*P0, D0.callGraph(), S0, C, Opts.EngineOpts));
+    Keys0.emplace(C.Members, I0.key(C, Opts.EngineOpts));
   uint32_t Matched = 0;
   for (const Cluster &C : Cover1) {
     auto It = Keys0.find(C.Members);
     if (It == Keys0.end())
       continue; // The appended function's own clusters are new.
     ++Matched;
-    support::Digest K1 =
-        clusterScopeKey(*P1, D1.callGraph(), S1, C, Opts.EngineOpts);
+    support::Digest K1 = I1.key(C, Opts.EngineOpts);
     EXPECT_EQ(It->second.Hi, K1.Hi);
     EXPECT_EQ(It->second.Lo, K1.Lo);
   }

@@ -24,18 +24,23 @@
 
 #include "serving/TenantRegistry.h"
 
+#include "core/ClusterDependencies.h"
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
+#include "fscs/StateCodec.h"
 #include "racecheck/RaceCheckEngine.h"
 #include "support/Statistics.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -496,6 +501,61 @@ TEST(Serving, ToStatsJsonCoversEveryTenant) {
   EXPECT_NE(Json.find("\"store\": null"), std::string::npos) << Json;
 }
 
+TEST(Serving, StatsJsonEscapesControlBytesInTenantNames) {
+  serving::TenantRegistry Reg(servingOptions());
+  Reg.addTenant("a\"b\\c\n\x01");
+  std::string Json = Reg.toStatsJson();
+  EXPECT_NE(Json.find("\"name\": \"a\\\"b\\\\c\\n\\u0001\""),
+            std::string::npos)
+      << Json;
+  EXPECT_EQ(Json.find('\x01'), std::string::npos) << "raw control byte";
+}
+
+TEST(Serving, FailedVersionIsCountedAndTheTenantKeepsServing) {
+  workload::GeneratorConfig Cfg = editableConfig(8, /*Seed=*/650);
+  workload::EditState St = workload::initialEditState(Cfg);
+
+  auto Poisoned = std::make_shared<std::atomic<bool>>(false);
+  serving::ServingOptions SOpts = servingOptions();
+  SOpts.BOpts.ClusterHook = [Poisoned](const core::Cluster &) {
+    if (Poisoned->load())
+      throw std::runtime_error("injected cluster failure");
+  };
+  serving::TenantRegistry Reg(SOpts);
+  serving::TenantId T = Reg.addTenant("flaky");
+
+  ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+            serving::SubmitStatus::Accepted);
+  Reg.waitIdle();
+  std::shared_ptr<const query::QuerySnapshot> V1 = Reg.snapshot(T);
+  ASSERT_TRUE(V1);
+
+  // The second version throws while its clusters are analyzed.
+  Poisoned->store(true);
+  workload::applyEdit(St, {workload::EditKind::Append, /*Function=*/0});
+  ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+            serving::SubmitStatus::Accepted);
+  Reg.waitIdle();
+  serving::TenantStats Stats = Reg.stats(T);
+  EXPECT_EQ(Stats.EditsApplied, 1u);
+  EXPECT_EQ(Stats.EditsFailed, 1u);
+  EXPECT_EQ(Reg.snapshot(T), V1) << "the tenant must keep serving v1";
+  EXPECT_NE(Reg.toStatsJson().find("\"applied\": 1, \"failed\": 1"),
+            std::string::npos)
+      << Reg.toStatsJson();
+
+  // The next good edit still applies.
+  Poisoned->store(false);
+  workload::applyEdit(St, {workload::EditKind::Append, /*Function=*/1});
+  ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+            serving::SubmitStatus::Accepted);
+  Reg.waitIdle();
+  Stats = Reg.stats(T);
+  EXPECT_EQ(Stats.EditsApplied, 2u);
+  EXPECT_EQ(Stats.EditsFailed, 1u);
+  EXPECT_NE(Reg.snapshot(T), V1);
+}
+
 TEST(Serving, IdleTenantQuantilesAreNullNotZero) {
   // An SLO gate reading "p99": 0 for a tenant that never served a query
   // would pass vacuously; absent data must render as JSON null and as
@@ -534,6 +594,97 @@ TEST(Serving, IdleTenantQuantilesAreNullNotZero) {
 //===--------------------------------------------------------------------===//
 // Warm-start onboarding from a shared persistent store
 //===--------------------------------------------------------------------===//
+
+TEST(Serving, StoreHoldsOneSummaryRecordPerClusterRun) {
+  std::string Tmpl =
+      (std::filesystem::temp_directory_path() / "bsaa_serve_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(Tmpl.data()), nullptr);
+  const std::string StoreDir = Tmpl;
+
+  workload::GeneratorConfig Cfg = editableConfig(8, /*Seed=*/750);
+  workload::EditState St = workload::initialEditState(Cfg);
+  serving::ServingOptions SOpts = servingOptions();
+  SOpts.BOpts.AndersenThreshold = 4; // Many clusters.
+  SOpts.BOpts.StorePath = StoreDir;
+
+  // Publishing over a fresh store: one summary record per solved
+  // cluster, filed under the run's key, and nothing else beside the
+  // slice and refinement records.
+  uint32_t NumClusters = 0;
+  {
+    serving::TenantRegistry Reg(SOpts);
+    serving::TenantId T = Reg.addTenant("cold");
+    ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+              serving::SubmitStatus::Accepted);
+    Reg.waitIdle();
+    ASSERT_TRUE(Reg.ready(T));
+    core::IncrementalDriver &Inc = Reg.service(T).driver();
+    const std::vector<core::ClusterRunResult> &Runs = Inc.lastResult().Clusters;
+    NumClusters = static_cast<uint32_t>(Runs.size());
+    ASSERT_GT(NumClusters, 1u);
+    uint64_t Solved = 0;
+    for (const core::ClusterRunResult &R : Runs)
+      Solved += R.FromCache ? 0 : 1;
+    const core::BootstrapOptions &O = Inc.options();
+    support::CacheCounters Sum = O.SummaryCache->counters();
+    EXPECT_EQ(Sum.Inserts, Solved);
+    EXPECT_EQ(Sum.StorePuts, Solved);
+    support::CacheStoreCounters SC = O.Store->counters();
+    EXPECT_EQ(SC.Records,
+              Sum.StorePuts + O.RelevantSliceCache->counters().StorePuts +
+                  O.AndersenRefinementCache->counters().StorePuts);
+    for (const core::ClusterRunResult &R : Runs)
+      EXPECT_TRUE(O.Store->get(R.Key, fscs::StoreFamilySummary));
+  }
+
+  // A fresh registry over the reopened store replays every cluster
+  // with exactly one summary get each.
+  {
+    serving::TenantRegistry Reg(SOpts);
+    serving::TenantId T = Reg.addTenant("warm");
+    ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+              serving::SubmitStatus::Accepted);
+    Reg.waitIdle();
+    core::IncrementalDriver &Inc = Reg.service(T).driver();
+    EXPECT_EQ(Inc.lastResult().Clusters.size(), NumClusters);
+    for (const core::ClusterRunResult &R : Inc.lastResult().Clusters)
+      EXPECT_TRUE(R.FromCache);
+    support::CacheCounters Sum = Inc.options().SummaryCache->counters();
+    EXPECT_EQ(Sum.StoreHits + Sum.StoreMisses, NumClusters);
+    EXPECT_EQ(Sum.StoreHits, NumClusters);
+    EXPECT_EQ(Sum.Inserts, 0u);
+  }
+
+  // After an edit outside a cluster's dependency cone, a fresh registry
+  // replays that cluster from disk. An append adds a function no
+  // existing cluster's cone contains and keeps every existing id.
+  workload::applyEdit(St, {workload::EditKind::Append, /*Function=*/0});
+  {
+    serving::TenantRegistry Reg(SOpts);
+    serving::TenantId T = Reg.addTenant("edited");
+    ASSERT_EQ(Reg.submitEdit(T, compileVersion(Cfg, St)),
+              serving::SubmitStatus::Accepted);
+    Reg.waitIdle();
+    core::IncrementalDriver &Inc = Reg.service(T).driver();
+    const ir::Program &P = Inc.program();
+    ir::CallGraph CG(P);
+    ir::FuncId Appended = P.numFuncs() - 1;
+    uint32_t Outside = 0;
+    for (size_t I = 0; I < Inc.lastCover().size(); ++I) {
+      std::vector<ir::FuncId> D =
+          core::dependentFunctions(P, CG, Inc.lastCover()[I]);
+      if (std::find(D.begin(), D.end(), Appended) != D.end())
+        continue;
+      ++Outside;
+      EXPECT_TRUE(Inc.lastResult().Clusters[I].FromCache) << "cluster " << I;
+    }
+    EXPECT_GT(Outside, 0u);
+    EXPECT_GE(Inc.options().SummaryCache->counters().StoreHits, Outside);
+  }
+
+  std::error_code Ec;
+  std::filesystem::remove_all(StoreDir, Ec);
+}
 
 TEST(Serving, WarmStartFromSharedStoreMatchesColdRegistry) {
   std::string Tmpl =

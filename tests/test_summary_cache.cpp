@@ -10,8 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Steensgaard.h"
 #include "core/AliasCover.h"
 #include "core/BootstrapDriver.h"
+#include "core/ClusterDependencies.h"
 #include "core/RelevantStatements.h"
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 using namespace bsaa;
 
@@ -93,47 +96,101 @@ void expectSameClusterMetrics(const core::BootstrapResult &A,
 // Key derivation
 //===--------------------------------------------------------------------===//
 
+namespace {
+
+/// One function in the dependency scope of a cluster over main's
+/// pointers (main), one outside it (other). The placeholders pick
+/// main's statement order, gp's target (a Steensgaard fact main reads
+/// through z = gp), and u's target (a fact nothing in main reaches).
+/// Every variant declares the same variables and statement counts, so
+/// all VarIds and LocIds agree across variants.
+std::unique_ptr<ir::Program> scopeProgram(bool SwapMain, const char *GpTarget,
+                                          const char *UTarget) {
+  std::string Main = SwapMain ? "y = &b;\n x = &a;\n" : "x = &a;\n y = &b;\n";
+  std::string Src = "int g1; int g2; int *gp;\n"
+                    "void main(void) {\n int a; int b; int *x; int *y; "
+                    "int *z;\n" +
+                    Main +
+                    " z = gp;\n}\n"
+                    "void other(void) {\n int c; int d; int *u;\n gp = &" +
+                    GpTarget + ";\n u = &" + UTarget + ";\n}\n";
+  frontend::Diagnostics Diags;
+  auto P = frontend::compileString(Src, Diags);
+  EXPECT_TRUE(P != nullptr) << Diags.toString();
+  return P;
+}
+
+/// The dependency-scope key of \p C over a freshly solved \p P.
+support::Digest scopeKeyOf(const ir::Program &P, const core::Cluster &C,
+                           const fscs::SummaryEngine::Options &Opts) {
+  ir::CallGraph CG(P);
+  analysis::SteensgaardAnalysis S(P);
+  S.run();
+  return core::ScopeKeyIndex(P, CG, S).key(C, Opts);
+}
+
+} // namespace
+
 TEST(SummaryCacheKey, SensitiveToEveryInput) {
-  auto P = generate(11);
+  auto P = scopeProgram(false, "g1", "c");
   ASSERT_TRUE(P);
-  uint64_t FP = core::programFingerprint(*P);
+  ir::VarId X = P->findVariable("main::x");
+  ir::VarId Y = P->findVariable("main::y");
+  ASSERT_NE(X, ir::InvalidVar);
+  ASSERT_NE(Y, ir::InvalidVar);
+  const ir::Function &Main = P->func(P->findFunction("main"));
 
   core::Cluster C;
-  C.Members = {1, 2, 3};
-  C.Statements = {4, 5};
-  C.TrackedRefs = {ir::Ref::direct(1), ir::Ref::deref(2)};
+  C.Members = {X};
   fscs::SummaryEngine::Options Opts;
 
-  support::Digest Base = fscs::clusterSummaryKey(FP, C, Opts);
-  EXPECT_EQ(Base, fscs::clusterSummaryKey(FP, C, Opts))
+  support::Digest Base = scopeKeyOf(*P, C, Opts);
+  EXPECT_EQ(Base, scopeKeyOf(*P, C, Opts))
       << "key must be a pure function of its inputs";
 
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP + 1, C, Opts));
-
+  // Cluster identity.
   core::Cluster C2 = C;
-  C2.Members.push_back(7);
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP, C2, Opts));
-
+  C2.Members.push_back(Y);
+  EXPECT_NE(Base, scopeKeyOf(*P, C2, Opts));
   core::Cluster C3 = C;
-  C3.Statements.push_back(9);
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP, C3, Opts));
-
+  C3.Statements.push_back(Main.Locations[1]);
+  EXPECT_NE(Base, scopeKeyOf(*P, C3, Opts));
   core::Cluster C4 = C;
-  C4.TrackedRefs.push_back(ir::Ref::deref(3));
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP, C4, Opts));
+  C4.TrackedRefs.push_back(ir::Ref::deref(X));
+  EXPECT_NE(Base, scopeKeyOf(*P, C4, Opts));
 
+  // Every engine option.
   fscs::SummaryEngine::Options O2 = Opts;
   O2.StepBudget = 123;
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP, C, O2));
+  EXPECT_NE(Base, scopeKeyOf(*P, C, O2));
   fscs::SummaryEngine::Options O3 = Opts;
   O3.MaxCondAtoms += 1;
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP, C, O3));
+  EXPECT_NE(Base, scopeKeyOf(*P, C, O3));
   fscs::SummaryEngine::Options O4 = Opts;
   O4.MaxResultsPerKey += 1;
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP, C, O4));
+  EXPECT_NE(Base, scopeKeyOf(*P, C, O4));
   fscs::SummaryEngine::Options O5 = Opts;
   O5.MaxDerefFanout += 1;
-  EXPECT_NE(Base, fscs::clusterSummaryKey(FP, C, O5));
+  EXPECT_NE(Base, scopeKeyOf(*P, C, O5));
+
+  // One body in D: reordering main keeps every Steensgaard fact.
+  auto Swapped = scopeProgram(true, "g1", "c");
+  ASSERT_TRUE(Swapped);
+  EXPECT_NE(Base, scopeKeyOf(*Swapped, C, Opts));
+
+  // One relevant Steensgaard fact, changed from outside D: main reads
+  // gp, whose pointee partition moves from g1 to g2.
+  auto Retargeted = scopeProgram(false, "g2", "c");
+  ASSERT_TRUE(Retargeted);
+  EXPECT_NE(Base, scopeKeyOf(*Retargeted, C, Opts));
+
+  // An edit outside D that touches no relevant fact keeps the key, even
+  // though the whole-program fingerprint and the partition numbering
+  // change.
+  auto Outside = scopeProgram(false, "g1", "d");
+  ASSERT_TRUE(Outside);
+  EXPECT_NE(core::programFingerprint(*P), core::programFingerprint(*Outside));
+  EXPECT_EQ(Base, scopeKeyOf(*Outside, C, Opts));
 }
 
 TEST(SummaryCacheKey, ProgramFingerprintSeparatesPrograms) {
@@ -142,6 +199,24 @@ TEST(SummaryCacheKey, ProgramFingerprintSeparatesPrograms) {
   ASSERT_TRUE(A && B);
   EXPECT_NE(core::programFingerprint(*A), core::programFingerprint(*B));
   EXPECT_EQ(core::programFingerprint(*A), core::programFingerprint(*A));
+
+  // Scope keys hash the entry function, which every scope contains, so
+  // no run of one program can replay as a run of the other.
+  auto KeysOf = [](const ir::Program &P) {
+    core::BootstrapOptions Opts = baseOptions();
+    Opts.SummaryCache = std::make_shared<fscs::SummaryCache>();
+    core::BootstrapResult R = core::BootstrapDriver(P, Opts).runAll();
+    std::set<std::pair<uint64_t, uint64_t>> Keys;
+    for (const core::ClusterRunResult &C : R.Clusters) {
+      EXPECT_NE(C.Key, support::Digest{});
+      Keys.insert({C.Key.Hi, C.Key.Lo});
+    }
+    return Keys;
+  };
+  std::set<std::pair<uint64_t, uint64_t>> KA = KeysOf(*A), KB = KeysOf(*B);
+  ASSERT_FALSE(KA.empty());
+  for (const auto &K : KA)
+    EXPECT_EQ(KB.count(K), 0u);
 }
 
 //===--------------------------------------------------------------------===//
