@@ -1,19 +1,19 @@
 //===- examples/analyze_file.cpp - Command-line analyzer ------------------===//
 //
-// Runs the full bootstrapping cascade on a mini-C file from disk and
-// prints a report: partition statistics, the cluster cover, per-cluster
-// FSCS timing, and (if lock pointers are present) the race-detection
-// result. This is the "use it on your own code" entry point.
+// Runs the full bootstrapping cascade once on a mini-C file from disk,
+// through a RaceCheckService, and prints a report: partition statistics,
+// the cluster cover, per-cluster FSCS timing, and (if lock pointers are
+// present) the race checker's warnings over the same snapshot. This is
+// the "use it on your own code" entry point.
 //
 // Usage: analyze_file <file.minic> [--threshold N] [--threads N]
 //        analyze_file --demo            (runs on a built-in program)
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/BootstrapDriver.h"
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
-#include "racecheck/RaceDetect.h"
+#include "racecheck/RaceCheckEngine.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -108,9 +108,14 @@ int main(int Argc, char **Argv) {
               Name.c_str(), P->numVars(), P->numPointers(), P->numFuncs(),
               P->numLocs());
 
+  bool HasLocks = false;
+  for (ir::VarId V = 0; V < P->numVars() && !HasLocks; ++V)
+    HasLocks = P->var(V).isLockPointer();
+
   Timer T;
-  core::BootstrapDriver Driver(*P, Opts);
-  core::BootstrapResult R = Driver.runAll();
+  racecheck::RaceCheckService Svc(Opts);
+  racecheck::CheckReport CR = Svc.update(std::move(P));
+  const core::BootstrapResult &R = Svc.alias().driver().lastResult();
   std::printf("\nbootstrapping cascade (Andersen threshold %u):\n",
               Opts.AndersenThreshold);
   std::printf("  steensgaard partitioning   %8.3fs\n",
@@ -125,23 +130,17 @@ int main(int Argc, char **Argv) {
               R.SimulatedParallelSeconds);
   std::printf("  end-to-end wall clock      %8.3fs\n", T.seconds());
 
-  // Race detection, if the program uses locks.
-  bool HasLocks = false;
-  for (ir::VarId V = 0; V < P->numVars() && !HasLocks; ++V)
-    HasLocks = P->var(V).isLockPointer();
   if (HasLocks) {
-    racecheck::RaceDetector RD(*P);
-    RD.run();
     std::printf("\nrace detection (%u lock clusters analyzed):\n",
-                uint32_t(RD.lockClusters().size()));
-    if (RD.races().empty()) {
+                CR.LockClusters);
+    const std::vector<racecheck::RaceWarning> &Ws = Svc.report()->Warnings;
+    if (Ws.empty())
       std::printf("  no potential races\n");
-    } else {
-      for (const racecheck::Race &Race : RD.races())
-        std::printf("  potential race on %s: L%u vs L%u\n",
-                    P->var(Race.SharedVar).Name.c_str(), Race.First,
-                    Race.Second);
-    }
+    for (const racecheck::RaceWarning &W : Ws)
+      std::printf("  potential race on %s: %s@%u '%s' vs %s@%u '%s'\n",
+                  W.Var.c_str(), W.A.Func.c_str(), W.A.LocalIdx,
+                  W.A.Stmt.c_str(), W.B.Func.c_str(), W.B.LocalIdx,
+                  W.B.Stmt.c_str());
   }
   return 0;
 }

@@ -442,10 +442,6 @@ Statistics &BootstrapDriver::stats() const {
   return Opts.StatsRegistry ? *Opts.StatsRegistry : Statistics::global();
 }
 
-std::string core::toStatsJson(const BootstrapResult &R) {
-  return toStatsJson(R, StatsJsonOptions());
-}
-
 namespace {
 
 void emitCacheReport(std::ostringstream &OS, const char *Name,
@@ -465,11 +461,6 @@ void emitCacheReport(std::ostringstream &OS, const char *Name,
 }
 
 } // namespace
-
-std::string core::toStatsJson(const BootstrapResult &R,
-                              const StatsJsonOptions &O) {
-  return toStatsJson(R, O, Statistics::global());
-}
 
 std::string core::toStatsJson(const BootstrapResult &R,
                               const StatsJsonOptions &O,

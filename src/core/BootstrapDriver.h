@@ -34,6 +34,7 @@
 #include "fscs/SummaryCache.h"
 #include "fscs/SummaryEngine.h"
 #include "ir/CallGraph.h"
+#include "support/Statistics.h"
 
 #include <functional>
 #include <memory>
@@ -43,7 +44,6 @@
 namespace bsaa {
 
 class ThreadPool;
-class Statistics;
 
 namespace core {
 
@@ -298,20 +298,14 @@ struct StatsJsonOptions {
 /// Renders \p R as a JSON document: pipeline timings, per-cluster
 /// metrics (pointer count, slice size, LPT cost key, wall-clock, steps,
 /// summary tuples/keys, dovetail accounting, budget/approximation
-/// flags), cache accounting, and the merged global Statistics registry.
-/// This is what --stats-json dumps in the bench harnesses.
-std::string toStatsJson(const BootstrapResult &R);
-
-/// Section-selective overload (see StatsJsonOptions).
+/// flags), cache accounting, and the statistics section from \p Stats.
+/// \p O selects sections (see StatsJsonOptions). Pipelines run with
+/// BootstrapOptions::StatsRegistry must pass the same registry as
+/// \p Stats for the statistics section to describe that run. This is
+/// what --stats-json dumps in the bench harnesses.
 std::string toStatsJson(const BootstrapResult &R,
-                        const StatsJsonOptions &O);
-
-/// Registry-explicit overload: renders the statistics section from
-/// \p Stats instead of Statistics::global(). Pipelines run with
-/// BootstrapOptions::StatsRegistry must pass the same registry here for
-/// the statistics section to describe that run.
-std::string toStatsJson(const BootstrapResult &R, const StatsJsonOptions &O,
-                        const Statistics &Stats);
+                        const StatsJsonOptions &O = {},
+                        const Statistics &Stats = Statistics::global());
 
 } // namespace core
 } // namespace bsaa

@@ -113,8 +113,8 @@ public:
 
   /// The statistics registry this driver's updates accumulate into and
   /// clear (BootstrapOptions::StatsRegistry, or Statistics::global()
-  /// when none was configured). Pass it to the registry-explicit
-  /// toStatsJson overload to render this driver's statistics section.
+  /// when none was configured). Pass it as toStatsJson's \p Stats to
+  /// render this driver's statistics section.
   Statistics &statsRegistry() const;
 
 private:

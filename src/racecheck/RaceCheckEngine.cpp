@@ -78,14 +78,17 @@ RaceCheckEngine::computeFacts(const query::QuerySnapshot &Snap, FuncId F,
   // Resolve each lock site through the snapshot's must-points-to path.
   // Fallback-served clusters answer Complete=false by construction, so
   // a BudgetHit degrades every site of the cluster to "unresolved"
-  // here -- never silently dropped.
+  // here -- never silently dropped. A singleton allocation site is
+  // unresolved too: it stands for every lock that site creates at run
+  // time, so it does not name one lock.
   std::unordered_map<uint32_t, std::string> Resolved; // local idx -> name
   Facts->LockSites = static_cast<uint32_t>(LockSites.size());
   for (LocId L : LockSites) {
     const Location &Loc = P.loc(L);
     query::PointsToAnswer A = Snap.pointsToAt(Loc.Lhs, L);
     Facts->WorstRung = worseRung(Facts->WorstRung, A.Source);
-    if (A.Complete && A.Objects.size() == 1)
+    if (A.Complete && A.Objects.size() == 1 &&
+        P.var(A.Objects[0]).Kind != VarKind::AllocSite)
       Resolved[LocalIdx[L]] = P.var(A.Objects[0]).Name;
     else
       ++Facts->Unresolved;
@@ -171,6 +174,9 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
     throw std::invalid_argument(
         "RaceCheckEngine::check needs a snapshot built from runs that "
         "carry summary-cache keys (a driver with a SummaryCache)");
+  if (!FPs)
+    throw std::invalid_argument(
+        "RaceCheckEngine::check needs the driver's function fingerprints");
   Timer T;
   CheckReport CR;
   if (Update)
@@ -245,12 +251,6 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
     }
   }
 
-  // Function fingerprints: adopt the driver's, or compute locally.
-  std::vector<FunctionFingerprint> OwnFPs;
-  if (!FPs) {
-    OwnFPs = functionFingerprints(P);
-    FPs = &OwnFPs;
-  }
   assert(FPs->size() == P.numFuncs() && "fingerprints misaligned");
 
   // Invalidation prediction from the function->clusters dependency

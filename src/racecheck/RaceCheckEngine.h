@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The incremental race checker: lockset analysis as a *client of the
-/// serving stack*. Where racecheck/RaceDetect.h runs one batch pipeline
-/// over one program, RaceCheckEngine re-checks a stream of program
-/// versions, touching only what each edit batch invalidated.
+/// The race checker: the paper's motivating application (Section 1),
+/// lockset analysis as a *client of the serving stack*. It is the only
+/// lockset implementation in the repo; a one-shot check is a
+/// RaceCheckService's first update() over a cold snapshot. Across a
+/// stream of program versions it touches only what each edit batch
+/// invalidated.
 ///
 /// Per published QuerySnapshot the engine:
 ///
@@ -18,9 +20,11 @@
 ///     must-points-to path. A site whose answer is not a *complete
 ///     singleton* -- genuine ambiguity, or a BudgetHit/Approximated
 ///     cluster served through the Andersen/Steensgaard fallback chain
-///     (Complete=false by construction) -- degrades soundly to
-///     "unknown lock => empty lockset": the must-held set is cleared
-///     where the site executes, which can only ADD reported races;
+///     (Complete=false by construction) -- or whose singleton is an
+///     allocation site (one abstract object for every lock that site
+///     creates) degrades soundly to "unknown lock => empty lockset":
+///     the must-held set is cleared where the site executes, which can
+///     only ADD reported races;
 ///  3. runs the per-function forward lockset dataflow and collects
 ///     shared-variable access sites, caching the result per function
 ///     under a content key: the function's shift-invariant fingerprint,
@@ -113,11 +117,12 @@ public:
   /// IncrementalDriver's runs), else std::invalid_argument is thrown.
   /// \p Update, when non-null, is the alias-layer report of the edit
   /// batch that produced \p Snap (used for the invalidation
-  /// prediction); \p FPs, when non-null, are the driver's function
-  /// fingerprints for the same program (computed locally otherwise).
+  /// prediction). \p FPs are the driver's function fingerprints for
+  /// the same program (IncrementalDriver::functionFingerprints); null
+  /// throws std::invalid_argument.
   CheckReport check(std::shared_ptr<const query::QuerySnapshot> Snap,
-                    const core::UpdateReport *Update = nullptr,
-                    const std::vector<ir::FunctionFingerprint> *FPs = nullptr);
+                    const core::UpdateReport *Update,
+                    const std::vector<ir::FunctionFingerprint> *FPs);
 
   /// The last published verdict set (never null after the first
   /// check()); safe to read while check() publishes a newer one.

@@ -1,19 +1,20 @@
 //===- tests/test_racecheck.cpp - Race checker tests ----------------------===//
 //
 // The race-checking module's dedicated suite: lockset transfer/join
-// units and the batch RaceDetector regressions (including the
-// StepBudget soundness direction), the incremental RaceCheckEngine
-// (differential oracle against a cold batch run over 50-edit streams,
-// engine-vs-batch cross-check, facts-cache replay, stable warning IDs,
-// report determinism), and the RaceReport primitives.
+// units and verdict regressions (including the StepBudget and
+// allocation-site soundness directions), the pinned verdicts of the
+// former batch detector, the incremental RaceCheckEngine (differential
+// oracle against cold services over 50-edit streams, facts-cache
+// replay, stable warning IDs, report determinism), and the RaceReport
+// primitives. Every check runs through RaceCheckService.
 //
 //===----------------------------------------------------------------------===//
 
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
 #include "racecheck/RaceCheckEngine.h"
-#include "racecheck/RaceDetect.h"
 #include "racecheck/RaceReport.h"
+#include "support/ContentHash.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 using namespace bsaa;
@@ -84,8 +86,7 @@ ir::LocId nthWrite(const ir::Program &P, const std::string &Name,
   return ir::InvalidLoc;
 }
 
-/// Canonical id-free key of a race: var plus the orientation-free site
-/// pair, comparable between the batch detector and the engine.
+/// Id-free coordinate of a location: owner name plus layout index.
 std::string siteKey(const ir::Program &P, ir::LocId L) {
   const ir::Function &Fn = P.func(P.loc(L).Owner);
   for (uint32_t I = 0; I < Fn.Locations.size(); ++I)
@@ -95,20 +96,46 @@ std::string siteKey(const ir::Program &P, ir::LocId L) {
   return "?";
 }
 
-std::string raceKey(const std::string &Var, std::string A, std::string B) {
-  if (B < A)
-    std::swap(A, B);
-  return Var + "|" + A + "|" + B;
+std::string siteKey(const SiteVerdict &S) {
+  return S.Func + ":" + std::to_string(S.LocalIdx);
+}
+
+/// Canonical id-free keys of the reported races: var plus the
+/// orientation-free site pair.
+std::set<std::string> raceKeys(const RaceReport &R) {
+  std::set<std::string> Keys;
+  for (const RaceWarning &W : R.Warnings) {
+    std::string A = siteKey(W.A), B = siteKey(W.B);
+    if (B < A)
+      std::swap(A, B);
+    Keys.insert(W.Var + "|" + A + "|" + B);
+  }
+  return Keys;
+}
+
+/// The lockset held on entry to the access at \p L, read from a
+/// warning that carries the site (so the access must race with some
+/// other one).
+std::vector<std::string> locksetAt(const RaceReport &R, const ir::Program &P,
+                                   ir::LocId L) {
+  std::string Key = siteKey(P, L);
+  for (const RaceWarning &W : R.Warnings)
+    for (const SiteVerdict *S : {&W.A, &W.B})
+      if (siteKey(*S) == Key)
+        return S->Lockset;
+  ADD_FAILURE() << "no warning carries site " << Key;
+  return {};
 }
 
 } // namespace
 
 //===--------------------------------------------------------------------===//
-// Batch detector: lockset transfer and join.
+// Lockset transfer and join.
 //===--------------------------------------------------------------------===//
 
 TEST(Lockset, LockAddsUnlockRemoves) {
-  auto P = compileOk(R"(
+  RaceCheckService Svc(baseOptions());
+  CheckReport CR = Svc.update(compileOk(R"(
     lock_t l;
     int shared;
     void main(void) {
@@ -119,20 +146,20 @@ TEST(Lockset, LockAddsUnlockRemoves) {
       unlock(p);
       shared = 2;
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
-  ir::VarId L = P->findVariable("l");
-  const std::set<ir::VarId> &Inside = RD.locksHeldAt(nthWrite(*P, "shared", 0));
-  EXPECT_EQ(Inside, std::set<ir::VarId>{L});
-  EXPECT_TRUE(RD.locksHeldAt(nthWrite(*P, "shared", 1)).empty());
-  EXPECT_EQ(RD.unresolvedLockOps(), 0u);
+  )"));
+  const ir::Program &P = Svc.alias().driver().program();
+  const RaceReport &R = *Svc.report();
+  EXPECT_EQ(locksetAt(R, P, nthWrite(P, "shared", 0)),
+            std::vector<std::string>{"l"});
+  EXPECT_TRUE(locksetAt(R, P, nthWrite(P, "shared", 1)).empty());
+  EXPECT_EQ(CR.UnresolvedLockSites, 0u);
 }
 
 TEST(Lockset, JoinIsIntersection) {
   // Diamond: one arm locks, the other does not; the join must drop the
   // lock (must-held = intersection over incoming paths).
-  auto P = compileOk(R"(
+  RaceCheckService Svc(baseOptions());
+  Svc.update(compileOk(R"(
     lock_t l;
     int shared;
     void main(void) {
@@ -146,23 +173,23 @@ TEST(Lockset, JoinIsIntersection) {
       }
       shared = 3;
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
-  ir::VarId L = P->findVariable("l");
-  EXPECT_EQ(RD.locksHeldAt(nthWrite(*P, "shared", 0)),
-            std::set<ir::VarId>{L});
-  EXPECT_TRUE(RD.locksHeldAt(nthWrite(*P, "shared", 1)).empty());
-  EXPECT_TRUE(RD.locksHeldAt(nthWrite(*P, "shared", 2)).empty())
+  )"));
+  const ir::Program &P = Svc.alias().driver().program();
+  const RaceReport &R = *Svc.report();
+  EXPECT_EQ(locksetAt(R, P, nthWrite(P, "shared", 0)),
+            std::vector<std::string>{"l"});
+  EXPECT_TRUE(locksetAt(R, P, nthWrite(P, "shared", 1)).empty());
+  EXPECT_TRUE(locksetAt(R, P, nthWrite(P, "shared", 2)).empty())
       << "join kept a lock held on only one incoming path";
 }
 
 //===--------------------------------------------------------------------===//
-// Batch detector: verdicts (moved from test_workload.cpp).
+// Verdicts (moved from test_workload.cpp).
 //===--------------------------------------------------------------------===//
 
 TEST(RaceDetect, ProtectedAccessIsNotARace) {
-  auto P = compileOk(R"(
+  RaceCheckService Svc(baseOptions());
+  Svc.update(compileOk(R"(
     lock_t l;
     int shared;
     void main(void) {
@@ -176,16 +203,15 @@ TEST(RaceDetect, ProtectedAccessIsNotARace) {
       shared = 2;
       unlock(q);
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
+  )"));
   // p and q must-alias l: both critical sections hold the same lock.
-  EXPECT_TRUE(RD.races().empty())
+  EXPECT_TRUE(Svc.report()->Warnings.empty())
       << "false race between accesses under the same (aliased) lock";
 }
 
 TEST(RaceDetect, UnprotectedAccessRaces) {
-  auto P = compileOk(R"(
+  RaceCheckService Svc(baseOptions());
+  Svc.update(compileOk(R"(
     lock_t l;
     int shared;
     void main(void) {
@@ -196,15 +222,14 @@ TEST(RaceDetect, UnprotectedAccessRaces) {
       unlock(p);
       shared = 2;
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
-  ASSERT_EQ(RD.races().size(), 1u);
-  EXPECT_EQ(P->var(RD.races()[0].SharedVar).Name, "shared");
+  )"));
+  ASSERT_EQ(Svc.report()->Warnings.size(), 1u);
+  EXPECT_EQ(Svc.report()->Warnings[0].Var, "shared");
 }
 
 TEST(RaceDetect, DifferentLocksRace) {
-  auto P = compileOk(R"(
+  RaceCheckService Svc(baseOptions());
+  Svc.update(compileOk(R"(
     lock_t l1; lock_t l2;
     int shared;
     void main(void) {
@@ -218,17 +243,16 @@ TEST(RaceDetect, DifferentLocksRace) {
       shared = 2;
       unlock(q);
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
-  EXPECT_EQ(RD.races().size(), 1u);
+  )"));
+  EXPECT_EQ(Svc.report()->Warnings.size(), 1u);
 }
 
 TEST(RaceDetect, AmbiguousLockGivesNoProtection) {
   // q may point to l1 or l2: no must-alias, so the lockset stays empty
   // and both accesses are reported (the sound direction for bug
   // finding).
-  auto P = compileOk(R"(
+  RaceCheckService Svc(baseOptions());
+  CheckReport CR = Svc.update(compileOk(R"(
     lock_t l1; lock_t l2;
     int shared;
     void main(void) {
@@ -241,17 +265,16 @@ TEST(RaceDetect, AmbiguousLockGivesNoProtection) {
       shared = 2;
       unlock(q);
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
-  EXPECT_EQ(RD.races().size(), 1u);
-  EXPECT_EQ(RD.unresolvedLockOps(), 4u);
+  )"));
+  EXPECT_EQ(Svc.report()->Warnings.size(), 1u);
+  EXPECT_EQ(CR.UnresolvedLockSites, 4u);
 }
 
 TEST(RaceDetect, LockClustersContainOnlyLockRelatedVars) {
   // The paper's flexibility claim: lock clusters are comprised solely
   // of lock pointers (and lock objects).
-  auto P = compileOk(R"(
+  RaceCheckService Svc(baseOptions());
+  CheckReport CR = Svc.update(compileOk(R"(
     lock_t l;
     int shared;
     void main(void) {
@@ -263,14 +286,21 @@ TEST(RaceDetect, LockClustersContainOnlyLockRelatedVars) {
       shared = 1;
       unlock(p);
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
-  ASSERT_FALSE(RD.lockClusters().empty());
-  for (const core::Cluster &C : RD.lockClusters())
-    for (ir::VarId V : C.Members)
-      EXPECT_EQ(P->var(V).Base, ir::BaseType::Lock)
-          << P->var(V).Name << " in a lock cluster";
+  )"));
+  std::shared_ptr<const query::QuerySnapshot> Snap =
+      Svc.alias().engine().snapshot();
+  const ir::Program &P = Snap->program();
+  std::set<uint32_t> LockClusters;
+  for (ir::VarId V = 0; V < P.numVars(); ++V)
+    if (P.var(V).isLockPointer())
+      for (uint32_t CI : Snap->clustersOf(V))
+        LockClusters.insert(CI);
+  ASSERT_FALSE(LockClusters.empty());
+  EXPECT_EQ(LockClusters.size(), CR.LockClusters);
+  for (uint32_t CI : LockClusters)
+    for (ir::VarId V : Snap->cover()[CI].Members)
+      EXPECT_EQ(P.var(V).Base, ir::BaseType::Lock)
+          << P.var(V).Name << " in a lock cluster";
 }
 
 TEST(RaceDetect, GeneratedDriverWorkloadRuns) {
@@ -280,25 +310,25 @@ TEST(RaceDetect, GeneratedDriverWorkloadRuns) {
   C.Communities = 4;
   C.LockPointers = 3;
   C.SharedVariables = 3;
-  auto P = compileOk(workload::generateProgram(C));
-  RaceDetector RD(*P);
-  RD.run();
-  EXPECT_FALSE(RD.sharedVariables().empty());
-  EXPECT_FALSE(RD.lockClusters().empty());
+  RaceCheckService Svc(baseOptions());
+  CheckReport CR = Svc.update(compileOk(workload::generateProgram(C)));
+  EXPECT_GT(Svc.report()->SharedVariables, 0u);
+  EXPECT_GT(CR.LockClusters, 0u);
 }
 
 //===--------------------------------------------------------------------===//
-// Satellite regression: the StepBudget / unresolved-site direction.
+// Soundness regressions: unresolved sites and the StepBudget direction.
 //===--------------------------------------------------------------------===//
 
 TEST(RaceDetect, UnresolvedUnlockClearsLockset) {
   // The unsound direction this pins: an unlock through an ambiguous
   // pointer may release the lock we believe is held. Dropping the
-  // unresolved site (the old behavior) kept l1 in the lockset across
-  // unlock(q), claiming both writes are protected by l1 -- and hiding
-  // the race that exists when q == l1 at runtime. The unknown
-  // operation must clear the lockset instead.
-  auto P = compileOk(R"(
+  // unresolved site kept l1 in the lockset across unlock(q), claiming
+  // both writes are protected by l1 -- and hiding the race that exists
+  // when q == l1 at runtime. The unknown operation must clear the
+  // lockset instead.
+  RaceCheckService Svc(baseOptions());
+  CheckReport CR = Svc.update(compileOk(R"(
     lock_t l1; lock_t l2;
     int shared;
     void main(void) {
@@ -311,28 +341,30 @@ TEST(RaceDetect, UnresolvedUnlockClearsLockset) {
       shared = 2;
       unlock(p);
     }
-  )");
-  RaceDetector RD(*P);
-  RD.run();
-  EXPECT_EQ(RD.unresolvedLockOps(), 1u) << "only unlock(q) is ambiguous";
-  ASSERT_EQ(RD.races().size(), 1u)
+  )"));
+  EXPECT_EQ(CR.UnresolvedLockSites, 1u) << "only unlock(q) is ambiguous";
+  const RaceReport &R = *Svc.report();
+  ASSERT_EQ(R.Warnings.size(), 1u)
       << "unknown unlock must clear the lockset (report the race)";
-  EXPECT_EQ(P->var(RD.races()[0].SharedVar).Name, "shared");
-  EXPECT_TRUE(RD.locksHeldAt(nthWrite(*P, "shared", 1)).empty());
+  EXPECT_EQ(R.Warnings[0].Var, "shared");
+  const ir::Program &P = Svc.alias().driver().program();
+  EXPECT_TRUE(locksetAt(R, P, nthWrite(P, "shared", 1)).empty());
 }
 
-TEST(RaceDetect, BudgetHitReportsRacesNeverHidesThem) {
-  // With a starved step budget nothing must-resolves; every lockset
-  // degrades to empty and the (actually protected) pair is reported.
-  // Conservative over-reporting is the only acceptable budget
-  // degradation for a race finder.
-  const char *Src = R"(
-    lock_t l;
+TEST(RaceCheck, HeapLocksFromOneFactoryDoNotProtect) {
+  // mk() allocates every lock at one site, so p and q must-point to the
+  // same abstract object while holding two different locks at run
+  // time. Taking that singleton for one lock would put it in both
+  // locksets and hide the race; an allocation-site singleton must
+  // count as unresolved and clear the lockset.
+  RaceCheckService Svc(baseOptions());
+  CheckReport CR = Svc.update(compileOk(R"(
     int shared;
+    lock_t *mk(void) { lock_t *m; m = malloc(); return m; }
     void main(void) {
       lock_t *p; lock_t *q;
-      p = &l;
-      q = p;
+      p = mk();
+      q = mk();
       lock(p);
       shared = 1;
       unlock(p);
@@ -340,70 +372,66 @@ TEST(RaceDetect, BudgetHitReportsRacesNeverHidesThem) {
       shared = 2;
       unlock(q);
     }
-  )";
-  auto P = compileOk(Src);
-  RaceDetector::Options Starved;
-  Starved.StepBudget = 1;
-  RaceDetector RD(*P, Starved);
-  RD.run();
-  EXPECT_GT(RD.unresolvedLockOps(), 0u);
-  EXPECT_EQ(RD.races().size(), 1u)
-      << "budget starvation must over-report, not hide";
+  )"));
+  EXPECT_EQ(CR.UnresolvedLockSites, 4u);
+  const RaceReport &R = *Svc.report();
+  ASSERT_EQ(R.Warnings.size(), 1u) << "heap locks hid the race";
+  EXPECT_EQ(R.Warnings[0].Var, "shared");
+  EXPECT_TRUE(R.Warnings[0].A.Degraded);
+  EXPECT_TRUE(R.Warnings[0].B.Degraded);
 }
 
 TEST(RaceDetect, BudgetedRacesAreASupersetOfUnbudgeted) {
-  auto P = compileOk(workload::generateProgram(raceConfig(8, 21)));
-  RaceDetector Full(*P);
-  Full.run();
-  RaceDetector::Options Starved;
-  Starved.StepBudget = 1;
-  RaceDetector Budgeted(*P, Starved);
-  Budgeted.run();
+  std::string Src = workload::generateProgram(raceConfig(8, 21));
+  core::BootstrapOptions FullOpts = baseOptions();
+  FullOpts.EngineOpts.StepBudget = 0;
+  core::BootstrapOptions StarvedOpts = baseOptions();
+  StarvedOpts.EngineOpts.StepBudget = 1;
+  RaceCheckService Full(FullOpts), Budgeted(StarvedOpts);
+  Full.update(compileOk(Src));
+  Budgeted.update(compileOk(Src));
 
-  auto Keys = [&](const RaceDetector &RD) {
-    std::set<std::string> S;
-    for (const Race &R : RD.races())
-      S.insert(raceKey(P->var(R.SharedVar).Name, siteKey(*P, R.First),
-                       siteKey(*P, R.Second)));
-    return S;
-  };
-  std::set<std::string> FullKeys = Keys(Full), BudgetKeys = Keys(Budgeted);
+  std::set<std::string> FullKeys = raceKeys(*Full.report());
+  std::set<std::string> BudgetKeys = raceKeys(*Budgeted.report());
+  EXPECT_FALSE(FullKeys.empty());
   for (const std::string &K : FullKeys)
     EXPECT_TRUE(BudgetKeys.count(K))
         << "budget starvation hid race " << K << " (unsound direction)";
 }
 
 //===--------------------------------------------------------------------===//
-// Engine: cross-check against the batch detector.
+// Engine: the verdicts of the former batch detector, pinned.
 //===--------------------------------------------------------------------===//
 
 TEST(RaceCheck, EngineMatchesBatchDetector) {
-  for (uint64_t Seed : {11u, 21u, 33u}) {
-    workload::GeneratorConfig Cfg = raceConfig(10, Seed);
-    std::string Src = workload::generateProgram(Cfg);
-
-    auto PBatch = compileOk(Src);
-    RaceDetector::Options DOpts;
-    DOpts.StepBudget = 50000;
-    RaceDetector RD(*PBatch, DOpts);
-    RD.run();
-    std::set<std::string> BatchKeys;
-    for (const Race &R : RD.races())
-      BatchKeys.insert(raceKey(PBatch->var(R.SharedVar).Name,
-                               siteKey(*PBatch, R.First),
-                               siteKey(*PBatch, R.Second)));
-
+  // What the separate batch detector (StepBudget 50000) reported on
+  // these seeds before it was folded into the engine: warning count,
+  // unresolved lock sites, and a digest of the sorted race-key set.
+  struct Pinned {
+    uint64_t Seed;
+    uint32_t Warnings;
+    uint32_t Unresolved;
+    support::Digest Keys;
+  };
+  const Pinned Batch[] = {
+      {11, 267, 14, {0x58bed6d962c637edull, 0xa43077d62607126eull}},
+      {21, 208, 6, {0xd97c33ff1ed48421ull, 0x3e7a02f70a631cfbull}},
+      {33, 229, 20, {0x09e868ca808ce80aull, 0x0b4a11fa6a38204aull}},
+  };
+  for (const Pinned &B : Batch) {
     RaceCheckService Svc(baseOptions());
-    Svc.update(compileOk(Src));
-    std::set<std::string> EngineKeys;
-    for (const RaceWarning &W : Svc.report()->Warnings)
-      EngineKeys.insert(raceKey(
-          W.Var, W.A.Func + ":" + std::to_string(W.A.LocalIdx),
-          W.B.Func + ":" + std::to_string(W.B.LocalIdx)));
-
-    EXPECT_EQ(EngineKeys, BatchKeys) << "seed " << Seed;
-    EXPECT_FALSE(EngineKeys.empty())
-        << "seed " << Seed << ": workload carries no races at all";
+    CheckReport CR =
+        Svc.update(compileOk(workload::generateProgram(raceConfig(10, B.Seed))));
+    std::set<std::string> Keys = raceKeys(*Svc.report());
+    support::ContentHasher H;
+    for (const std::string &K : Keys)
+      H.str(K);
+    EXPECT_EQ(CR.Warnings, B.Warnings) << "seed " << B.Seed;
+    EXPECT_EQ(Keys.size(), B.Warnings) << "seed " << B.Seed;
+    EXPECT_EQ(CR.UnresolvedLockSites, B.Unresolved) << "seed " << B.Seed;
+    EXPECT_EQ(CR.LockClusters, 3u) << "seed " << B.Seed;
+    EXPECT_TRUE(H.digest() == B.Keys)
+        << "seed " << B.Seed << ": race-key set moved";
   }
 }
 
@@ -461,6 +489,10 @@ TEST(RaceCheck, TouchUpdateReplaysEveryFunction) {
   EXPECT_TRUE(Touch.Delta.Added.empty());
   EXPECT_TRUE(Touch.Delta.Retracted.empty());
   EXPECT_EQ(toReportJson(*Svc.report()), FirstJson);
+
+  RaceCheckEngine Fresh;
+  EXPECT_THROW(Fresh.check(Svc.alias().engine().snapshot(), nullptr, nullptr),
+               std::invalid_argument);
 }
 
 TEST(RaceCheck, StableWarningIdsSurviveUnrelatedEdits) {

@@ -1,8 +1,7 @@
 //===- tests/test_support.cpp - Support library tests ---------------------===//
 //
 // Unit tests for src/support: UnionFind, SparseBitVector, SCC,
-// Worklist, ThreadPool, StringInterner, Statistics, GraphWriter,
-// LatencyHistogram.
+// Worklist, ThreadPool, Statistics, GraphWriter, LatencyHistogram.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +11,6 @@
 #include "support/Scc.h"
 #include "support/SparseBitVector.h"
 #include "support/Statistics.h"
-#include "support/StringInterner.h"
 #include "support/ThreadPool.h"
 #include "support/UnionFind.h"
 #include "support/Worklist.h"
@@ -27,34 +25,6 @@
 #include <vector>
 
 using namespace bsaa;
-
-//===--------------------------------------------------------------------===//
-// StringInterner
-//===--------------------------------------------------------------------===//
-
-TEST(StringInterner, InterningIsIdempotent) {
-  StringInterner SI;
-  StringId A = SI.intern("foo");
-  StringId B = SI.intern("bar");
-  EXPECT_NE(A, B);
-  EXPECT_EQ(A, SI.intern("foo"));
-  EXPECT_EQ(B, SI.intern("bar"));
-  EXPECT_EQ(SI.size(), 2u);
-}
-
-TEST(StringInterner, TextRoundTrips) {
-  StringInterner SI;
-  StringId A = SI.intern("hello world");
-  EXPECT_EQ(SI.text(A), "hello world");
-  EXPECT_TRUE(SI.contains("hello world"));
-  EXPECT_FALSE(SI.contains("absent"));
-}
-
-TEST(StringInterner, IdsAreDense) {
-  StringInterner SI;
-  for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(SI.intern("s" + std::to_string(I)), StringId(I));
-}
 
 //===--------------------------------------------------------------------===//
 // UnionFind
