@@ -18,6 +18,10 @@
 /// fixpoint termination work; syntactically contradictory conjunctions
 /// collapse to false immediately.
 ///
+/// Conditions are copied on every traversal step, so up to InlineAtoms
+/// atoms (the engine's default cap) live inside the object; only longer
+/// conjunctions spill to the heap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSAA_FSCS_CONSTRAINT_H
@@ -26,6 +30,7 @@
 #include "ir/Ir.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,6 +77,9 @@ struct ConstraintAtom {
 /// a contradictory (dead) condition.
 class Condition {
 public:
+  /// Atoms stored without a heap allocation.
+  static constexpr size_t InlineAtoms = 4;
+
   /// The trivially true condition.
   Condition() = default;
 
@@ -81,10 +89,14 @@ public:
     return C;
   }
 
-  bool isTrue() const { return !IsFalse && Atoms.empty(); }
+  bool isTrue() const { return !IsFalse && Size == 0; }
   bool isFalse() const { return IsFalse; }
-  const std::vector<ConstraintAtom> &atoms() const { return Atoms; }
-  size_t size() const { return Atoms.size(); }
+  std::span<const ConstraintAtom> atoms() const {
+    return {Size > InlineAtoms ? Spill.data() : Inline, Size};
+  }
+  size_t size() const { return Size; }
+  /// Heap bytes held by atoms beyond InlineAtoms.
+  size_t heapBytes() const { return Spill.capacity() * sizeof(ConstraintAtom); }
 
   /// This ∧ Atom. Collapses to false on syntactic contradiction. If the
   /// condition already has \p MaxAtoms atoms, the new atom is dropped
@@ -99,19 +111,24 @@ public:
   /// (deserialization). Returns false without touching \p Out if the
   /// atoms are not sorted-unique or a false condition carries atoms --
   /// a malformed byte stream cannot construct a non-canonical value.
-  static bool fromCanonicalAtoms(std::vector<ConstraintAtom> Atoms,
+  static bool fromCanonicalAtoms(std::span<const ConstraintAtom> Atoms,
                                  bool IsFalse, Condition &Out);
 
-  bool operator==(const Condition &O) const {
-    return IsFalse == O.IsFalse && Atoms == O.Atoms;
-  }
+  bool operator==(const Condition &O) const;
 
   uint64_t hash() const;
 
   std::string toString(const ir::Program &P) const;
 
 private:
-  std::vector<ConstraintAtom> Atoms; ///< Sorted, unique.
+  /// conjoin() applied to this object.
+  void conjoinInPlace(const ConstraintAtom &Atom, size_t MaxAtoms);
+
+  /// Sorted, unique atoms: Inline[0, Size) while Size <= InlineAtoms,
+  /// all of them in Spill otherwise.
+  ConstraintAtom Inline[InlineAtoms];
+  std::vector<ConstraintAtom> Spill;
+  uint32_t Size = 0;
   bool IsFalse = false;
 };
 

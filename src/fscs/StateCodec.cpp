@@ -32,9 +32,11 @@ void encodeCondition(const Condition &C, ByteWriter &W) {
   }
 }
 
-/// Unordered hash sets are serialized sorted for determinism.
-void encodeHashSet(const std::unordered_set<uint64_t> &S, ByteWriter &W) {
-  std::vector<uint64_t> V(S.begin(), S.end());
+/// Hash sets are serialized sorted for determinism.
+void encodeHashSet(const U64HashSet &S, ByteWriter &W) {
+  std::vector<uint64_t> V;
+  V.reserve(S.size());
+  S.forEach([&V](uint64_t H) { V.push_back(H); });
   std::sort(V.begin(), V.end());
   W.u32(static_cast<uint32_t>(V.size()));
   for (uint64_t H : V)
@@ -160,14 +162,14 @@ bool decodeCondition(ByteReader &R, Condition &Out) {
   }
   if (!R.ok())
     return false;
-  if (!Condition::fromCanonicalAtoms(std::move(Atoms), IsFalse, Out)) {
+  if (!Condition::fromCanonicalAtoms(Atoms, IsFalse, Out)) {
     R.fail();
     return false;
   }
   return true;
 }
 
-bool decodeHashSet(ByteReader &R, std::unordered_set<uint64_t> &Out) {
+bool decodeHashSet(ByteReader &R, U64HashSet &Out) {
   uint32_t N = R.u32();
   if (!plausibleCount(R, N))
     return false;

@@ -25,8 +25,9 @@
 /// decoding rebuilds it from the keys. The FSCI memo, steps and flags
 /// follow.
 ///
-/// Encoding is deterministic: the unordered hash sets inside KeyState
-/// are serialized sorted, and the std::maps in their natural order, so
+/// Encoding is deterministic: the hash sets inside KeyState (whose
+/// slot order depends on their growth history) are serialized sorted,
+/// and the std::maps in their natural order, so
 /// encode(decode(encode(S))) == encode(S) -- the property the
 /// round-trip tests pin.
 ///

@@ -18,7 +18,7 @@ uint64_t refHash(Ref R) {
 }
 
 /// KeyIndex slot of the summary key (Loc, R).
-std::pair<LocId, uint64_t> keySlot(LocId Loc, Ref R) {
+SummaryEngine::State::KeySlot keySlot(LocId Loc, Ref R) {
   return std::make_pair(Loc, refHash(R));
 }
 
@@ -78,14 +78,16 @@ void SummaryEngine::buildModifyInfo() {
 
 const SummaryEngine::TransModInfo &
 SummaryEngine::transMod(uint32_t Component) {
-  auto It = TransMod.find(Component);
-  if (It != TransMod.end())
-    return It->second;
-  // Insert first (empty) so cyclic component references terminate:
-  // intra-component callee edges contribute the component's own local
-  // info, which is accumulated below anyway.
-  TransModInfo &Info = TransMod[Component];
   const SccResult &Sccs = CG.sccs();
+  if (TransMod.empty())
+    TransMod.resize(Sccs.Members.size());
+  TransModInfo &Info = TransMod[Component];
+  if (Info.Known)
+    return Info;
+  // Mark first so cyclic component references terminate: intra-component
+  // callee edges contribute the component's own local info, which is
+  // accumulated below anyway.
+  Info.Known = true;
   for (FuncId F : Sccs.Members[Component]) {
     auto LIt = LocalMod.find(F);
     if (LIt != LocalMod.end()) {
@@ -105,7 +107,7 @@ SummaryEngine::transMod(uint32_t Component) {
       Info.Relevant |= Sub.Relevant;
     }
   }
-  return TransMod[Component];
+  return Info;
 }
 
 bool SummaryEngine::mayModify(FuncId G, Ref Q) {
@@ -152,7 +154,7 @@ void SummaryEngine::enqueue(KeyId K, TraversalTuple T) {
     return;
   uint64_t H = tupleHash(T.M, T.Q, T.Cond);
   KeyState &KS = St.Keys[K];
-  if (!KS.Seen.insert(H).second)
+  if (!KS.Seen.insert(H))
     return;
   KS.WL.push_back(std::move(T));
   if (!KeyActive[K]) {
@@ -174,7 +176,7 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
   if (St.Keys[K].Results.size() >= Opts.MaxResultsPerKey)
     Effective = Condition();
   uint64_t H = refHash(Origin) * 0x100000001b3ull ^ Effective.hash();
-  if (!St.Keys[K].ResultHashes.insert(H).second)
+  if (!St.Keys[K].ResultHashes.insert(H))
     return;
   SummaryTuple Tuple;
   Tuple.Anchor = St.Keys[K].R;
@@ -240,14 +242,19 @@ bool SummaryEngine::isInteresting(LocId L) {
 }
 
 const std::vector<LocId> &SummaryEngine::interestingPreds(LocId L) {
-  auto It = SkipPredCache.find(L);
-  if (It != SkipPredCache.end())
-    return It->second;
+  if (SkipPredKnown.empty()) {
+    SkipPredKnown.assign(Prog.numLocs(), 0);
+    SkipPredCache.resize(Prog.numLocs());
+  }
+  if (SkipPredKnown[L])
+    return SkipPredCache[L];
   // BFS backwards through skip locations, stopping at interesting ones.
   std::vector<LocId> Out;
   std::vector<LocId> Stack(Prog.loc(L).Preds.begin(),
                            Prog.loc(L).Preds.end());
-  std::unordered_set<LocId> Visited(Stack.begin(), Stack.end());
+  U64HashSet Visited;
+  for (LocId P : Stack)
+    Visited.insert(P);
   while (!Stack.empty()) {
     LocId P = Stack.back();
     Stack.pop_back();
@@ -256,10 +263,12 @@ const std::vector<LocId> &SummaryEngine::interestingPreds(LocId L) {
       continue;
     }
     for (LocId PP : Prog.loc(P).Preds)
-      if (Visited.insert(PP).second)
+      if (Visited.insert(PP))
         Stack.push_back(PP);
   }
-  return SkipPredCache.emplace(L, std::move(Out)).first->second;
+  SkipPredKnown[L] = 1;
+  SkipPredCache[L] = std::move(Out);
+  return SkipPredCache[L];
 }
 
 void SummaryEngine::propagate(KeyId K, LocId M, Ref Q,
@@ -322,9 +331,9 @@ void SummaryEngine::processTuple(KeyId K, const TraversalTuple &T) {
     handleCall(K, T);
     return;
   }
-  std::vector<Outcome> Outcomes;
-  transfer(T.M, T.Q, T.Cond, Outcomes);
-  for (Outcome &O : Outcomes) {
+  OutcomeBuf.clear();
+  transfer(T.M, T.Q, T.Cond, OutcomeBuf);
+  for (const Outcome &O : OutcomeBuf) {
     if (O.NewCond.isFalse())
       continue;
     switch (O.Kind) {
@@ -356,7 +365,7 @@ void SummaryEngine::handleCall(KeyId K, const TraversalTuple &T) {
     KeyId Provider = ensureKey(Prog.func(G).Exit, T.Q);
     uint64_t WH = (uint64_t(K) << 32) ^ (uint64_t(T.M) * 0x9e3779b9) ^
                   T.Cond.hash() ^ Provider;
-    if (St.Keys[Provider].WaiterHashes.insert(WH).second) {
+    if (St.Keys[Provider].WaiterHashes.insert(WH)) {
       St.Keys[Provider].Waiters.push_back(Waiter{K, T.M, T.Cond, 0});
       feedWaiter(Provider, St.Keys[Provider].Waiters.size() - 1);
     }
@@ -503,7 +512,8 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
           });
         return;
       }
-      std::vector<VarId> Candidates;
+      std::vector<VarId> &Candidates = CandidateBuf;
+      Candidates.clear();
       if (Pts) {
         Pts->forEach([&](uint32_t O) { Candidates.push_back(O); });
       } else {
@@ -647,11 +657,11 @@ std::vector<SummaryTuple> SummaryEngine::originsBefore(LocId Loc, Ref R) {
     Out.push_back(std::move(T));
     return Out;
   }
-  std::unordered_set<uint64_t> Seen;
+  U64HashSet Seen;
   for (LocId P : L.Preds) {
     for (SummaryTuple &T : summaryAt(P, R)) {
       uint64_t H = refHash(T.Origin) * 0x100000001b3ull ^ T.Cond.hash();
-      if (Seen.insert(H).second)
+      if (Seen.insert(H))
         Out.push_back(std::move(T));
     }
   }
@@ -663,13 +673,10 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
   auto It = St.FsciMemo.find(MapKey);
   if (It != St.FsciMemo.end())
     return It->second;
-  if (FsciInProgress.count(V))
-    return EmptySet;
-  FsciInProgress.insert(V);
 
   SparseBitVector Objects;
-  std::unordered_set<uint64_t> Visited;
-  std::deque<std::pair<FuncId, Ref>> Queue;
+  U64HashSet Visited;
+  VectorFifo<std::pair<FuncId, Ref>> Queue;
 
   auto Handle = [&](FuncId Owner, std::vector<SummaryTuple> Tuples) {
     for (SummaryTuple &T : Tuples) {
@@ -680,8 +687,8 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
         continue;
       }
       uint64_t H = (uint64_t(Owner) << 34) ^ refHash(T.Origin);
-      if (Visited.insert(H).second)
-        Queue.emplace_back(Owner, T.Origin);
+      if (Visited.insert(H))
+        Queue.push_back({Owner, T.Origin});
     }
   };
 
@@ -698,7 +705,6 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
         Handle(Caller, originsBefore(C, W));
   }
 
-  FsciInProgress.erase(V);
   auto [Ins, _] = St.FsciMemo.emplace(MapKey, std::move(Objects));
   ++Version;
   return Ins->second;
@@ -747,14 +753,19 @@ uint64_t SummaryEngine::State::approxBytes() const {
     N += sizeof(KeyState);
     N += KS.Results.size() * sizeof(SummaryTuple);
     for (const SummaryTuple &T : KS.Results)
-      N += T.Cond.atoms().size() * sizeof(ConstraintAtom);
-    N += KS.ResultHashes.size() * sizeof(uint64_t) * 2;
-    N += KS.Seen.size() * sizeof(uint64_t) * 2;
-    N += KS.WaiterHashes.size() * sizeof(uint64_t) * 2;
+      N += T.Cond.heapBytes();
+    N += (KS.ResultHashes.capacity() + KS.Seen.capacity() +
+          KS.WaiterHashes.capacity()) *
+         sizeof(uint64_t);
     N += KS.Waiters.size() * sizeof(Waiter);
-    N += KS.WL.size() * sizeof(TraversalTuple);
+    for (const Waiter &W : KS.Waiters)
+      N += W.CondAtCall.heapBytes();
+    N += KS.WL.capacity() * sizeof(TraversalTuple);
   }
-  N += KeyIndex.size() * (sizeof(std::pair<ir::LocId, uint64_t>) + 48);
+  // One node per entry (value plus chain and cached-hash words) and one
+  // bucket pointer each.
+  N += KeyIndex.size() * (sizeof(std::pair<KeySlot, KeyId>) + 16) +
+       KeyIndex.bucket_count() * sizeof(void *);
   for (const auto &[K, Bits] : FsciMemo) {
     (void)K;
     N += 48 + Bits.count() / 8;

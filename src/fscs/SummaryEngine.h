@@ -47,15 +47,14 @@
 #include "fscs/Constraint.h"
 #include "ir/CallGraph.h"
 #include "ir/Ir.h"
+#include "support/FlatContainers.h"
 #include "support/SparseBitVector.h"
 #include "support/Statistics.h"
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace bsaa {
@@ -224,15 +223,20 @@ public:
     size_t Consumed = 0;
   };
 
+  /// One summary key (AnchorLoc, R) and its traversal. Every member is
+  /// a flat or inline container, so the per-step work -- enqueue,
+  /// dedupe, pop, add a result -- touches the heap only when a buffer
+  /// doubles, and KeyState is nothrow-movable: State::Keys grows by
+  /// moving keys, never by deep-copying them.
   struct KeyState {
     ir::LocId AnchorLoc;
     ir::Ref R;
     std::vector<SummaryTuple> Results;
-    std::unordered_set<uint64_t> ResultHashes;
-    std::deque<TraversalTuple> WL;
-    std::unordered_set<uint64_t> Seen; ///< Tuples ever enqueued.
-    std::vector<Waiter> Waiters;       ///< Splices fed by this key.
-    std::unordered_set<uint64_t> WaiterHashes;
+    U64HashSet ResultHashes;         ///< Hashes of Results (dedupe).
+    VectorFifo<TraversalTuple> WL;   ///< Pending traversal tuples.
+    U64HashSet Seen;                 ///< Tuples ever enqueued.
+    std::vector<Waiter> Waiters;     ///< Splices fed by this key.
+    U64HashSet WaiterHashes;         ///< Hashes of Waiters (dedupe).
   };
 
   /// The complete memoized product of an engine run. Opaque to callers
@@ -242,8 +246,19 @@ public:
   /// inputs -- the SummaryCache guarantees that identity by keying
   /// entries on a content digest of exactly those inputs.
   struct State {
+    using KeySlot = std::pair<ir::LocId, uint64_t>;
+    struct KeySlotHash {
+      size_t operator()(const KeySlot &S) const {
+        return static_cast<size_t>(
+            (S.second ^ (uint64_t(S.first) << 34)) * 0x9e3779b97f4a7c15ull >>
+            16);
+      }
+    };
+
     std::vector<KeyState> Keys;
-    std::map<std::pair<ir::LocId, uint64_t>, KeyId> KeyIndex;
+    /// (AnchorLoc, R) slot -> key. Never serialized (the codec rebuilds
+    /// it), so its iteration order is free.
+    std::unordered_map<KeySlot, KeyId, KeySlotHash> KeyIndex;
     std::map<std::pair<ir::VarId, ir::LocId>, SparseBitVector> FsciMemo;
     uint64_t Steps = 0;
     bool BudgetHit = false;
@@ -259,7 +274,9 @@ public:
     /// slot, which no engine run produces.
     bool rebuildKeyIndex();
 
-    /// Payload-size estimate for the cache's byte gauge.
+    /// Payload-size estimate for the cache's byte gauge: the flat
+    /// containers' allocated slots and capacity, plus atoms that spilled
+    /// out of their conditions.
     uint64_t approxBytes() const;
   };
 
@@ -293,6 +310,8 @@ private:
   void addResult(KeyId K, ir::Ref Origin, const Condition &Cond);
   void feedWaiter(KeyId Provider, size_t WaiterIdx);
   void drain();
+  /// Not re-entrant: it reuses one outcome buffer, and nothing it calls
+  /// processes another tuple.
   void processTuple(KeyId K, const TraversalTuple &T);
   void handleCall(KeyId K, const TraversalTuple &T);
   void propagate(KeyId K, ir::LocId M, ir::Ref Q, const Condition &Cond);
@@ -327,8 +346,9 @@ private:
   // FSCI machinery (Algorithm 3, demand-driven)
   //===--------------------------------------------------------------===//
 
-  /// Memoized FSCI set if already computed; nullptr while unknown or
-  /// under computation (the constraint-branching fallback applies then).
+  /// Memoized FSCI set if already computed; nullptr while unknown (the
+  /// constraint-branching fallback applies then). Traversals read the
+  /// memo only through here, so fsciPointsTo() never re-enters itself.
   const SparseBitVector *fsciIfKnown(ir::VarId V, ir::LocId Loc) const;
 
   //===--------------------------------------------------------------===//
@@ -371,13 +391,17 @@ private:
   State St;
   uint64_t Version = 0; ///< See version().
 
-  std::deque<KeyId> ActiveKeys;
+  VectorFifo<KeyId> ActiveKeys;
   std::vector<uint8_t> KeyActive;
   /// Keys with fresh results whose waiters still need feeding. An
   /// explicit queue, not recursion: result -> feed -> result chains can
   /// be as long as the whole exploration and would overflow the stack.
-  std::deque<KeyId> PendingFeeds;
+  VectorFifo<KeyId> PendingFeeds;
   std::vector<uint8_t> FeedQueued;
+  /// processTuple()'s transfer outcomes and transfer()'s dereference
+  /// candidates, reused across steps.
+  std::vector<Outcome> OutcomeBuf;
+  std::vector<ir::VarId> CandidateBuf;
 
   /// Slice-local modification info per function (only functions with
   /// slice statements appear), and the lazily computed transitive
@@ -392,19 +416,22 @@ private:
     SparseBitVector Assigned;
     bool Store = false;
     bool Relevant = false;
+    bool Known = false; ///< Computed (or being computed) by transMod().
   };
   std::unordered_map<ir::FuncId, LocalModInfo> LocalMod;
-  std::unordered_map<uint32_t, TransModInfo> TransMod; ///< By component.
+  /// By component; sized once to the component count on first use, so
+  /// transMod()'s references stay valid across its own recursion.
+  std::vector<TransModInfo> TransMod;
   const TransModInfo &transMod(uint32_t Component);
   /// Partitions that something points to (pointed-to partitions can be
   /// written through a store).
   std::vector<uint8_t> PartitionHasPred;
 
-  std::unordered_map<ir::LocId, std::vector<ir::LocId>> SkipPredCache;
+  /// By location, sized on first use; SkipPredKnown marks the computed
+  /// entries (an empty list is a valid answer).
+  std::vector<std::vector<ir::LocId>> SkipPredCache;
+  std::vector<uint8_t> SkipPredKnown;
   std::vector<uint8_t> InterestingCache; ///< 0 unknown, 1 no, 2 yes.
-
-  std::unordered_set<uint64_t> FsciInProgress; ///< Vars being computed.
-  SparseBitVector EmptySet;
 };
 
 } // namespace fscs

@@ -603,6 +603,32 @@ TEST(StateCodec, SettledStateOmitsScaffoldSections) {
             encodeRun(Lean).size() + Keys * 2 * 4 + 4 + 4 + 5 + 8);
 }
 
+TEST(StateCodec, RoundTripSpilledCondition) {
+  // Eight atoms: twice the inline capacity, so the condition lives on
+  // the heap on both sides of the round trip.
+  fscs::Condition C;
+  for (uint32_t I = 0; I < 8; ++I)
+    C = C.conjoin(fscs::ConstraintAtom{8 - I, fscs::ConstraintKind::NotPointsTo,
+                                       I, I + 1},
+                  /*MaxAtoms=*/8);
+  ASSERT_EQ(C.size(), 8u);
+  ASSERT_GT(C.size(), fscs::Condition::InlineAtoms);
+
+  fscs::CachedClusterRun Run = randomRun(3);
+  Run.Engine.Keys[0].Results.push_back(
+      fscs::SummaryTuple{Run.Engine.Keys[0].R, Run.Engine.Keys[0].AnchorLoc,
+                         ir::Ref{1, 0}, C});
+  Run.Engine.Keys[0].Waiters.push_back(
+      fscs::SummaryEngine::Waiter{0, 1, C, 0});
+  std::vector<uint8_t> Bytes = encodeRun(Run);
+  fscs::CachedClusterRun Back;
+  ASSERT_TRUE(fscs::decodeCachedClusterRun(Bytes.data(), Bytes.size(), Back));
+  EXPECT_EQ(Back.Engine.Keys[0].Results.back().Cond, C);
+  EXPECT_EQ(Back.Engine.Keys[0].Results.back().Cond.hash(), C.hash());
+  EXPECT_EQ(Back.Engine.Keys[0].Waiters.back().CondAtCall, C);
+  EXPECT_EQ(encodeRun(Back), Bytes);
+}
+
 TEST(StateCodec, EveryTruncationRejected) {
   for (uint64_t Seed : {41u, 42u}) {
     std::vector<uint8_t> Bytes = encodeRun(randomRun(Seed));

@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 using namespace bsaa;
 
 namespace {
@@ -204,6 +208,100 @@ TEST(Condition, HashAndEquality) {
   EXPECT_EQ(C1, C2);
   EXPECT_EQ(C1.hash(), C2.hash());
   EXPECT_FALSE(C1 == fscs::Condition());
+}
+
+namespace {
+
+/// The conjunction rules of Condition::conjoin over a plain sorted
+/// vector: duplicate -> unchanged, contradiction -> false (no atoms),
+/// at the cap -> the new atom is dropped, otherwise sorted insert.
+struct RefCondition {
+  std::vector<fscs::ConstraintAtom> Atoms;
+  bool IsFalse = false;
+
+  void conjoin(const fscs::ConstraintAtom &A, size_t MaxAtoms) {
+    if (IsFalse)
+      return;
+    for (const fscs::ConstraintAtom &E : Atoms) {
+      if (E == A)
+        return;
+      if (E.contradicts(A)) {
+        Atoms.clear();
+        IsFalse = true;
+        return;
+      }
+    }
+    if (Atoms.size() >= MaxAtoms)
+      return;
+    Atoms.insert(std::upper_bound(Atoms.begin(), Atoms.end(), A), A);
+  }
+};
+
+void expectSame(const fscs::Condition &C, const RefCondition &R,
+                const std::string &Where) {
+  ASSERT_EQ(C.isFalse(), R.IsFalse) << Where;
+  ASSERT_EQ(C.size(), R.Atoms.size()) << Where;
+  EXPECT_TRUE(std::equal(C.atoms().begin(), C.atoms().end(),
+                         R.Atoms.begin()))
+      << Where;
+  // The canonical value decides equality and hash.
+  fscs::Condition Rebuilt;
+  ASSERT_TRUE(
+      fscs::Condition::fromCanonicalAtoms(R.Atoms, R.IsFalse, Rebuilt));
+  EXPECT_EQ(C, Rebuilt) << Where;
+  EXPECT_EQ(C.hash(), Rebuilt.hash()) << Where;
+}
+
+fscs::ConstraintAtom randomAtom(std::mt19937_64 &Rng) {
+  // A small universe, so duplicates and contradictions are common.
+  return fscs::ConstraintAtom{static_cast<ir::LocId>(Rng() % 6),
+                              static_cast<fscs::ConstraintKind>(Rng() % 4),
+                              static_cast<ir::VarId>(Rng() % 3),
+                              static_cast<ir::VarId>(Rng() % 3)};
+}
+
+} // namespace
+
+TEST(Condition, MatchesReferenceConjunction) {
+  // Cap 6 exceeds the inline capacity, so the spill path is exercised.
+  static_assert(fscs::Condition::InlineAtoms == 4);
+  for (size_t MaxAtoms : {size_t(4), size_t(6)}) {
+    std::mt19937_64 Rng(MaxAtoms);
+    size_t Spilled = 0, Collapsed = 0;
+    for (int Trial = 0; Trial < 400; ++Trial) {
+      std::string Where = "cap " + std::to_string(MaxAtoms) + " trial " +
+                          std::to_string(Trial);
+      fscs::Condition C, D;
+      RefCondition R, RD;
+      size_t N = Rng() % 12;
+      for (size_t I = 0; I < N; ++I) {
+        fscs::ConstraintAtom A = randomAtom(Rng);
+        C = C.conjoin(A, MaxAtoms);
+        R.conjoin(A, MaxAtoms);
+        expectSame(C, R, Where);
+      }
+      for (size_t I = 0, M = Rng() % 8; I < M; ++I) {
+        fscs::ConstraintAtom A = randomAtom(Rng);
+        D = D.conjoin(A, MaxAtoms);
+        RD.conjoin(A, MaxAtoms);
+      }
+      // conjoinAll == conjoining Other's atoms one at a time, and false
+      // on either side is false.
+      RefCondition RAll = R;
+      for (const fscs::ConstraintAtom &A : RD.Atoms)
+        RAll.conjoin(A, MaxAtoms);
+      if (RD.IsFalse) {
+        RAll.Atoms.clear();
+        RAll.IsFalse = true;
+      }
+      expectSame(C.conjoinAll(D, MaxAtoms), RAll, Where + " conjoinAll");
+      Spilled += C.size() > fscs::Condition::InlineAtoms;
+      Collapsed += C.isFalse();
+    }
+    if (MaxAtoms > fscs::Condition::InlineAtoms)
+      EXPECT_GT(Spilled, 0u);
+    EXPECT_GT(Collapsed, 0u);
+  }
 }
 
 TEST(Condition, ToStringRendersKinds) {

@@ -559,3 +559,128 @@ TEST(SummaryCache, ThreadedHitsMatchSequentialRecomputation) {
   EXPECT_EQ(Warm.SummaryCacheReport.Counters.Hits,
             Warm.Clusters.size() + Cold.SummaryCacheReport.Counters.Hits);
 }
+
+//===--------------------------------------------------------------------===//
+// Pinned engine output
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// Each cluster's "steps/tuples/keys/budget-hit/approximated" in cover
+/// order, and one digest over every cluster's encoded cached run.
+struct PinnedRun {
+  std::string Clusters;
+  support::Digest Bytes;
+};
+
+PinnedRun pinRun(uint64_t Seed, uint64_t StepBudget) {
+  workload::GeneratorConfig Cfg;
+  Cfg.Seed = Seed;
+  Cfg.NumFunctions = 12;
+  Cfg.StmtsPerFunction = 16;
+  Cfg.Communities = 3;
+  Cfg.RecursionPercent = 15;
+  frontend::Diagnostics Diags;
+  auto P = frontend::compileString(workload::generateProgram(Cfg), Diags);
+  EXPECT_TRUE(P != nullptr) << Diags.toString();
+  core::BootstrapOptions Opts = baseOptions();
+  Opts.EngineOpts.StepBudget = StepBudget;
+  Opts.SummaryCache = std::make_shared<fscs::SummaryCache>();
+  core::BootstrapResult R = runIsolated(*P, Opts);
+  PinnedRun Out;
+  support::ContentHasher H;
+  for (const core::ClusterRunResult &C : R.Clusters) {
+    Out.Clusters += std::to_string(C.Steps) + "/" +
+                    std::to_string(C.SummaryTuples) + "/" +
+                    std::to_string(C.SummaryKeys) + "/" +
+                    std::to_string(int(C.BudgetHit)) +
+                    std::to_string(int(C.Approximated)) + " ";
+    auto Run = Opts.SummaryCache->lookup(C.Key);
+    EXPECT_TRUE(Run != nullptr) << "seed " << Seed;
+    if (!Run)
+      continue;
+    support::ByteWriter W;
+    fscs::encodeCachedClusterRun(*Run, W);
+    H.bytes(W.bytes().data(), W.bytes().size());
+  }
+  Out.Bytes = H.digest();
+  return Out;
+}
+
+} // namespace
+
+TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
+  // What the engine produced on these inputs when its conditions, hash
+  // sets and worklists were still node- and heap-based containers. The
+  // memory layout may change; the traversal, every tuple and every
+  // encoded byte may not.
+  struct Pinned {
+    uint64_t Seed;
+    uint64_t StepBudget;
+    const char *Clusters;
+    support::Digest Bytes;
+  };
+  const Pinned Runs[] = {
+      {61, 0,
+       "14362/7487/753/00 16472/7268/590/00 15811/7116/503/00 "
+       "845/117/117/00 1747/267/201/00 4265/942/450/00 "
+       "2477/364/271/00 874/119/119/00 879/119/119/00 882/119/119/00 "
+       "866/119/119/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 "
+       "2/1/1/00 62/31/31/00 2/1/1/00 62/31/31/00 62/31/31/00 "
+       "2/1/1/00 2/1/1/00 62/31/31/00 62/31/31/00 62/31/31/00 "
+       "62/31/31/00 62/31/31/00 ",
+       {0x6093d6721227cc31ull, 0x9557964474cb5152ull}},
+      {61, 2000,
+       "2000/332/174/10 2000/2017/167/10 2000/2017/167/10 "
+       "845/117/117/00 1747/267/201/00 2000/300/229/10 "
+       "2000/275/220/10 874/119/119/00 879/119/119/00 882/119/119/00 "
+       "866/119/119/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 "
+       "2/1/1/00 62/31/31/00 2/1/1/00 62/31/31/00 62/31/31/00 "
+       "2/1/1/00 2/1/1/00 62/31/31/00 62/31/31/00 62/31/31/00 "
+       "62/31/31/00 62/31/31/00 ",
+       {0x312bc2874b1decd5ull, 0x19d9b998aae90863ull}},
+      {67, 0,
+       "849/107/70/00 883/108/71/00 305/30/30/00 5002/1014/542/00 "
+       "867/113/113/00 662/83/83/00 32840/11449/701/00 "
+       "32720/11438/695/00 908/92/92/00 2/1/1/00 2/1/1/00 2/1/1/00 "
+       "2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 10/5/5/00 "
+       "10/5/5/00 58/29/29/00 58/29/29/00 58/29/29/00 58/29/29/00 "
+       "6/3/3/00 58/29/29/00 58/29/29/00 58/29/29/00 58/29/29/00 "
+       "58/29/29/00 6/3/3/00 ",
+       {0x60809462ca2e09b4ull, 0x79e475ac6d301284ull}},
+      {67, 2000,
+       "849/107/70/00 883/108/71/00 305/30/30/00 2000/314/210/10 "
+       "867/113/113/00 662/83/83/00 2000/545/178/10 2000/545/178/10 "
+       "908/92/92/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 "
+       "2/1/1/00 2/1/1/00 2/1/1/00 10/5/5/00 10/5/5/00 58/29/29/00 "
+       "58/29/29/00 58/29/29/00 58/29/29/00 6/3/3/00 58/29/29/00 "
+       "58/29/29/00 58/29/29/00 58/29/29/00 58/29/29/00 6/3/3/00 ",
+       {0x826acfa0966a706eull, 0xdb85d2c7e6464744ull}},
+      {71, 0,
+       "177743/14121/1402/00 158162/12506/1089/00 9374/599/479/00 "
+       "9155/587/470/00 10289/635/516/00 3289/216/216/00 "
+       "3289/216/216/00 3285/216/216/00 2963/195/195/00 2/1/1/00 "
+       "2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 10/5/5/00 "
+       "10/5/5/00 44/22/22/00 44/22/22/00 44/22/22/00 44/22/22/00 "
+       "46/23/23/00 46/23/23/00 50/25/25/00 50/25/25/00 44/22/22/00 "
+       "8/4/4/00 50/25/25/00 50/25/25/00 50/25/25/00 ",
+       {0xec67a19a656f0a8bull, 0xb93ce2983a7516a0ull}},
+      {71, 2000,
+       "2000/139/146/10 2000/139/146/10 2000/139/146/10 "
+       "2000/139/146/10 2000/139/146/10 2000/139/146/10 "
+       "2000/139/146/10 2000/139/146/10 2000/139/146/10 2/1/1/00 "
+       "2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 10/5/5/00 "
+       "10/5/5/00 44/22/22/00 44/22/22/00 44/22/22/00 44/22/22/00 "
+       "46/23/23/00 46/23/23/00 50/25/25/00 50/25/25/00 44/22/22/00 "
+       "8/4/4/00 50/25/25/00 50/25/25/00 50/25/25/00 ",
+       {0xc980a3978c1f7153ull, 0xd73c98e915b37c83ull}},
+  };
+  for (const Pinned &Want : Runs) {
+    PinnedRun Got = pinRun(Want.Seed, Want.StepBudget);
+    EXPECT_EQ(Got.Clusters, Want.Clusters)
+        << "seed " << Want.Seed << " budget " << Want.StepBudget;
+    EXPECT_TRUE(Got.Bytes == Want.Bytes)
+        << "seed " << Want.Seed << " budget " << Want.StepBudget
+        << ": encoded cluster runs moved";
+  }
+}

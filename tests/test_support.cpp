@@ -1,11 +1,13 @@
 //===- tests/test_support.cpp - Support library tests ---------------------===//
 //
 // Unit tests for src/support: UnionFind, SparseBitVector, SCC,
-// Worklist, ThreadPool, Statistics, GraphWriter, LatencyHistogram.
+// Worklist, U64HashSet, VectorFifo, ThreadPool, Statistics, GraphWriter,
+// LatencyHistogram.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/ContentHash.h"
+#include "support/FlatContainers.h"
 #include "support/GraphWriter.h"
 #include "support/LatencyHistogram.h"
 #include "support/Scc.h"
@@ -18,10 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace bsaa;
@@ -389,6 +394,110 @@ TEST(Worklist, AutoGrow) {
   Worklist W;
   EXPECT_TRUE(W.push(1000));
   EXPECT_EQ(W.pop(), 1000u);
+}
+
+//===--------------------------------------------------------------------===//
+// U64HashSet / VectorFifo
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+std::multiset<uint64_t> elements(const U64HashSet &S) {
+  std::multiset<uint64_t> Out;
+  S.forEach([&](uint64_t V) { Out.insert(V); });
+  return Out;
+}
+
+} // namespace
+
+TEST(U64HashSet, ZeroIsAnOrdinaryElement) {
+  U64HashSet S;
+  EXPECT_TRUE(S.empty());
+  EXPECT_TRUE(S.insert(0));
+  EXPECT_FALSE(S.insert(0));
+  EXPECT_EQ(S.size(), 1u);
+  EXPECT_FALSE(S.empty());
+  EXPECT_EQ(S.capacity(), 0u); // Zero takes no slot.
+  EXPECT_TRUE(S.insert(1));
+  EXPECT_FALSE(S.insert(0));
+  EXPECT_EQ(S.size(), 2u);
+  EXPECT_EQ(elements(S), (std::multiset<uint64_t>{0, 1}));
+}
+
+TEST(U64HashSet, DuplicatesAndGrowthAgainstStdSet) {
+  // Values with shared low bits (as XOR-composed hashes have) and a
+  // range wide enough to cross the 3/4-load threshold many times.
+  std::mt19937_64 Rng(7);
+  U64HashSet S;
+  std::set<uint64_t> Ref;
+  for (int I = 0; I < 5000; ++I) {
+    uint64_t V = (Rng() % 1500) << (I % 3 == 0 ? 32 : 0);
+    EXPECT_EQ(S.insert(V), Ref.insert(V).second) << "value " << V;
+    EXPECT_EQ(S.size(), Ref.size());
+  }
+  std::multiset<uint64_t> Want(Ref.begin(), Ref.end());
+  EXPECT_EQ(elements(S), Want);
+
+  U64HashSet Copy = S;
+  EXPECT_EQ(elements(Copy), Want);
+  for (uint64_t V : Ref)
+    EXPECT_FALSE(Copy.insert(V)) << V;
+}
+
+TEST(U64HashSet, GrowsAtThreeQuartersLoad) {
+  U64HashSet S;
+  EXPECT_EQ(S.capacity(), 0u); // No allocation before the first insert.
+  for (uint64_t V = 1; V <= 6; ++V)
+    S.insert(V);
+  EXPECT_EQ(S.capacity(), 8u); // 6 of 8 slots: exactly 3/4.
+  S.insert(7);
+  EXPECT_EQ(S.capacity(), 16u);
+  EXPECT_EQ(elements(S), (std::multiset<uint64_t>{1, 2, 3, 4, 5, 6, 7}));
+  U64HashSet R;
+  R.reserve(12);
+  EXPECT_EQ(R.capacity(), 16u);
+  R.reserve(13);
+  EXPECT_EQ(R.capacity(), 32u);
+}
+
+TEST(U64HashSet, ForEachVisitsEachElementOnce) {
+  U64HashSet S;
+  std::multiset<uint64_t> Want;
+  for (uint64_t V : {0ull, 1ull, 8ull, 16ull, ~0ull, 0x9e3779b97f4a7c15ull,
+                     1ull << 63}) {
+    S.insert(V);
+    S.insert(V);
+    Want.insert(V);
+  }
+  EXPECT_EQ(elements(S), Want);
+}
+
+TEST(VectorFifo, InterleavedPushPopKeepsOrder) {
+  static_assert(std::is_nothrow_move_constructible_v<VectorFifo<std::string>>);
+  VectorFifo<uint32_t> Q;
+  std::deque<uint32_t> Ref;
+  std::mt19937_64 Rng(11);
+  uint32_t Next = 0;
+  for (int I = 0; I < 20000; ++I) {
+    // Bursts of pushes and pops, biased to grow then drain, so the queue
+    // both empties (buffer rewinds) and runs long (prefix compaction).
+    bool Push = Ref.empty() || Rng() % 100 < (I % 4000 < 2000 ? 60 : 40);
+    if (Push) {
+      Q.push_back(Next);
+      Ref.push_back(Next++);
+    } else {
+      ASSERT_EQ(Q.front(), Ref.front()) << "step " << I;
+      Q.pop_front();
+      Ref.pop_front();
+    }
+    ASSERT_EQ(Q.empty(), Ref.empty());
+  }
+  while (!Ref.empty()) {
+    ASSERT_EQ(Q.front(), Ref.front());
+    Q.pop_front();
+    Ref.pop_front();
+  }
+  EXPECT_TRUE(Q.empty());
 }
 
 //===--------------------------------------------------------------------===//
