@@ -7,7 +7,7 @@
 /// \file
 /// Helpers shared by the table / figure / ablation benches: compile a
 /// suite entry, format seconds the way the paper's Table 1 does
-/// (including the ">15min"-style budget markers).
+/// (including the ">15min"-style budget markers), parse flags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +20,10 @@
 #include "workload/BenchmarkSuite.h"
 #include "workload/ProgramGenerator.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -51,6 +53,27 @@ inline std::string formatSeconds(double Seconds, bool BudgetHit) {
   else
     std::snprintf(Buf, sizeof(Buf), "%.2f", Seconds);
   return Buf;
+}
+
+/// Removes \p Flag -- and, when \p TakesValue, the argument after it --
+/// from argv, so scaleFromArgs sees only the positional scale. Returns
+/// the flag's value (or the flag itself for a boolean flag), or null
+/// when it is absent; the last occurrence wins. A value flag with
+/// nothing after it is left in place and counts as absent.
+inline const char *takeFlag(int &Argc, char **Argv, const char *Flag,
+                            bool TakesValue = false) {
+  const char *Found = nullptr;
+  int Width = TakesValue ? 2 : 1;
+  for (int I = 1; I + Width <= Argc;) {
+    if (std::strcmp(Argv[I], Flag) != 0) {
+      ++I;
+      continue;
+    }
+    Found = Argv[I + Width - 1];
+    std::copy(Argv + I + Width, Argv + Argc, Argv + I);
+    Argc -= Width;
+  }
+  return Found;
 }
 
 /// Suite scale from argv (argument 1), defaulting to \p Default.

@@ -21,10 +21,10 @@
 
 #include "analysis/Andersen.h"
 #include "bench/BenchUtil.h"
+#include "support/Json.h"
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -78,19 +78,7 @@ bool identicalPointsTo(const ir::Program &P,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool StatsJson = false;
-  for (int I = 1; I < Argc;) {
-    if (std::strcmp(Argv[I], "--stats-json") == 0) {
-      StatsJson = true;
-      // Hide the flag from the positional scale parser.
-      for (int J = I; J + 1 < Argc; ++J)
-        Argv[J] = Argv[J + 1];
-      --Argc;
-    } else {
-      ++I;
-    }
-  }
-
+  bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
   double Scale = scaleFromArgs(Argc, Argv, 0.25);
   const unsigned Repeats = 3;
 
@@ -152,33 +140,32 @@ int main(int Argc, char **Argv) {
               Largest ? Largest->speedup() : 0, AllIdentical ? "yes" : "NO");
 
   if (StatsJson) {
-    std::string J = "{\n  \"entries\": [\n";
-    char Buf[512];
-    for (size_t I = 0; I < All.size(); ++I) {
-      const EntryStats &S = All[I];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "    {\"name\": \"%s\", \"vars\": %u, \"pointers\": %u, "
-          "\"identical\": %s, \"naive_seconds\": %.6f, \"opt_seconds\": %.6f, "
-          "\"speedup\": %.3f, \"naive_bytes_walked\": %" PRIu64
-          ", \"opt_bytes_walked\": %" PRIu64 ", \"naive_iterations\": %" PRIu64
-          ", \"opt_iterations\": %" PRIu64 ", \"offline_collapsed\": %u, "
-          "\"copy_scc_vars\": %u, \"label_merged_vars\": %u, "
-          "\"hvn_labels\": %u}%s\n",
-          S.Name.c_str(), S.Vars, S.Pointers, S.Identical ? "true" : "false",
-          S.NaiveSeconds, S.OptSeconds, S.speedup(), S.NaiveBytes, S.OptBytes,
-          S.NaiveIterations, S.OptIterations, S.OfflineCollapsed, S.CopySccVars,
-          S.LabelMergedVars, S.HvnLabels, I + 1 < All.size() ? "," : "");
-      J += Buf;
-    }
-    std::snprintf(Buf, sizeof(Buf),
-                  "  ],\n  \"all_identical\": %s,\n  \"largest_entry\": "
-                  "\"%s\",\n  \"largest_speedup\": %.3f\n}\n",
-                  AllIdentical ? "true" : "false",
-                  Largest ? Largest->Name.c_str() : "-",
-                  Largest ? Largest->speedup() : 0);
-    J += Buf;
-    std::fputs(J.c_str(), stdout);
+    support::JsonWriter W;
+    W.beginObject().key("entries").beginArray();
+    for (const EntryStats &S : All)
+      W.beginObject()
+          .field("name", S.Name)
+          .field("vars", S.Vars)
+          .field("pointers", S.Pointers)
+          .field("identical", S.Identical)
+          .field("naive_seconds", S.NaiveSeconds)
+          .field("opt_seconds", S.OptSeconds)
+          .field("speedup", S.speedup())
+          .field("naive_bytes_walked", S.NaiveBytes)
+          .field("opt_bytes_walked", S.OptBytes)
+          .field("naive_iterations", S.NaiveIterations)
+          .field("opt_iterations", S.OptIterations)
+          .field("offline_collapsed", S.OfflineCollapsed)
+          .field("copy_scc_vars", S.CopySccVars)
+          .field("label_merged_vars", S.LabelMergedVars)
+          .field("hvn_labels", S.HvnLabels)
+          .endObject();
+    W.endArray()
+        .field("all_identical", AllIdentical)
+        .field("largest_entry", Largest ? Largest->Name.c_str() : "-")
+        .field("largest_speedup", Largest ? Largest->speedup() : 0.0)
+        .endObject();
+    std::puts(W.str().c_str());
   }
   return AllIdentical ? 0 : 1;
 }

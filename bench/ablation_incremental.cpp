@@ -30,7 +30,6 @@
 #include "support/Timer.h"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -89,25 +88,10 @@ const char *kindName(workload::EditKind K) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool StatsJson = false;
+  bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
   uint32_t NumEdits = 20;
-  for (int I = 1; I < Argc;) {
-    int Strip = 0;
-    if (std::strcmp(Argv[I], "--stats-json") == 0) {
-      StatsJson = true;
-      Strip = 1;
-    } else if (std::strcmp(Argv[I], "--edits") == 0 && I + 1 < Argc) {
-      NumEdits = static_cast<uint32_t>(std::atoi(Argv[I + 1]));
-      Strip = 2;
-    }
-    if (Strip) {
-      for (int J = I; J + Strip < Argc; ++J)
-        Argv[J] = Argv[J + Strip];
-      Argc -= Strip;
-    } else {
-      ++I;
-    }
-  }
+  if (const char *V = takeFlag(Argc, Argv, "--edits", true))
+    NumEdits = static_cast<uint32_t>(std::atoi(V));
   double Scale = scaleFromArgs(Argc, Argv, 0.2);
 
   workload::GeneratorConfig Cfg = editableConfig(Scale);
@@ -188,6 +172,6 @@ int main(int Argc, char **Argv) {
               NumEdits + 2, Mismatches);
 
   if (StatsJson)
-    std::fputs(core::toStatsJson(LastIncr).c_str(), stdout);
+    std::puts(core::toStatsJson(LastIncr).c_str());
   return Mismatches ? 1 : 0;
 }

@@ -19,25 +19,13 @@
 #include "support/Timer.h"
 
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 using namespace bsaa;
 using namespace bsaa::bench;
 
 int main(int Argc, char **Argv) {
-  bool StatsJson = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--stats-json") == 0) {
-      StatsJson = true;
-      // Hide the flag from the positional scale parser.
-      for (int J = I; J + 1 < Argc; ++J)
-        Argv[J] = Argv[J + 1];
-      --Argc;
-      break;
-    }
-  }
-
+  bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
   double Scale = scaleFromArgs(Argc, Argv, 0.25);
   workload::SuiteEntry Entry = workload::suiteEntry("autofs", Scale);
   std::unique_ptr<ir::Program> P = compileEntry(Entry);
@@ -71,6 +59,6 @@ int main(int Argc, char **Argv) {
               ThreadedOpts.Threads, HW, T.seconds(), R2.NumClusters);
 
   if (StatsJson)
-    std::fputs(core::toStatsJson(R2).c_str(), stdout);
+    std::puts(core::toStatsJson(R2).c_str());
   return 0;
 }

@@ -47,13 +47,13 @@
 #include "core/BootstrapDriver.h"
 #include "core/StoreCodecs.h"
 #include "query/QueryEngine.h"
+#include "support/Json.h"
 #include "support/LatencyHistogram.h"
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -85,30 +85,11 @@ std::string replayableJson(const core::BootstrapResult &R) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool StatsJson = false;
-  bool ColdP99 = false;
+  bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
+  bool ColdP99 = takeFlag(Argc, Argv, "--cold-p99");
   std::string StoreDir;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--stats-json") == 0) {
-      StatsJson = true;
-      for (int J = I; J + 1 < Argc; ++J)
-        Argv[J] = Argv[J + 1];
-      --Argc;
-      --I;
-    } else if (std::strcmp(Argv[I], "--cold-p99") == 0) {
-      ColdP99 = true;
-      for (int J = I; J + 1 < Argc; ++J)
-        Argv[J] = Argv[J + 1];
-      --Argc;
-      --I;
-    } else if (std::strcmp(Argv[I], "--store") == 0 && I + 1 < Argc) {
-      StoreDir = Argv[I + 1];
-      for (int J = I; J + 2 < Argc; ++J)
-        Argv[J] = Argv[J + 2];
-      Argc -= 2;
-      --I;
-    }
-  }
+  if (const char *V = takeFlag(Argc, Argv, "--store", true))
+    StoreDir = V;
 
   double Scale = scaleFromArgs(Argc, Argv, 0.25);
   workload::SuiteEntry Entry = workload::suiteEntry("autofs", Scale);
@@ -386,50 +367,66 @@ int main(int Argc, char **Argv) {
                 PostMismatches == 0 ? "identical" : "DIVERGED");
   }
 
-  if (StatsJson)
-    std::printf(
-        "{\"bench\": \"query_throughput\", \"scale\": %.3f, "
-        "\"pointers\": %zu, \"pairs\": %zu, \"clusters\": %zu, "
-        "\"cascade_seconds\": %.6f, \"naive_seconds\": %.6f, "
-        "\"cold_seconds\": %.6f, \"warm_seconds\": %.6f, "
-        "\"warm_mt_seconds\": %.6f, \"threads\": %u, "
-        "\"speedup_vs_naive\": %.2f, \"qps_cold\": %.0f, "
-        "\"qps_warm\": %.0f, \"qps_warm_mt\": %.0f, "
-        "\"aliases_naive\": %llu, \"aliases_engine\": %llu, "
-        "\"answers\": {\"index\": %llu, \"fscs\": %llu, "
-        "\"andersen\": %llu, \"steensgaard\": %llu}, "
-        "\"materializations\": %llu, \"cache_adoptions\": %llu, "
-        "\"evictions\": %llu, "
-        "\"store\": {\"enabled\": %s, \"cold_cascade_seconds\": %.6f, "
-        "\"warm_cascade_seconds\": %.6f, \"store_puts\": %llu, "
-        "\"store_hits\": %llu, \"warm_store_hit_rate\": %.4f, "
-        "\"store_records\": %llu, \"store_live_bytes\": %llu, "
-        "\"warm_stats_identical\": %s, \"warm_verdicts_identical\": %s}, "
-        "\"cold_p99\": {\"enabled\": %s, \"queries\": %zu, "
-        "\"eager_p50_ms\": %.4f, \"eager_p99_ms\": %.4f, "
-        "\"demand_p50_ms\": %.4f, \"demand_p99_ms\": %.4f, "
-        "\"p99_improvement\": %.2f, \"partial_answers\": %llu, "
-        "\"promotions\": %llu, \"mismatches\": %llu, "
-        "\"post_promotion_mismatches\": %llu}}\n",
-        Scale, Ptrs.size(), NumPairs, Result.Clusters.size(),
-        CascadeSeconds, NaiveSeconds, ColdSeconds, WarmSeconds, MtSeconds,
-        Threads, Speedup, Qps(ColdSeconds), Qps(WarmSeconds),
-        Qps(MtSeconds), (unsigned long long)NaiveAliases,
-        (unsigned long long)EngineAliases,
-        (unsigned long long)St.IndexAnswers,
-        (unsigned long long)St.FscsAnswers,
-        (unsigned long long)St.AndersenAnswers,
-        (unsigned long long)St.SteensgaardAnswers,
-        (unsigned long long)St.Materializations,
-        (unsigned long long)St.CacheAdoptions,
-        (unsigned long long)St.Evictions, StoreRun ? "true" : "false",
-        StoreColdSeconds, StoreWarmSeconds, StorePuts, StoreHits,
-        StoreHitRate, StoreRecords, StoreLiveBytes,
-        StoreStatsIdentical ? "true" : "false",
-        StoreVerdictsIdentical ? "true" : "false",
-        ColdP99 ? "true" : "false", ColdQueries, EagerP50Ms, EagerP99Ms,
-        DemandP50Ms, DemandP99Ms, ColdImprovement, ColdPartialAnswers,
-        ColdPromotions, ColdMismatches, PostMismatches);
+  if (StatsJson) {
+    support::JsonWriter W;
+    W.beginObject()
+        .field("bench", "query_throughput")
+        .field("scale", Scale)
+        .field("pointers", Ptrs.size())
+        .field("pairs", NumPairs)
+        .field("clusters", Result.Clusters.size())
+        .field("cascade_seconds", CascadeSeconds)
+        .field("naive_seconds", NaiveSeconds)
+        .field("cold_seconds", ColdSeconds)
+        .field("warm_seconds", WarmSeconds)
+        .field("warm_mt_seconds", MtSeconds)
+        .field("threads", Threads)
+        .field("speedup_vs_naive", Speedup)
+        .field("qps_cold", Qps(ColdSeconds))
+        .field("qps_warm", Qps(WarmSeconds))
+        .field("qps_warm_mt", Qps(MtSeconds))
+        .field("aliases_naive", NaiveAliases)
+        .field("aliases_engine", EngineAliases);
+    W.key("answers")
+        .beginObject()
+        .field("index", St.IndexAnswers)
+        .field("fscs", St.FscsAnswers)
+        .field("andersen", St.AndersenAnswers)
+        .field("steensgaard", St.SteensgaardAnswers)
+        .endObject();
+    W.field("materializations", St.Materializations)
+        .field("cache_adoptions", St.CacheAdoptions)
+        .field("evictions", St.Evictions);
+    W.key("store")
+        .beginObject()
+        .field("enabled", StoreRun)
+        .field("cold_cascade_seconds", StoreColdSeconds)
+        .field("warm_cascade_seconds", StoreWarmSeconds)
+        .field("store_puts", StorePuts)
+        .field("store_hits", StoreHits)
+        .field("warm_store_hit_rate", StoreHitRate)
+        .field("store_records", StoreRecords)
+        .field("store_live_bytes", StoreLiveBytes)
+        .field("warm_stats_identical", StoreStatsIdentical)
+        .field("warm_verdicts_identical", StoreVerdictsIdentical)
+        .endObject();
+    W.key("cold_p99")
+        .beginObject()
+        .field("enabled", ColdP99)
+        .field("queries", ColdQueries)
+        .field("eager_p50_ms", EagerP50Ms)
+        .field("eager_p99_ms", EagerP99Ms)
+        .field("demand_p50_ms", DemandP50Ms)
+        .field("demand_p99_ms", DemandP99Ms)
+        .field("p99_improvement", ColdImprovement)
+        .field("partial_answers", ColdPartialAnswers)
+        .field("promotions", ColdPromotions)
+        .field("mismatches", ColdMismatches)
+        .field("post_promotion_mismatches", PostMismatches)
+        .endObject()
+        .endObject();
+    std::puts(W.str().c_str());
+  }
 
   // Self-gating: a warm restart that changes any answer or any
   // replayable stat is a correctness failure, not a perf regression.

@@ -24,11 +24,11 @@
 
 #include "bench/BenchUtil.h"
 #include "racecheck/RaceCheckEngine.h"
+#include "support/Json.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -97,25 +97,10 @@ core::BootstrapOptions baseOptions() {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool StatsJson = false;
+  bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
   uint32_t NumEdits = 20;
-  for (int I = 1; I < Argc;) {
-    int Strip = 0;
-    if (std::strcmp(Argv[I], "--stats-json") == 0) {
-      StatsJson = true;
-      Strip = 1;
-    } else if (std::strcmp(Argv[I], "--edits") == 0 && I + 1 < Argc) {
-      NumEdits = static_cast<uint32_t>(std::atoi(Argv[I + 1]));
-      Strip = 2;
-    }
-    if (Strip) {
-      for (int J = I; J + Strip < Argc; ++J)
-        Argv[J] = Argv[J + Strip];
-      Argc -= Strip;
-    } else {
-      ++I;
-    }
-  }
+  if (const char *V = takeFlag(Argc, Argv, "--edits", true))
+    NumEdits = static_cast<uint32_t>(std::atoi(V));
   double Scale = scaleFromArgs(Argc, Argv, 0.15);
 
   workload::GeneratorConfig Cfg = raceConfig(Scale);
@@ -208,14 +193,23 @@ int main(int Argc, char **Argv) {
               "aggregate, %.1fx touch), mismatches %u\n",
               ColdTotal, IncrTotal, Aggregate, TouchSpeedup, Mismatches);
 
-  if (StatsJson)
-    std::printf("{\"racecheck_bench\": {\"scale\": %.2f, \"functions\": %u, "
-                "\"edits\": %u, \"verdicts_identical\": %s, "
-                "\"touch_speedup\": %.2f, \"aggregate_speedup\": %.2f, "
-                "\"final_warnings\": %u, \"cold_seconds\": %.4f, "
-                "\"incremental_seconds\": %.4f}}\n",
-                Scale, Cfg.NumFunctions, NumEdits,
-                Mismatches == 0 ? "true" : "false", TouchSpeedup, Aggregate,
-                FinalWarnings, ColdTotal, IncrTotal);
+  if (StatsJson) {
+    support::JsonWriter W;
+    W.beginObject()
+        .key("racecheck_bench")
+        .beginObject()
+        .field("scale", Scale)
+        .field("functions", Cfg.NumFunctions)
+        .field("edits", NumEdits)
+        .field("verdicts_identical", Mismatches == 0)
+        .field("touch_speedup", TouchSpeedup)
+        .field("aggregate_speedup", Aggregate)
+        .field("final_warnings", FinalWarnings)
+        .field("cold_seconds", ColdTotal)
+        .field("incremental_seconds", IncrTotal)
+        .endObject()
+        .endObject();
+    std::puts(W.str().c_str());
+  }
   return Mismatches ? 1 : 0;
 }

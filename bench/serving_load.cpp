@@ -32,11 +32,11 @@
 
 #include "bench/BenchUtil.h"
 #include "serving/TenantRegistry.h"
+#include "support/Json.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -131,29 +131,13 @@ TenantPlan makePlan(double Scale, uint32_t TenantIdx, uint32_t NumEdits) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool StatsJson = false;
+  bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
   uint32_t NumTenants = 4;
   uint32_t NumEdits = 20;
-  for (int I = 1; I < Argc;) {
-    int Strip = 0;
-    if (std::strcmp(Argv[I], "--stats-json") == 0) {
-      StatsJson = true;
-      Strip = 1;
-    } else if (std::strcmp(Argv[I], "--tenants") == 0 && I + 1 < Argc) {
-      NumTenants = static_cast<uint32_t>(std::atoi(Argv[I + 1]));
-      Strip = 2;
-    } else if (std::strcmp(Argv[I], "--edits") == 0 && I + 1 < Argc) {
-      NumEdits = static_cast<uint32_t>(std::atoi(Argv[I + 1]));
-      Strip = 2;
-    }
-    if (Strip) {
-      for (int J = I; J + Strip < Argc; ++J)
-        Argv[J] = Argv[J + Strip];
-      Argc -= Strip;
-    } else {
-      ++I;
-    }
-  }
+  if (const char *V = takeFlag(Argc, Argv, "--tenants", true))
+    NumTenants = static_cast<uint32_t>(std::atoi(V));
+  if (const char *V = takeFlag(Argc, Argv, "--edits", true))
+    NumEdits = static_cast<uint32_t>(std::atoi(V));
   double Scale = scaleFromArgs(Argc, Argv, 0.25);
   if (NumTenants < 1)
     NumTenants = 1;
@@ -279,17 +263,27 @@ int main(int Argc, char **Argv) {
                                     ? "every tenant identical to cold replay"
                                     : "DIVERGENCE DETECTED");
 
-  if (StatsJson)
-    std::printf("{\"bench\": \"serving_load\", \"scale\": %.3f, "
-                "\"tenants\": %u, \"edits_per_tenant\": %u, "
-                "\"all_tenants_identical\": %s, "
-                "\"load_seconds\": %.6f, \"queries\": %llu, \"qps\": %.0f, "
-                "\"p99_ms\": %.4f, \"edits\": {\"accepted\": %llu, "
-                "\"coalesced\": %llu, \"rejected\": %llu, "
-                "\"applied\": %llu}}\n",
-                Scale, NumTenants, NumEdits, AllIdentical ? "true" : "false",
-                LoadSeconds, (unsigned long long)TotalQueries, Qps, WorstP99,
-                (unsigned long long)Accepted, (unsigned long long)Coalesced,
-                (unsigned long long)Rejected, (unsigned long long)Applied);
+  if (StatsJson) {
+    support::JsonWriter W;
+    W.beginObject()
+        .field("bench", "serving_load")
+        .field("scale", Scale)
+        .field("tenants", NumTenants)
+        .field("edits_per_tenant", NumEdits)
+        .field("all_tenants_identical", AllIdentical)
+        .field("load_seconds", LoadSeconds)
+        .field("queries", TotalQueries)
+        .field("qps", Qps)
+        .field("p99_ms", WorstP99)
+        .key("edits")
+        .beginObject()
+        .field("accepted", Accepted)
+        .field("coalesced", Coalesced)
+        .field("rejected", Rejected)
+        .field("applied", Applied)
+        .endObject()
+        .endObject();
+    std::puts(W.str().c_str());
+  }
   return AllIdentical ? 0 : 1;
 }

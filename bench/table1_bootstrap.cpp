@@ -36,33 +36,13 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 using namespace bsaa;
 using namespace bsaa::bench;
 
 int main(int Argc, char **Argv) {
-  bool StatsJson = false;
-  bool UseCache = true;
-  for (int I = 1; I < Argc;) {
-    bool Strip = false;
-    if (std::strcmp(Argv[I], "--stats-json") == 0) {
-      StatsJson = true;
-      Strip = true;
-    } else if (std::strcmp(Argv[I], "--no-summary-cache") == 0) {
-      UseCache = false;
-      Strip = true;
-    }
-    if (Strip) {
-      // Hide the flag from the positional scale parser.
-      for (int J = I; J + 1 < Argc; ++J)
-        Argv[J] = Argv[J + 1];
-      --Argc;
-    } else {
-      ++I;
-    }
-  }
-
+  bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
+  bool UseCache = !takeFlag(Argc, Argv, "--no-summary-cache");
   double Scale = scaleFromArgs(Argc, Argv, 0.25);
 
   auto SummaryCache =
@@ -140,6 +120,6 @@ int main(int Argc, char **Argv) {
   }
 
   if (StatsJson)
-    std::fputs(core::toStatsJson(LastRun).c_str(), stdout);
+    std::puts(core::toStatsJson(LastRun).c_str());
   return 0;
 }

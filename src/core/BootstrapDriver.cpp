@@ -7,6 +7,7 @@
 #include "core/AliasCover.h"
 #include "core/RelevantStatements.h"
 #include "fscs/ClusterAliasAnalysis.h"
+#include "support/Json.h"
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -15,7 +16,6 @@
 #include <map>
 #include <numeric>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 using namespace bsaa;
@@ -444,20 +444,21 @@ Statistics &BootstrapDriver::stats() const {
 
 namespace {
 
-void emitCacheReport(std::ostringstream &OS, const char *Name,
+void emitCacheReport(support::JsonWriter &W, const char *Name,
                      const BootstrapResult::CacheReport &C) {
-  OS << "  \"" << Name
-     << "\": {\"enabled\": " << (C.Enabled ? "true" : "false")
-     << ", \"hits\": " << C.Counters.Hits
-     << ", \"misses\": " << C.Counters.Misses
-     << ", \"inserts\": " << C.Counters.Inserts
-     << ", \"bytes\": " << C.Counters.Bytes
-     << ", \"hit_rate\": " << C.Counters.hitRate()
-     << ", \"store_hits\": " << C.Counters.StoreHits
-     << ", \"store_misses\": " << C.Counters.StoreMisses
-     << ", \"store_puts\": " << C.Counters.StorePuts
-     << ", \"store_hit_rate\": " << C.Counters.storeHitRate()
-     << ", \"trim_evictions\": " << C.Counters.TrimEvictions << "},\n";
+  W.key(Name).beginObject();
+  W.field("enabled", C.Enabled)
+      .field("hits", C.Counters.Hits)
+      .field("misses", C.Counters.Misses)
+      .field("inserts", C.Counters.Inserts)
+      .field("bytes", C.Counters.Bytes)
+      .field("hit_rate", C.Counters.hitRate())
+      .field("store_hits", C.Counters.StoreHits)
+      .field("store_misses", C.Counters.StoreMisses)
+      .field("store_puts", C.Counters.StorePuts)
+      .field("store_hit_rate", C.Counters.storeHitRate())
+      .field("trim_evictions", C.Counters.TrimEvictions);
+  W.endObject();
 }
 
 } // namespace
@@ -465,49 +466,46 @@ void emitCacheReport(std::ostringstream &OS, const char *Name,
 std::string core::toStatsJson(const BootstrapResult &R,
                               const StatsJsonOptions &O,
                               const Statistics &Stats) {
-  std::ostringstream OS;
-  OS << "{\n";
-  if (O.IncludeTimings) {
-    OS << "  \"steensgaard_seconds\": " << R.SteensgaardSeconds << ",\n";
-    OS << "  \"andersen_clustering_seconds\": "
-       << R.AndersenClusteringSeconds << ",\n";
-    OS << "  \"oneflow_seconds\": " << R.OneFlowSeconds << ",\n";
-  }
-  OS << "  \"num_clusters\": " << R.NumClusters << ",\n";
-  OS << "  \"max_cluster_size\": " << R.MaxClusterSize << ",\n";
-  if (O.IncludeTimings) {
-    OS << "  \"total_fscs_seconds\": " << R.TotalFscsSeconds << ",\n";
-    OS << "  \"simulated_parallel_seconds\": " << R.SimulatedParallelSeconds
-       << ",\n";
-  }
-  OS << "  \"any_budget_hit\": " << (R.AnyBudgetHit ? "true" : "false")
-     << ",\n";
+  support::JsonWriter W;
+  W.beginObject();
+  if (O.IncludeTimings)
+    W.field("steensgaard_seconds", R.SteensgaardSeconds)
+        .field("andersen_clustering_seconds", R.AndersenClusteringSeconds)
+        .field("oneflow_seconds", R.OneFlowSeconds);
+  W.field("num_clusters", R.NumClusters)
+      .field("max_cluster_size", R.MaxClusterSize);
+  if (O.IncludeTimings)
+    W.field("total_fscs_seconds", R.TotalFscsSeconds)
+        .field("simulated_parallel_seconds", R.SimulatedParallelSeconds);
+  W.field("any_budget_hit", R.AnyBudgetHit);
   if (O.IncludeCacheStats) {
-    emitCacheReport(OS, "summary_cache", R.SummaryCacheReport);
-    emitCacheReport(OS, "slice_cache", R.SliceCacheReport);
+    emitCacheReport(W, "summary_cache", R.SummaryCacheReport);
+    emitCacheReport(W, "slice_cache", R.SliceCacheReport);
   }
-  OS << "  \"clusters\": [\n";
-  for (size_t I = 0; I < R.Clusters.size(); ++I) {
-    const ClusterRunResult &C = R.Clusters[I];
-    OS << "    {\"pointers\": " << C.PointerCount
-       << ", \"slice_size\": " << C.SliceSize
-       << ", \"cost_key\": " << C.CostKey;
+  W.key("clusters").beginArray();
+  for (const ClusterRunResult &C : R.Clusters) {
+    W.beginObject()
+        .field("pointers", C.PointerCount)
+        .field("slice_size", C.SliceSize)
+        .field("cost_key", C.CostKey);
     if (O.IncludeTimings)
-      OS << ", \"seconds\": " << C.Seconds;
-    OS << ", \"steps\": " << C.Steps
-       << ", \"summary_tuples\": " << C.SummaryTuples
-       << ", \"summary_keys\": " << C.SummaryKeys
-       << ", \"depth_levels\": " << C.DepthLevels
-       << ", \"fsci_queries\": " << C.FsciQueries
-       << ", \"dovetail_complete\": " << (C.DovetailComplete ? "true" : "false")
-       << ", \"budget_hit\": " << (C.BudgetHit ? "true" : "false")
-       << ", \"approximated\": " << (C.Approximated ? "true" : "false");
+      W.field("seconds", C.Seconds);
+    W.field("steps", C.Steps)
+        .field("summary_tuples", C.SummaryTuples)
+        .field("summary_keys", C.SummaryKeys)
+        .field("depth_levels", C.DepthLevels)
+        .field("fsci_queries", C.FsciQueries)
+        .field("dovetail_complete", C.DovetailComplete)
+        .field("budget_hit", C.BudgetHit)
+        .field("approximated", C.Approximated);
     if (O.IncludeCacheStats)
-      OS << ", \"from_cache\": " << (C.FromCache ? "true" : "false");
-    OS << "}" << (I + 1 < R.Clusters.size() ? "," : "") << "\n";
+      W.field("from_cache", C.FromCache);
+    W.endObject();
   }
-  OS << "  ],\n";
-  OS << "  \"statistics\": " << Stats.toJson() << "\n";
-  OS << "}\n";
-  return OS.str();
+  W.endArray();
+  W.key("statistics").beginObject();
+  for (const auto &[Name, Value] : Stats.snapshot())
+    W.field(Name, Value);
+  W.endObject().endObject();
+  return W.str();
 }

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <unordered_set>
 
 using namespace bsaa;
@@ -89,44 +88,38 @@ ReportDelta racecheck::diffReports(const RaceReport &Old,
 
 namespace {
 
-void appendSite(std::ostringstream &OS, const SiteVerdict &S) {
-  OS << "{\"func\": ";
-  support::appendJsonString(OS, S.Func);
-  OS << ", \"site\": " << S.LocalIdx << ", \"stmt\": ";
-  support::appendJsonString(OS, S.Stmt);
-  OS << ", \"write\": " << (S.IsWrite ? "true" : "false")
-     << ", \"degraded\": " << (S.Degraded ? "true" : "false")
-     << ", \"lockset\": [";
-  for (size_t I = 0; I < S.Lockset.size(); ++I) {
-    if (I)
-      OS << ", ";
-    support::appendJsonString(OS, S.Lockset[I]);
-  }
-  OS << "]}";
+void appendSite(support::JsonWriter &W, const SiteVerdict &S) {
+  W.beginObject()
+      .field("func", S.Func)
+      .field("site", S.LocalIdx)
+      .field("stmt", S.Stmt)
+      .field("write", S.IsWrite)
+      .field("degraded", S.Degraded);
+  W.key("lockset").beginArray();
+  for (const std::string &L : S.Lockset)
+    W.value(L);
+  W.endArray().endObject();
 }
 
 } // namespace
 
 std::string racecheck::toReportJson(const RaceReport &R) {
-  std::ostringstream OS;
-  OS << "{\"racecheck\": {\"shared_variables\": " << R.SharedVariables
-     << ", \"lock_clusters\": " << R.LockClusters
-     << ", \"degraded_functions\": " << R.DegradedFunctions
-     << ", \"warnings\": [";
-  for (size_t I = 0; I < R.Warnings.size(); ++I) {
-    const RaceWarning &W = R.Warnings[I];
-    if (I)
-      OS << ", ";
-    OS << "{\"id\": \"" << W.Id << "\", \"severity\": " << W.Severity
-       << ", \"var\": ";
-    support::appendJsonString(OS, W.Var);
-    OS << ", \"source\": \"" << query::answerSourceName(W.Source)
-       << "\", \"a\": ";
-    appendSite(OS, W.A);
-    OS << ", \"b\": ";
-    appendSite(OS, W.B);
-    OS << "}";
+  support::JsonWriter W;
+  W.beginObject().key("racecheck").beginObject();
+  W.field("shared_variables", R.SharedVariables)
+      .field("lock_clusters", R.LockClusters)
+      .field("degraded_functions", R.DegradedFunctions);
+  W.key("warnings").beginArray();
+  for (const RaceWarning &Warn : R.Warnings) {
+    W.beginObject()
+        .field("id", Warn.Id)
+        .field("severity", Warn.Severity)
+        .field("var", Warn.Var)
+        .field("source", query::answerSourceName(Warn.Source));
+    appendSite(W.key("a"), Warn.A);
+    appendSite(W.key("b"), Warn.B);
+    W.endObject();
   }
-  OS << "]}}";
-  return OS.str();
+  W.endArray().endObject().endObject();
+  return W.str();
 }

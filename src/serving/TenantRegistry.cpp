@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -61,9 +60,11 @@ TenantRegistry::TenantRegistry(ServingOptions OptsIn)
   // counters and accounting) that all attach to this one store, so a
   // new tenant whose program matches prior work -- a restart, a fleet
   // of workers over one codebase -- revives whole cluster fixpoints
-  // from disk instead of re-solving them. Digests are keyed by program
-  // fingerprint, so tenants on different programs cannot contaminate
-  // each other.
+  // from disk instead of re-solving them. Sharing the store across
+  // programs is sound: its records are content-addressed by
+  // dependency-scope digests, and equal digests mean equal analysis
+  // inputs (DESIGN.md section 5b). Tenants stay isolated because each
+  // one owns its in-memory caches and its stats registry.
   if (!Opts.BOpts.Store && !Opts.BOpts.StorePath.empty())
     Opts.BOpts.Store = support::CacheStore::open(Opts.BOpts.StorePath);
 }
@@ -491,77 +492,77 @@ TenantStats TenantRegistry::stats(TenantId T) const {
 }
 
 std::string TenantRegistry::toStatsJson() const {
-  std::ostringstream OS;
-  OS << "{\n  \"serving\": {\n";
+  support::JsonWriter W;
+  W.beginObject().key("serving").beginObject();
   size_t N = numTenants();
-  OS << "    \"num_tenants\": " << N << ",\n";
-  OS << "    \"edit_queue_capacity\": " << Opts.EditQueueCapacity << ",\n";
-  OS << "    \"global_max_resident_clusters\": "
-     << Opts.GlobalMaxResidentClusters << ",\n";
+  W.field("num_tenants", N)
+      .field("edit_queue_capacity", Opts.EditQueueCapacity)
+      .field("global_max_resident_clusters", Opts.GlobalMaxResidentClusters);
   // The shared persistent store, cumulative since open(): live bytes
   // over records is the per-record footprint, and put duplicates
   // against gets show records that keep missing.
-  OS << "    \"store\": ";
+  W.key("store");
   if (Opts.BOpts.Store) {
     support::CacheStoreCounters SC = Opts.BOpts.Store->counters();
-    OS << "{\"records\": " << SC.Records
-       << ", \"live_bytes\": " << SC.LiveBytes << ", \"gets\": " << SC.Gets
-       << ", \"hits\": " << SC.GetHits << ", \"puts\": " << SC.Puts
-       << ", \"put_duplicates\": " << SC.PutDuplicates
-       << ", \"corrupt_dropped\": " << SC.CorruptDropped << "},\n";
+    W.beginObject()
+        .field("records", SC.Records)
+        .field("live_bytes", SC.LiveBytes)
+        .field("gets", SC.Gets)
+        .field("hits", SC.GetHits)
+        .field("puts", SC.Puts)
+        .field("put_duplicates", SC.PutDuplicates)
+        .field("corrupt_dropped", SC.CorruptDropped)
+        .endObject();
   } else {
-    OS << "null,\n";
+    W.null();
   }
-  OS << "    \"tenants\": [";
+  W.key("tenants").beginArray();
   for (size_t I = 0; I < N; ++I) {
     TenantStats St = stats(static_cast<TenantId>(I));
-    OS << (I ? ",\n      {" : "\n      {");
-    OS << "\"name\": ";
-    support::appendJsonString(OS, St.Name);
-    OS << ", \"ready\": " << (St.Ready ? "true" : "false");
-    OS << ",\n       \"edits\": {\"accepted\": " << St.EditsAccepted
-       << ", \"coalesced\": " << St.EditsCoalesced
-       << ", \"rejected\": " << St.EditsRejected
-       << ", \"applied\": " << St.EditsApplied
-       << ", \"failed\": " << St.EditsFailed
-       << ", \"queue_depth\": " << St.QueueDepth << "}";
+    W.beginObject().field("name", St.Name).field("ready", St.Ready);
+    W.key("edits")
+        .beginObject()
+        .field("accepted", St.EditsAccepted)
+        .field("coalesced", St.EditsCoalesced)
+        .field("rejected", St.EditsRejected)
+        .field("applied", St.EditsApplied)
+        .field("failed", St.EditsFailed)
+        .field("queue_depth", St.QueueDepth)
+        .endObject();
+    W.field("queries", St.Queries);
     // Absent quantiles (idle histogram) render as JSON null -- SLO
     // gates must treat null as "no data", never as 0 ms.
-    auto Quant = [&OS](std::optional<double> V) {
-      if (V)
-        OS << *V;
-      else
-        OS << "null";
-    };
-    OS << ",\n       \"queries\": " << St.Queries;
-    OS << ", \"query_ms\": {\"p50\": ";
-    Quant(St.QueryP50Ms);
-    OS << ", \"p95\": ";
-    Quant(St.QueryP95Ms);
-    OS << ", \"p99\": ";
-    Quant(St.QueryP99Ms);
-    OS << "}";
-    OS << ",\n       \"publish_ms\": {\"p50\": ";
-    Quant(St.PublishP50Ms);
-    OS << ", \"p99\": ";
-    Quant(St.PublishP99Ms);
-    OS << "}";
-    OS << ",\n       \"race_warnings\": " << St.RaceWarnings;
-    OS << ",\n       \"snapshot\": {\"index_answers\": "
-       << St.Snapshot.IndexAnswers << ", \"fscs_answers\": "
-       << St.Snapshot.FscsAnswers << ", \"walks\": " << St.Snapshot.Walks
-       << ", \"fscs_partial_answers\": "
-       << St.Snapshot.FscsPartialAnswers << ", \"andersen_answers\": "
-       << St.Snapshot.AndersenAnswers << ", \"steensgaard_answers\": "
-       << St.Snapshot.SteensgaardAnswers << ", \"materializations\": "
-       << St.Snapshot.Materializations << ", \"cache_adoptions\": "
-       << St.Snapshot.CacheAdoptions << ", \"evictions\": "
-       << St.Snapshot.Evictions << ", \"resident\": " << St.Snapshot.Resident
-       << ", \"partial_resident\": " << St.Snapshot.PartialResident
-       << ", \"promotions_scheduled\": " << St.Snapshot.PromotionsScheduled
-       << ", \"promotions_completed\": " << St.Snapshot.PromotionsCompleted
-       << "}}";
+    W.key("query_ms")
+        .beginObject()
+        .field("p50", St.QueryP50Ms)
+        .field("p95", St.QueryP95Ms)
+        .field("p99", St.QueryP99Ms)
+        .endObject();
+    W.key("publish_ms")
+        .beginObject()
+        .field("p50", St.PublishP50Ms)
+        .field("p99", St.PublishP99Ms)
+        .endObject();
+    W.field("race_warnings", St.RaceWarnings);
+    const query::SnapshotStats &S = St.Snapshot;
+    W.key("snapshot")
+        .beginObject()
+        .field("index_answers", S.IndexAnswers)
+        .field("fscs_answers", S.FscsAnswers)
+        .field("walks", S.Walks)
+        .field("fscs_partial_answers", S.FscsPartialAnswers)
+        .field("andersen_answers", S.AndersenAnswers)
+        .field("steensgaard_answers", S.SteensgaardAnswers)
+        .field("materializations", S.Materializations)
+        .field("cache_adoptions", S.CacheAdoptions)
+        .field("evictions", S.Evictions)
+        .field("resident", S.Resident)
+        .field("partial_resident", S.PartialResident)
+        .field("promotions_scheduled", S.PromotionsScheduled)
+        .field("promotions_completed", S.PromotionsCompleted)
+        .endObject();
+    W.endObject();
   }
-  OS << "\n    ]\n  }\n}\n";
-  return OS.str();
+  W.endArray().endObject().endObject();
+  return W.str();
 }

@@ -2,6 +2,8 @@
 
 #include "support/Statistics.h"
 
+#include "support/Json.h"
+
 #include <atomic>
 #include <sstream>
 #include <unordered_map>
@@ -100,15 +102,10 @@ std::string Statistics::toString() const {
 }
 
 std::string Statistics::toJson() const {
-  std::ostringstream OS;
-  OS << "{";
-  bool First = true;
-  for (const auto &[Name, Value] : snapshot()) {
-    if (!First)
-      OS << ", ";
-    First = false;
-    OS << "\"" << Name << "\": " << Value;
-  }
-  OS << "}";
-  return OS.str();
+  support::JsonWriter W;
+  W.beginObject();
+  for (const auto &[Name, Value] : snapshot())
+    W.field(Name, Value);
+  W.endObject();
+  return W.str();
 }

@@ -2,13 +2,14 @@
 //
 // Unit tests for src/support: UnionFind, SparseBitVector, SCC,
 // Worklist, U64HashSet, VectorFifo, ThreadPool, Statistics, GraphWriter,
-// LatencyHistogram.
+// JsonWriter, LatencyHistogram.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/ContentHash.h"
 #include "support/FlatContainers.h"
 #include "support/GraphWriter.h"
+#include "support/Json.h"
 #include "support/LatencyHistogram.h"
 #include "support/Scc.h"
 #include "support/SparseBitVector.h"
@@ -20,8 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <deque>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -564,6 +568,74 @@ TEST(GraphWriter, EmitsValidDot) {
   EXPECT_NE(Dot.find("digraph \"test\""), std::string::npos);
   EXPECT_NE(Dot.find("\"n1\" -> \"n2\""), std::string::npos);
   EXPECT_NE(Dot.find("\\\"quoted\\\""), std::string::npos);
+}
+
+//===--------------------------------------------------------------------===//
+// JsonWriter
+//===--------------------------------------------------------------------===//
+
+TEST(JsonWriter, EscapesQuoteBackslashAndControlBytes) {
+  support::JsonWriter W;
+  W.value(std::string("q\"b\\n\nt\tc\x01\x1f\x7f") + '\0' + "end");
+  EXPECT_EQ(W.str(), "\"q\\\"b\\\\n\\nt\\tc\\u0001\\u001f\x7f\\u0000end\"");
+}
+
+TEST(JsonWriter, EscapesKeys) {
+  support::JsonWriter W;
+  W.beginObject().field("a\"b", 1).endObject();
+  EXPECT_EQ(W.str(), "{\"a\\\"b\": 1}");
+}
+
+TEST(JsonWriter, CommasInNestedAndEmptyContainers) {
+  support::JsonWriter W;
+  W.beginObject()
+      .key("empty_obj").beginObject().endObject()
+      .key("empty_arr").beginArray().endArray()
+      .key("nested").beginArray()
+      .beginObject().field("k", 1).key("l").beginArray().value(2).value(3)
+      .endArray().endObject()
+      .beginArray().endArray()
+      .value("s")
+      .endArray()
+      .field("last", true)
+      .endObject();
+  EXPECT_EQ(W.str(), "{\"empty_obj\": {}, \"empty_arr\": [], \"nested\": "
+                     "[{\"k\": 1, \"l\": [2, 3]}, [], \"s\"], \"last\": true}");
+}
+
+TEST(JsonWriter, NonFiniteAndAbsentRenderNull) {
+  support::JsonWriter W;
+  W.beginArray()
+      .value(std::numeric_limits<double>::quiet_NaN())
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .value(std::optional<double>())
+      .value(std::optional<double>(0.5))
+      .null()
+      .value(false)
+      .endArray();
+  EXPECT_EQ(W.str(), "[null, null, null, null, 0.5, null, false]");
+}
+
+TEST(JsonWriter, IntegersPrintExactly) {
+  support::JsonWriter W;
+  W.beginArray()
+      .value(UINT64_MAX)
+      .value(INT64_MIN)
+      .value(int64_t(-42))
+      .value(uint32_t(7))
+      .value(size_t(0))
+      .endArray();
+  EXPECT_EQ(W.str(), "[18446744073709551615, -9223372036854775808, -42, 7, 0]");
+}
+
+TEST(JsonWriter, DoublesRoundTripThroughStrtod) {
+  for (double D : {0.1, 1.0 / 3.0, 2.5e-300, 1.7976931348623157e308, -123.456,
+                   0.0, 1e21, 4.9e-324}) {
+    support::JsonWriter W;
+    W.value(D);
+    EXPECT_EQ(std::strtod(W.str().c_str(), nullptr), D) << W.str();
+  }
 }
 
 //===--------------------------------------------------------------------===//
