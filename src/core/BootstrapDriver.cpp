@@ -31,20 +31,21 @@ void core::detail::submitClusterJobOrThrow(ThreadPool &Pool,
 }
 
 BootstrapDriver::BootstrapDriver(const Program &P, BootstrapOptions Opts)
-    : Prog(P), Opts(std::move(Opts)), CG(P) {
+    : Prog(P), Opts(std::move(Opts)),
+      CG(std::make_shared<const ir::CallGraph>(P)) {
   if (this->Opts.RelevantSliceCache)
     ProgFP = programFingerprint(P);
 }
 
 const analysis::SteensgaardAnalysis &BootstrapDriver::steensgaard() {
   if (!Steens) {
-    Steens = std::make_unique<analysis::SteensgaardAnalysis>(Prog);
+    Steens = std::make_shared<analysis::SteensgaardAnalysis>(Prog);
     if (Opts.AdoptSteensgaard)
       Steens->adoptSolutionFrom(*Opts.AdoptSteensgaard);
     else
       Steens->run();
     if (Opts.SummaryCache)
-      ScopeKeys = std::make_unique<ScopeKeyIndex>(Prog, CG, *Steens);
+      ScopeKeys = std::make_unique<ScopeKeyIndex>(Prog, *CG, *Steens);
   }
   return *Steens;
 }
@@ -240,6 +241,12 @@ std::vector<Cluster> BootstrapDriver::buildCover() {
   return Cover;
 }
 
+std::shared_ptr<const SolvedCover> BootstrapDriver::buildSolvedCover() {
+  std::vector<Cluster> Cover = buildCover(); // Solves Steens first.
+  return std::make_shared<const SolvedCover>(
+      SolvedCover{CG, Steens, std::move(Cover)});
+}
+
 namespace {
 
 /// The LPT dispatch key: how expensive this cluster's FSCS run is
@@ -296,7 +303,7 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
     }
   }
 
-  fscs::ClusterAliasAnalysis AA(Prog, CG, *Steens, C, Opts.EngineOpts);
+  fscs::ClusterAliasAnalysis AA(Prog, *CG, *Steens, C, Opts.EngineOpts);
   AA.prepare();
   // Workload: the points-to set of every member pointer at its owning
   // function's exit (globals: at the entry function's exit).
@@ -342,7 +349,7 @@ ClusterRunResult BootstrapDriver::runUnclustered() {
 
 BootstrapResult BootstrapDriver::runAll() { return runAll(buildCover()); }
 
-BootstrapResult BootstrapDriver::runAll(std::vector<Cluster> Cover) {
+BootstrapResult BootstrapDriver::runAll(const std::vector<Cluster> &Cover) {
   BootstrapResult Result;
 
   steensgaard();

@@ -212,6 +212,17 @@ struct BootstrapResult {
   CacheReport SliceCacheReport;
 };
 
+/// One solved program version: the call graph and Steensgaard solve a
+/// cover was built over, plus the cover (its partition ids only mean
+/// something relative to that solve). Immutable and shared: query
+/// snapshots co-own it and keep it alive after the driver moves on.
+/// Holders must keep the program alive too.
+struct SolvedCover {
+  std::shared_ptr<const ir::CallGraph> CG;
+  std::shared_ptr<const analysis::SteensgaardAnalysis> Steens;
+  std::vector<Cluster> Clusters;
+};
+
 /// Drives the cascade over one program.
 class BootstrapDriver {
 public:
@@ -225,6 +236,11 @@ public:
   /// attached. Timings land in the result of runAll() / in the fields
   /// below if called standalone.
   std::vector<Cluster> buildCover();
+
+  /// buildCover() packaged with this driver's call graph and
+  /// Steensgaard solve: the one input query serving is built from
+  /// (query::QuerySnapshot::build).
+  std::shared_ptr<const SolvedCover> buildSolvedCover();
 
   /// Stage 4 for one cluster: dovetailed FSCS analysis computing the
   /// points-to set of every member pointer at its owner's exit.
@@ -245,7 +261,7 @@ public:
   /// buildCover() -- the incremental driver builds the cover once to
   /// derive its invalidation prediction and then analyzes it here
   /// without paying for cover construction twice.
-  BootstrapResult runAll(std::vector<Cluster> Cover);
+  BootstrapResult runAll(const std::vector<Cluster> &Cover);
 
   /// The "no clustering" baseline: one whole-program cluster.
   ClusterRunResult runUnclustered();
@@ -258,7 +274,7 @@ public:
   static double simulateParallel(const std::vector<ClusterRunResult> &Rs,
                                  uint32_t Parts);
 
-  const ir::CallGraph &callGraph() const { return CG; }
+  const ir::CallGraph &callGraph() const { return *CG; }
 
   double andersenClusteringSeconds() const { return AndersenSeconds; }
   double oneFlowSeconds() const { return OneFlowSecs; }
@@ -274,8 +290,9 @@ private:
 
   const ir::Program &Prog;
   BootstrapOptions Opts;
-  ir::CallGraph CG;
-  std::unique_ptr<analysis::SteensgaardAnalysis> Steens;
+  /// Shared with every SolvedCover this driver hands out.
+  std::shared_ptr<const ir::CallGraph> CG;
+  std::shared_ptr<analysis::SteensgaardAnalysis> Steens;
   /// Summary-cache key index over Steens (null without a SummaryCache).
   std::unique_ptr<ScopeKeyIndex> ScopeKeys;
   double AndersenSeconds = 0;

@@ -7,7 +7,7 @@
 #include "support/Statistics.h"
 #include "support/Timer.h"
 
-#include <set>
+#include <algorithm>
 #include <utility>
 
 using namespace bsaa;
@@ -46,9 +46,9 @@ IncrementalDriver::update(std::unique_ptr<ir::Program> NewProg,
   // Adoption gate: the Steensgaard solution is a pure function of the
   // partition-relevant fingerprint's inputs, so equality makes the
   // previous solve valid verbatim for the new program.
-  bool Adopt = Driver != nullptr && PartitionFP == NewPartitionFP;
+  bool Adopt = Cover != nullptr && PartitionFP == NewPartitionFP;
   if (Adopt)
-    Opts.AdoptSteensgaard = &Driver->steensgaard();
+    Opts.AdoptSteensgaard = Cover->Steens.get();
 
   // Each update's statistics describe exactly that version (and match
   // a cold run that clears the registry the same way). With a
@@ -58,48 +58,41 @@ IncrementalDriver::update(std::unique_ptr<ir::Program> NewProg,
   // process.
   statsRegistry().clear();
 
-  // The previous driver (and the Steensgaard instance being adopted
-  // from) must stay alive until the new pipeline has run.
-  auto NewDriver = std::make_unique<BootstrapDriver>(*NewProg, Opts);
-  NewDriver->steensgaard();
-  std::vector<Cluster> NewCover = NewDriver->buildCover();
+  // The driver lives for this update only; its solve outlives it in the
+  // SolvedCover. The solve adopted from stays alive in Cover.
+  BootstrapDriver NewDriver(*NewProg, Opts);
+  std::shared_ptr<const SolvedCover> NewCover = NewDriver.buildSolvedCover();
 
   if (Report) {
     Report->ChangedFunctions.clear();
     Report->AddedFunctions.clear();
     Report->RemovedFunctions.clear();
-    if (Driver) {
+    Report->PredictedInvalidated.clear();
+    if (Cover) {
       Report->ChangedFunctions = Delta.Changed;
       Report->AddedFunctions = Delta.Added;
       Report->RemovedFunctions = Delta.Removed;
+
+      // Predicted invalidation: clusters whose dependency cone contains
+      // an edited function, straight from the inverted index.
+      std::vector<std::vector<uint32_t>> Index = buildClusterDependencyIndex(
+          *NewProg, *NewCover->CG, NewCover->Clusters);
+      std::vector<uint32_t> &Invalid = Report->PredictedInvalidated;
+      for (const std::vector<std::string> *Names : {&Delta.Changed,
+                                                    &Delta.Added})
+        for (const std::string &Name : *Names) {
+          FuncId F = NewProg->findFunction(Name);
+          if (F != InvalidFunc)
+            Invalid.insert(Invalid.end(), Index[F].begin(), Index[F].end());
+        }
+      std::sort(Invalid.begin(), Invalid.end());
+      Invalid.erase(std::unique(Invalid.begin(), Invalid.end()),
+                    Invalid.end());
     }
     Report->SteensgaardAdopted = Adopt;
-
-    // Predicted invalidation: clusters whose dependency cone contains
-    // an edited function, straight from the inverted index.
-    std::set<uint32_t> Invalid;
-    if (Driver) {
-      std::vector<std::vector<uint32_t>> Index = buildClusterDependencyIndex(
-          *NewProg, NewDriver->callGraph(), NewCover);
-      auto MarkByName = [&](const std::vector<std::string> &Names) {
-        for (const std::string &Name : Names) {
-          FuncId F = NewProg->findFunction(Name);
-          if (F == InvalidFunc)
-            continue;
-          for (uint32_t Idx : Index[F])
-            Invalid.insert(Idx);
-        }
-      };
-      MarkByName(Delta.Changed);
-      MarkByName(Delta.Added);
-    }
-    Report->PredictedInvalidated = static_cast<uint32_t>(Invalid.size());
   }
 
-  // The cover is retained (lastCover) so query-serving snapshots can be
-  // built over it without re-running cover construction; runAll gets a
-  // copy, keeping result/cover index alignment.
-  BootstrapResult NewResult = NewDriver->runAll(NewCover);
+  BootstrapResult NewResult = NewDriver.runAll(NewCover->Clusters);
 
   if (Report) {
     Report->NumClusters = NewResult.NumClusters;
@@ -113,9 +106,8 @@ IncrementalDriver::update(std::unique_ptr<ir::Program> NewProg,
     }
   }
 
-  // Commit the new version. The old driver dies here; the old program
-  // dies with the last query snapshot co-owning it (programPtr()).
-  Driver = std::move(NewDriver);
+  // Commit the new version. The old program and solves die with the
+  // last query snapshot co-owning them (programPtr(), lastCover()).
   Prog = std::shared_ptr<ir::Program>(std::move(NewProg));
   Result = std::move(NewResult);
   Cover = std::move(NewCover);

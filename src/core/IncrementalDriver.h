@@ -53,11 +53,12 @@ struct UpdateReport {
   uint32_t ClustersReanalyzed = 0;
   /// Clusters replayed from the summary cache (dependency-scope key).
   uint32_t ClustersFromCache = 0;
-  /// Upper bound from the dependency index: clusters whose dependency
-  /// cone contains an edited (changed/added) function. Every actually
+  /// Upper bound from the dependency index: the sorted indices (into
+  /// lastCover()->Clusters) of the clusters whose dependency cone
+  /// contains an edited (changed/added) function. Every actually
   /// re-analyzed cluster is either predicted here or freshly shaped by
   /// the edit (new membership / renumbered ids).
-  uint32_t PredictedInvalidated = 0;
+  std::vector<uint32_t> PredictedInvalidated;
 
   /// Steensgaard was copied from the previous version instead of
   /// re-solved (partition-relevant fingerprints matched).
@@ -66,7 +67,7 @@ struct UpdateReport {
   double Seconds = 0; ///< Wall-clock of this update's pipeline.
 };
 
-/// Owns the current program version, its driver, and the process-wide
+/// Owns the current program version, its solve, and the process-wide
 /// caches reused across versions.
 ///
 /// Note update() clears the global Statistics registry before running,
@@ -95,9 +96,11 @@ public:
   /// commits a new version.
   std::shared_ptr<const ir::Program> programPtr() const { return Prog; }
 
-  /// The cluster cover the latest update() analyzed, aligned
-  /// index-for-index with lastResult().Clusters.
-  const std::vector<Cluster> &lastCover() const { return Cover; }
+  /// The latest version's call graph, Steensgaard solve and the cover
+  /// the cascade analyzed (Clusters aligned index-for-index with
+  /// lastResult().Clusters). Query-serving snapshots co-own it, so one
+  /// solve serves the whole version. Null before the first update().
+  std::shared_ptr<const SolvedCover> lastCover() const { return Cover; }
 
   /// The effective per-version configuration (caches created by the
   /// constructor included).
@@ -120,9 +123,8 @@ public:
 private:
   BootstrapOptions BaseOpts;
   std::shared_ptr<ir::Program> Prog;
-  std::unique_ptr<BootstrapDriver> Driver;
   BootstrapResult Result;
-  std::vector<Cluster> Cover;
+  std::shared_ptr<const SolvedCover> Cover;
   std::vector<ir::FunctionFingerprint> FuncFPs;
   uint64_t PartitionFP = 0;
 };

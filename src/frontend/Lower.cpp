@@ -476,7 +476,7 @@ void Lowering::lowerDecl(const Stmt &S) {
     std::string IrName = Prog->func(CurFunc).Name + "::" + D.Name;
     uint32_t &Shadow = ShadowCounter[IrName];
     if (Shadow > 0)
-      IrName += "." + std::to_string(Shadow);
+      IrName.append(".").append(std::to_string(Shadow));
     ++Shadow;
 
     if (T.Name == TypeName::Struct && T.PtrDepth == 0) {

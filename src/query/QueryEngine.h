@@ -24,7 +24,7 @@
 ///    chunked so each worker grabs the snapshot pointer once.
 ///  * AliasService glues core::IncrementalDriver to the engine:
 ///    update(program) re-analyzes incrementally, builds a fresh
-///    snapshot from the driver's retained cover/results/caches, and
+///    snapshot over the driver's solved cover, results and caches, and
 ///    publishes it.
 ///
 //===----------------------------------------------------------------------===//

@@ -39,6 +39,11 @@ ir::LocId query::canonicalAliasLoc(const ir::Program &P, ir::VarId A,
 
 namespace {
 
+/// Total FSCI-query cap for a cold cluster's bounded dovetail warmup in
+/// demand mode: comfortably completes typical clusters while bounding
+/// pathological ones.
+constexpr size_t DemandDovetailBudget = 4096;
+
 /// Intersection test over two sorted vectors.
 bool sortedIntersects(const std::vector<ir::VarId> &A,
                       const std::vector<ir::VarId> &B) {
@@ -69,26 +74,25 @@ void mergeSortedUnique(std::vector<ir::VarId> &Into,
 
 std::shared_ptr<const QuerySnapshot>
 QuerySnapshot::build(std::shared_ptr<const ir::Program> P,
-                     std::vector<core::Cluster> Cover,
+                     std::shared_ptr<const core::SolvedCover> Solved,
                      const std::vector<core::ClusterRunResult> *Runs,
                      QueryOptions Opts,
                      std::shared_ptr<fscs::SummaryCache> Cache) {
-  assert(P && "snapshot needs a program");
+  assert(P && Solved && "snapshot needs a program and its solve");
   return std::shared_ptr<const QuerySnapshot>(
-      new QuerySnapshot(std::move(P), std::move(Cover), Runs,
+      new QuerySnapshot(std::move(P), std::move(Solved), Runs,
                         std::move(Opts), std::move(Cache)));
 }
 
 QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
-                             std::vector<core::Cluster> CoverIn,
+                             std::shared_ptr<const core::SolvedCover> SolvedIn,
                              const std::vector<core::ClusterRunResult> *Runs,
                              QueryOptions OptsIn,
                              std::shared_ptr<fscs::SummaryCache> CacheIn)
-    : Prog(std::move(P)), Cover(std::move(CoverIn)), Opts(std::move(OptsIn)),
-      Cache(std::move(CacheIn)), CG(*Prog), Steens(*Prog),
-      Entries(new Entry[Cover.size()]) {
-  Steens.run();
-
+    : Prog(std::move(P)), Solved(std::move(SolvedIn)),
+      Opts(std::move(OptsIn)), Cache(std::move(CacheIn)),
+      Entries(new Entry[Solved->Clusters.size()]) {
+  const std::vector<core::Cluster> &Cover = cover();
   // Inverted pointer -> cluster index. Cluster ids are appended in
   // ascending order, so every per-variable list comes out sorted.
   VarClusters.resize(Prog->numVars());
@@ -150,7 +154,8 @@ QuerySnapshot::acquire(uint32_t ClusterIdx) const {
 
 void QuerySnapshot::materializeLocked(uint32_t ClusterIdx, Entry &E) const {
   auto AA = std::make_unique<fscs::ClusterAliasAnalysis>(
-      *Prog, CG, Steens, Cover[ClusterIdx], Opts.EngineOpts);
+      *Prog, callGraph(), steensgaard(), cover()[ClusterIdx],
+      Opts.EngineOpts);
   NumMaterializations.fetch_add(1, std::memory_order_relaxed);
   bool Adopted = false;
   if (Cache && hasClusterKeys()) {
@@ -177,7 +182,7 @@ void QuerySnapshot::materializeLocked(uint32_t ClusterIdx, Entry &E) const {
 
 size_t QuerySnapshot::evict(size_t Target, uint32_t Keep) const {
   std::lock_guard<std::mutex> Lock(EvictMutex);
-  const size_t N = Cover.size();
+  const size_t N = cover().size();
   size_t Evicted = 0;
   // The first sweep clears reference bits; from the third on they are
   // ignored, so queries that keep re-referencing entries cannot stall
@@ -212,7 +217,7 @@ size_t QuerySnapshot::evict(size_t Target, uint32_t Keep) const {
 void QuerySnapshot::advancePartialLocked(Entry &E) const {
   if (E.Phase.load(std::memory_order_relaxed) != EntryPhase::Cold)
     return;
-  E.AA->preparePartial(Opts.DemandDovetailBudget);
+  E.AA->preparePartial(DemandDovetailBudget);
   // Even a completed bounded warmup stays Partial: Full means "answer
   // through the fully prepared engine", and the expensive part of an
   // eager answer is the conditional query walk, not the warmup --
@@ -249,7 +254,7 @@ void QuerySnapshot::schedulePromotionLocked(uint32_t ClusterIdx) const {
   }
   NumPromotionsScheduled.fetch_add(1, std::memory_order_relaxed);
   // The job holds a strong reference to the snapshot: promoteEntry
-  // reads Cover/Prog and the entry, which must outlive the job. The
+  // reads the solve, Prog and the entry, which must outlive the job. The
   // pool is external by contract (see QueryOptions::PromotionPool), so
   // the last release never joins the pool from one of its own workers.
   std::shared_ptr<const QuerySnapshot> Self = shared_from_this();
@@ -333,7 +338,7 @@ AliasAnswer QuerySnapshot::fallbackMayAlias(ir::VarId A, ir::VarId B) const {
     Ans.MayAlias = andersen().mayAlias(A, B);
     Ans.Source = AnswerSource::Andersen;
   } else {
-    Ans.MayAlias = Steens.mayAlias(A, B);
+    Ans.MayAlias = steensgaard().mayAlias(A, B);
     Ans.Source = AnswerSource::Steensgaard;
   }
   countAnswer(Ans.Source);
@@ -510,7 +515,7 @@ PointsToAnswer QuerySnapshot::pointsToAt(ir::VarId V, ir::LocId Loc) const {
       mergeSortedUnique(Ans.Objects, andersen().pointsToVars(V));
       Ans.Source = AnswerSource::Andersen;
     } else {
-      mergeSortedUnique(Ans.Objects, Steens.pointsToVars(V));
+      mergeSortedUnique(Ans.Objects, steensgaard().pointsToVars(V));
       Ans.Source = AnswerSource::Steensgaard;
     }
     Ans.Complete = false;
@@ -541,7 +546,7 @@ SnapshotStats QuerySnapshot::stats() const {
   S.PromotionsCompleted =
       NumPromotionsCompleted.load(std::memory_order_relaxed);
   S.Resident = NumResident.load(std::memory_order_relaxed);
-  for (size_t CI = 0; CI < Cover.size(); ++CI)
+  for (size_t CI = 0; CI < cover().size(); ++CI)
     if (Entries[CI].Phase.load(std::memory_order_relaxed) ==
         EntryPhase::Partial)
       ++S.PartialResident;

@@ -28,10 +28,12 @@
 ///    over-approximates the one before it, so answers remain sound --
 ///    only precision degrades.
 ///
-/// A snapshot owns everything it reads (program via shared_ptr, its own
-/// Steensgaard/CallGraph solves, a copy of the cover), so it stays
-/// valid after the producing driver moves to a newer program version.
-/// All query methods are const and thread-safe.
+/// A snapshot solves nothing itself. It co-owns everything it reads:
+/// the program, and the driver's core::SolvedCover (the call graph, the
+/// Steensgaard solve and the cover the cascade used), so it stays valid
+/// after the producing driver moves to a newer program version, and
+/// every materialization runs against the very solve that produced the
+/// cover's partition ids. All query methods are const and thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,12 +41,9 @@
 #define BSAA_QUERY_QUERYSNAPSHOT_H
 
 #include "analysis/Andersen.h"
-#include "analysis/Steensgaard.h"
 #include "core/BootstrapDriver.h"
-#include "core/Cluster.h"
 #include "fscs/ClusterAliasAnalysis.h"
 #include "fscs/SummaryCache.h"
-#include "ir/CallGraph.h"
 #include "ir/Ir.h"
 #include "support/ThreadSlots.h"
 
@@ -111,12 +110,6 @@ struct QueryOptions {
   /// every verdict equals the eager mode's. Off by default: eager
   /// materialize-on-first-touch.
   bool DemandMode = false;
-
-  /// Total FSCI-query cap for a cold cluster's bounded dovetail warmup
-  /// in demand mode (0 = unlimited, which defeats the latency point;
-  /// the default comfortably completes typical clusters while bounding
-  /// pathological ones).
-  size_t DemandDovetailBudget = 4096;
 
   /// Pool background promotions run on (demand mode). The snapshot
   /// never owns a pool: promotion jobs capture a strong reference to
@@ -187,16 +180,17 @@ ir::LocId canonicalAliasLoc(const ir::Program &P, ir::VarId A, ir::VarId B);
 /// plus the pending full walks) moves Partial entries to Full in place.
 class QuerySnapshot : public std::enable_shared_from_this<QuerySnapshot> {
 public:
-  /// Builds a snapshot over \p Cover. \p Runs, when non-null, must be
-  /// aligned index-for-index with \p Cover (BootstrapResult::Clusters
-  /// after runAll over the same cover) and supplies the
+  /// Builds a snapshot over \p Solved, the solve and cover of \p P.
+  /// \p Runs, when non-null, must be aligned index-for-index with
+  /// Solved->Clusters (BootstrapResult::Clusters after runAll over that
+  /// cover) and supplies the
   /// BudgetHit/Approximated serving flags and the runs' summary-cache
   /// keys; null means every cluster is trusted at FSCS precision and
   /// has no key. \p Cache, when non-null, lets materialization replay
   /// the cascade's memoized per-cluster runs under those keys.
   static std::shared_ptr<const QuerySnapshot>
   build(std::shared_ptr<const ir::Program> P,
-        std::vector<core::Cluster> Cover,
+        std::shared_ptr<const core::SolvedCover> Solved,
         const std::vector<core::ClusterRunResult> *Runs, QueryOptions Opts,
         std::shared_ptr<fscs::SummaryCache> Cache = nullptr);
 
@@ -231,21 +225,23 @@ public:
   }
 
   const ir::Program &program() const { return *Prog; }
-  const std::vector<core::Cluster> &cover() const { return Cover; }
+  const std::vector<core::Cluster> &cover() const { return Solved->Clusters; }
   const QueryOptions &options() const { return Opts; }
 
   /// True when the snapshot was built from runs that carry
   /// summary-cache keys (a driver with a SummaryCache attached).
-  bool hasClusterKeys() const { return Keys.size() == Cover.size(); }
+  bool hasClusterKeys() const { return Keys.size() == cover().size(); }
 
   /// Cluster \p Idx's dependency-scope key, as computed by the run that
   /// produced it. Requires hasClusterKeys().
   const support::Digest &clusterKey(uint32_t Idx) const { return Keys[Idx]; }
 
-  /// The snapshot's own (already solved) call graph and Steensgaard
-  /// view of the program.
-  const ir::CallGraph &callGraph() const { return CG; }
-  const analysis::SteensgaardAnalysis &steensgaard() const { return Steens; }
+  /// The call graph and Steensgaard solve the cover was built over,
+  /// borrowed from the driver that produced them.
+  const ir::CallGraph &callGraph() const { return *Solved->CG; }
+  const analysis::SteensgaardAnalysis &steensgaard() const {
+    return *Solved->Steens;
+  }
   SnapshotStats stats() const;
 
   /// Blocks until no scheduled background promotion is outstanding.
@@ -266,7 +262,7 @@ public:
 
 private:
   QuerySnapshot(std::shared_ptr<const ir::Program> P,
-                std::vector<core::Cluster> CoverIn,
+                std::shared_ptr<const core::SolvedCover> SolvedIn,
                 const std::vector<core::ClusterRunResult> *Runs,
                 QueryOptions OptsIn,
                 std::shared_ptr<fscs::SummaryCache> CacheIn);
@@ -330,15 +326,12 @@ private:
                   uint64_t Before) const;
 
   std::shared_ptr<const ir::Program> Prog;
-  std::vector<core::Cluster> Cover;
+  std::shared_ptr<const core::SolvedCover> Solved;
   QueryOptions Opts;
   std::shared_ptr<fscs::SummaryCache> Cache;
   /// Per cluster id: the producing run's summary-cache key (empty when
   /// the runs carried none).
   std::vector<support::Digest> Keys;
-
-  ir::CallGraph CG;
-  analysis::SteensgaardAnalysis Steens;
 
   /// Inverted index: VarId -> sorted cluster ids containing it.
   std::vector<std::vector<uint32_t>> VarClusters;

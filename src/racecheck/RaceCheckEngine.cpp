@@ -2,7 +2,6 @@
 
 #include "racecheck/RaceCheckEngine.h"
 
-#include "core/ClusterDependencies.h"
 #include "ir/Dumper.h"
 #include "support/Timer.h"
 #include "support/Worklist.h"
@@ -15,8 +14,6 @@
 using namespace bsaa;
 using namespace bsaa::racecheck;
 using namespace bsaa::ir;
-
-RaceCheckEngine::RaceCheckEngine(Options OptsIn) : Opts(OptsIn) {}
 
 std::shared_ptr<const RaceReport> RaceCheckEngine::report() const {
   std::lock_guard<std::mutex> Lock(ReportMutex);
@@ -253,38 +250,25 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
 
   assert(FPs->size() == P.numFuncs() && "fingerprints misaligned");
 
-  // Invalidation prediction from the function->clusters dependency
-  // index (accounting; the facts-cache keys are the mechanism). An
-  // edit to function G invalidates: G itself, and every function with
-  // a lock site in a cluster whose dependency cone contains G.
+  // Invalidation prediction (accounting; the facts-cache keys are the
+  // mechanism). An edit to function G invalidates G itself, and every
+  // function with a lock site once a lock cluster's dependency cone
+  // contains G: exactly the alias layer's predicted clusters.
   if (FirstCheck) {
     CR.PredictedInvalidated = P.numFuncs();
   } else if (Update) {
-    std::set<FuncId> Edited;
-    for (const std::string &Name : Update->ChangedFunctions)
-      if (P.findFunction(Name) != InvalidFunc)
-        Edited.insert(P.findFunction(Name));
-    for (const std::string &Name : Update->AddedFunctions)
-      if (P.findFunction(Name) != InvalidFunc)
-        Edited.insert(P.findFunction(Name));
-    std::set<FuncId> Invalidated = Edited;
-    if (!Edited.empty()) {
-      for (uint32_t CI : LockClusterIdxs) {
-        std::vector<FuncId> Cone =
-            core::dependentFunctions(P, CG, S.cover()[CI]);
-        bool Touched = false;
-        for (FuncId F : Cone)
-          if (Edited.count(F)) {
-            Touched = true;
-            break;
-          }
-        if (!Touched)
-          continue;
-        for (FuncId F = 0; F < P.numFuncs(); ++F)
-          if (!SitesByFunc[F].empty())
-            Invalidated.insert(F);
-      }
-    }
+    std::set<FuncId> Invalidated;
+    for (const auto *Names :
+         {&Update->ChangedFunctions, &Update->AddedFunctions})
+      for (const std::string &Name : *Names)
+        if (P.findFunction(Name) != InvalidFunc)
+          Invalidated.insert(P.findFunction(Name));
+    const std::vector<uint32_t> &Predicted = Update->PredictedInvalidated;
+    if (std::any_of(Predicted.begin(), Predicted.end(),
+                    [&](uint32_t CI) { return LockClusterIdxs.count(CI); }))
+      for (FuncId F = 0; F < P.numFuncs(); ++F)
+        if (!SitesByFunc[F].empty())
+          Invalidated.insert(F);
     CR.PredictedInvalidated = static_cast<uint32_t>(Invalidated.size());
   }
 
@@ -438,7 +422,7 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
 
   // Evict facts that sat unused past the horizon.
   for (auto It = FactsCache.begin(); It != FactsCache.end();)
-    if (It->second.LastUsed + Opts.FactsKeepUpdates < UpdateOrdinal)
+    if (It->second.LastUsed + FactsKeepUpdates < UpdateOrdinal)
       It = FactsCache.erase(It);
     else
       ++It;
@@ -452,9 +436,8 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
 //===----------------------------------------------------------------------===//
 
 RaceCheckService::RaceCheckService(core::BootstrapOptions BOpts,
-                                   query::QueryOptions QOpts,
-                                   RaceCheckEngine::Options EOpts)
-    : Service(std::move(BOpts), std::move(QOpts)), Eng(EOpts) {
+                                   query::QueryOptions QOpts)
+    : Service(std::move(BOpts), std::move(QOpts)) {
   Service.setPostPublishHook(
       [this](const core::UpdateReport &U,
              std::shared_ptr<const query::QuerySnapshot> Snap) {

@@ -78,9 +78,9 @@ struct CheckReport {
   uint32_t FunctionsChecked = 0;
   /// Functions whose facts replayed from the content-keyed cache.
   uint32_t FunctionsFromCache = 0;
-  /// Upper bound from the function->clusters dependency index:
-  /// functions owning an edited body, plus functions with a lock site
-  /// in a cluster whose dependency cone contains an edited function.
+  /// Upper bound from the alias layer's dependency index: functions
+  /// owning an edited body, plus, when a lock cluster is among
+  /// Update.PredictedInvalidated, every function with a lock site.
   /// Every cache miss outside this set stems from id renumbering
   /// (conservative scope-key churn), never from a stale replay.
   uint32_t PredictedInvalidated = 0;
@@ -103,23 +103,16 @@ struct CheckReport {
 /// Long-lived incremental checker over a stream of QuerySnapshots.
 class RaceCheckEngine {
 public:
-  struct Options {
-    /// Facts-cache entries unused for this many updates are evicted.
-    uint64_t FactsKeepUpdates = 16;
-  };
-
-  RaceCheckEngine() : RaceCheckEngine(Options()) {}
-  explicit RaceCheckEngine(Options Opts);
-
   /// Re-checks races over \p Snap and publishes the new RaceReport.
   /// \p Snap must carry its runs' summary-cache keys
   /// (QuerySnapshot::hasClusterKeys; e.g. built from an
   /// IncrementalDriver's runs), else std::invalid_argument is thrown.
   /// \p Update, when non-null, is the alias-layer report of the edit
-  /// batch that produced \p Snap (used for the invalidation
-  /// prediction). \p FPs are the driver's function fingerprints for
-  /// the same program (IncrementalDriver::functionFingerprints); null
-  /// throws std::invalid_argument.
+  /// batch that produced \p Snap; its PredictedInvalidated clusters
+  /// drive the invalidation prediction. \p FPs are the driver's
+  /// function fingerprints for the same program
+  /// (IncrementalDriver::functionFingerprints); null throws
+  /// std::invalid_argument.
   CheckReport check(std::shared_ptr<const query::QuerySnapshot> Snap,
                     const core::UpdateReport *Update,
                     const std::vector<ir::FunctionFingerprint> *FPs);
@@ -169,7 +162,9 @@ private:
                const std::vector<uint8_t> &IsShared,
                const std::vector<ir::LocId> &LockSites) const;
 
-  Options Opts;
+  /// Facts-cache entries unused for this many updates are evicted.
+  static constexpr uint64_t FactsKeepUpdates = 16;
+
   uint64_t UpdateOrdinal = 0;
 
   std::unordered_map<support::Digest, CacheEntry, support::DigestHash>
@@ -186,9 +181,7 @@ private:
 class RaceCheckService {
 public:
   explicit RaceCheckService(core::BootstrapOptions BOpts,
-                            query::QueryOptions QOpts = query::QueryOptions(),
-                            RaceCheckEngine::Options EOpts =
-                                RaceCheckEngine::Options());
+                            query::QueryOptions QOpts = query::QueryOptions());
 
   /// Analyzes \p NewProg (incrementally against the previous version),
   /// publishes the alias snapshot, re-checks races, and returns what

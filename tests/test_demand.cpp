@@ -56,7 +56,7 @@ std::shared_ptr<ir::Program> makeProgram(uint64_t Seed) {
 }
 
 /// One cascade run, two serving views of it: an eager snapshot and a
-/// demand-mode snapshot over byte-identical cover and run results.
+/// demand-mode snapshot over one solve, cover and set of run results.
 struct SnapshotPair {
   std::shared_ptr<const QuerySnapshot> Eager;
   std::shared_ptr<const QuerySnapshot> Demand;
@@ -68,9 +68,8 @@ SnapshotPair buildPair(std::shared_ptr<const ir::Program> P,
   BOpts.AndersenThreshold = 4;
   BOpts.EngineOpts.StepBudget = 20000;
   core::BootstrapDriver Driver(*P, BOpts);
-  Driver.steensgaard();
-  std::vector<core::Cluster> Cover = Driver.buildCover();
-  core::BootstrapResult Result = Driver.runAll(Cover);
+  std::shared_ptr<const core::SolvedCover> Solved = Driver.buildSolvedCover();
+  core::BootstrapResult Result = Driver.runAll(Solved->Clusters);
 
   QueryOptions Eager;
   Eager.EngineOpts = BOpts.EngineOpts;
@@ -80,8 +79,8 @@ SnapshotPair buildPair(std::shared_ptr<const ir::Program> P,
 
   SnapshotPair Pair;
   Pair.Eager =
-      QuerySnapshot::build(P, Cover, &Result.Clusters, Eager, nullptr);
-  Pair.Demand = QuerySnapshot::build(std::move(P), std::move(Cover),
+      QuerySnapshot::build(P, Solved, &Result.Clusters, Eager, nullptr);
+  Pair.Demand = QuerySnapshot::build(std::move(P), std::move(Solved),
                                      &Result.Clusters, Demand, nullptr);
   return Pair;
 }

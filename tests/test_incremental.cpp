@@ -145,7 +145,7 @@ TEST(Incremental, SingleMutateReanalyzesStrictlyFewerClusters) {
   EXPECT_LT(Rep.ClustersReanalyzed, Rep.NumClusters);
   EXPECT_GT(Rep.ClustersReanalyzed, 0u) << "the edited cone must re-run";
   // The dependency index predicted every miss.
-  EXPECT_LE(Rep.ClustersReanalyzed, Rep.PredictedInvalidated);
+  EXPECT_LE(Rep.ClustersReanalyzed, Rep.PredictedInvalidated.size());
   ASSERT_EQ(Rep.ChangedFunctions.size(), 1u);
   EXPECT_EQ(Rep.ChangedFunctions[0], "f4");
   EXPECT_TRUE(Rep.AddedFunctions.empty());

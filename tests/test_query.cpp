@@ -68,10 +68,9 @@ buildSnapshot(std::shared_ptr<const ir::Program> P,
               core::BootstrapOptions BOpts, QueryOptions QOpts) {
   QOpts.EngineOpts = BOpts.EngineOpts;
   core::BootstrapDriver Driver(*P, BOpts);
-  Driver.steensgaard();
-  std::vector<core::Cluster> Cover = Driver.buildCover();
-  core::BootstrapResult Result = Driver.runAll(Cover);
-  return QuerySnapshot::build(std::move(P), std::move(Cover),
+  std::shared_ptr<const core::SolvedCover> Solved = Driver.buildSolvedCover();
+  core::BootstrapResult Result = Driver.runAll(Solved->Clusters);
+  return QuerySnapshot::build(std::move(P), std::move(Solved),
                               &Result.Clusters, QOpts, BOpts.SummaryCache);
 }
 
@@ -454,6 +453,87 @@ TEST(QueryConcurrency, ReadersKeepAnsweringAcrossSnapshotSwaps) {
   // The final published snapshot serves the final program version.
   std::shared_ptr<const QuerySnapshot> Final = Service.engine().snapshot();
   EXPECT_EQ(&Final->program(), &Service.driver().program());
+}
+
+// A snapshot borrows its version's solve from the driver and co-owns
+// it. Held across two later updates, it answers first touches --
+// materializations against the retired call graph and Steensgaard
+// solve -- exactly like a fresh snapshot over the same version. ASan
+// turns a snapshot that did not keep its solve alive into a failure.
+TEST(QueryLifetime, HeldSnapshotOutlivesLaterUpdatesAndBorrowsTheSolve) {
+  workload::GeneratorConfig Cfg;
+  Cfg.Seed = 33;
+  Cfg.NumFunctions = 6;
+  Cfg.StmtsPerFunction = 8;
+  Cfg.Communities = 3;
+  Cfg.LocalsPerFunction = 2;
+  core::BootstrapOptions BOpts;
+  BOpts.AndersenThreshold = 4;
+  auto Compile = [](const std::string &Src) {
+    frontend::Diagnostics Diags;
+    std::unique_ptr<ir::Program> P = frontend::compileString(Src, Diags);
+    EXPECT_TRUE(P != nullptr) << Diags.toString();
+    return P;
+  };
+
+  workload::EditState State = workload::initialEditState(Cfg);
+  const std::string Src0 = workload::generateProgram(Cfg, State);
+  query::AliasService Service(BOpts);
+  Service.update(Compile(Src0));
+  std::shared_ptr<const QuerySnapshot> Held = Service.engine().snapshot();
+  {
+    // The snapshot reads the driver's own objects, not copies.
+    const core::SolvedCover &Solved = *Service.driver().lastCover();
+    EXPECT_EQ(&Held->steensgaard(), Solved.Steens.get());
+    EXPECT_EQ(&Held->callGraph(), Solved.CG.get());
+    EXPECT_EQ(&Held->cover(), &Solved.Clusters);
+  }
+
+  for (const workload::ProgramEdit &E :
+       workload::generateEditStream(Cfg, 2, /*StreamSeed=*/5)) {
+    workload::applyEdit(State, E);
+    Service.update(Compile(workload::generateProgram(Cfg, State)));
+  }
+  const core::SolvedCover &Now = *Service.driver().lastCover();
+  EXPECT_NE(&Held->steensgaard(), Now.Steens.get());
+  std::shared_ptr<const QuerySnapshot> Current = Service.engine().snapshot();
+  EXPECT_EQ(&Current->steensgaard(), Now.Steens.get());
+  EXPECT_EQ(&Current->callGraph(), Now.CG.get());
+
+  // Nobody has queried the held snapshot: every touch below is a first
+  // touch. The reference is a fresh service over the same version.
+  ASSERT_EQ(Held->stats().Materializations, 0u);
+  query::AliasService Fresh(BOpts);
+  Fresh.update(Compile(Src0));
+  std::shared_ptr<const QuerySnapshot> Ref = Fresh.engine().snapshot();
+  const ir::Program &P = Held->program();
+  ASSERT_EQ(P.numVars(), Ref->program().numVars());
+  uint64_t Compared = 0;
+  for (const core::Cluster &C : Held->cover()) {
+    std::vector<ir::VarId> Ptrs;
+    for (ir::VarId V : C.Members)
+      if (P.var(V).isPointer())
+        Ptrs.push_back(V);
+    for (ir::VarId A : Ptrs) {
+      ir::LocId Loc = query::canonicalAliasLoc(P, A, A);
+      if (Loc == ir::InvalidLoc)
+        continue;
+      PointsToAnswer Got = Held->pointsToAt(A, Loc);
+      PointsToAnswer Want = Ref->pointsToAt(A, Loc);
+      EXPECT_EQ(Got.Objects, Want.Objects) << "var " << A;
+      EXPECT_EQ(Got.Source, Want.Source) << "var " << A;
+      EXPECT_EQ(Got.Complete, Want.Complete) << "var " << A;
+      for (ir::VarId B : Ptrs) {
+        AliasAnswer GotA = Held->mayAlias(A, B);
+        AliasAnswer WantA = Ref->mayAlias(A, B);
+        EXPECT_EQ(GotA.MayAlias, WantA.MayAlias) << A << " vs " << B;
+        EXPECT_EQ(GotA.Source, WantA.Source) << A << " vs " << B;
+        ++Compared;
+      }
+    }
+  }
+  EXPECT_GT(Compared, 0u);
+  EXPECT_GT(Held->stats().Materializations, 0u);
 }
 
 //===--------------------------------------------------------------------===//

@@ -667,12 +667,12 @@ TEST(Serving, StoreHoldsOneSummaryRecordPerClusterRun) {
     Reg.waitIdle();
     core::IncrementalDriver &Inc = Reg.service(T).driver();
     const ir::Program &P = Inc.program();
-    ir::CallGraph CG(P);
+    const core::SolvedCover &Solved = *Inc.lastCover();
     ir::FuncId Appended = P.numFuncs() - 1;
     uint32_t Outside = 0;
-    for (size_t I = 0; I < Inc.lastCover().size(); ++I) {
+    for (size_t I = 0; I < Solved.Clusters.size(); ++I) {
       std::vector<ir::FuncId> D =
-          core::dependentFunctions(P, CG, Inc.lastCover()[I]);
+          core::dependentFunctions(P, *Solved.CG, Solved.Clusters[I]);
       if (std::find(D.begin(), D.end(), Appended) != D.end())
         continue;
       ++Outside;
