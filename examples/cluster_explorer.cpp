@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <string>
 
 using namespace bsaa;
 
@@ -99,14 +100,21 @@ int main(int Argc, char **Argv) {
   for (uint32_t Part = 0; Part < S.numPartitions(); ++Part) {
     if (S.partitionPointerCount(Part) < 2)
       continue;
-    Dot.addNode("p" + std::to_string(Part),
-                "partition " + std::to_string(Part) + " (" +
-                    std::to_string(S.partitionPointerCount(Part)) +
-                    " ptrs, depth " +
-                    std::to_string(S.depthOfPartition(Part)) + ")");
+    // Names are built by appending: GCC 12 misreports
+    // `const char * + std::string&&` under -Wrestrict.
+    auto NodeName = [](uint32_t Id) {
+      std::string Name = "p";
+      Name += std::to_string(Id);
+      return Name;
+    };
+    std::string Label = "partition ";
+    Label += std::to_string(Part) + " (" +
+             std::to_string(S.partitionPointerCount(Part)) + " ptrs, depth " +
+             std::to_string(S.depthOfPartition(Part)) + ")";
+    Dot.addNode(NodeName(Part), Label);
     uint32_t Succ = S.pointsToPartition(Part);
     if (Succ != analysis::InvalidPartition)
-      Dot.addEdge("p" + std::to_string(Part), "p" + std::to_string(Succ));
+      Dot.addEdge(NodeName(Part), NodeName(Succ));
   }
   std::printf("\nSteensgaard hierarchy (DOT, partitions with >= 2 "
               "pointers):\n%s",

@@ -88,11 +88,19 @@ void encodeState(const SummaryEngine::State &St, ByteWriter &W) {
     encodeHashSet(K.WaiterHashes, W);
   }
   // KeyIndex is not encoded: decoding rebuilds it from the keys.
-  W.u32(static_cast<uint32_t>(St.FsciMemo.size()));
-  for (const auto &[MapKey, Bits] : St.FsciMemo) {
-    W.u32(MapKey.first);
-    W.u32(MapKey.second);
-    encodeSparseBitVector(Bits, W);
+  // The memo is written in ascending (V, Loc) order, which is the order
+  // of its keys.
+  std::vector<std::pair<uint64_t, const SparseBitVector *>> Memo;
+  Memo.reserve(St.FsciMemo.size());
+  St.FsciMemo.forEach([&Memo](uint64_t K, const SparseBitVector &Bits) {
+    Memo.emplace_back(K, &Bits);
+  });
+  std::sort(Memo.begin(), Memo.end());
+  W.u32(static_cast<uint32_t>(Memo.size()));
+  for (const auto &[K, Bits] : Memo) {
+    W.u32(static_cast<uint32_t>(K >> 32));
+    W.u32(static_cast<uint32_t>(K));
+    encodeSparseBitVector(*Bits, W);
   }
   W.u64(St.Steps);
   W.u8(St.BudgetHit ? 1 : 0);
@@ -140,12 +148,15 @@ ir::Ref decodeRef(ByteReader &R) {
   return Out;
 }
 
-bool decodeCondition(ByteReader &R, Condition &Out) {
+/// \p Atoms is scratch space, reused across calls so that decoding a
+/// record allocates nothing per condition.
+bool decodeCondition(ByteReader &R, Condition &Out,
+                     std::vector<ConstraintAtom> &Atoms) {
   bool IsFalse = R.u8() != 0;
   uint32_t N = R.u32();
   if (!plausibleCount(R, N))
     return false;
-  std::vector<ConstraintAtom> Atoms;
+  Atoms.clear();
   Atoms.reserve(N);
   for (uint32_t I = 0; I < N; ++I) {
     ConstraintAtom A;
@@ -215,6 +226,7 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
     return false;
   }
   St.Keys.resize(NumKeys);
+  std::vector<ConstraintAtom> AtomScratch;
   for (SummaryEngine::KeyState &K : St.Keys) {
     K.AnchorLoc = R.u32();
     K.R = decodeRef(R);
@@ -226,7 +238,7 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
       T.Anchor = K.R;
       T.AnchorLoc = K.AnchorLoc;
       T.Origin = decodeRef(R);
-      if (!decodeCondition(R, T.Cond))
+      if (!decodeCondition(R, T.Cond, AtomScratch))
         return false;
     }
     if (Scaffold) {
@@ -243,7 +255,7 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
           return false;
         }
         Wt.CallLoc = R.u32();
-        if (!decodeCondition(R, Wt.CondAtCall))
+        if (!decodeCondition(R, Wt.CondAtCall, AtomScratch))
           return false;
         Wt.Consumed = static_cast<size_t>(R.u64());
       }
@@ -262,20 +274,23 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
   uint32_t NumMemo = R.u32();
   if (!plausibleCount(R, NumMemo))
     return false;
-  std::pair<ir::VarId, ir::LocId> PrevMemoKey{};
+  // An entry takes at least 12 bytes (two ids and a chunk count).
+  St.FsciMemo.reserve(std::min<size_t>(NumMemo, R.remaining() / 12));
+  uint64_t PrevMemoKey = 0;
   for (uint32_t I = 0; I < NumMemo; ++I) {
-    std::pair<ir::VarId, ir::LocId> MapKey;
-    MapKey.first = R.u32();
-    MapKey.second = R.u32();
-    if (!R.ok() || (I > 0 && !(PrevMemoKey < MapKey))) {
+    ir::VarId V = R.u32();
+    ir::LocId Loc = R.u32();
+    uint64_t MemoKey = SummaryEngine::State::fsciKey(V, Loc);
+    // Strictly ascending, as encodeState writes them; the empty-slot
+    // key names no location.
+    if (!R.ok() || (I > 0 && MemoKey <= PrevMemoKey) ||
+        MemoKey == decltype(St.FsciMemo)::EmptyKey) {
       R.fail();
       return false;
     }
-    SparseBitVector Bits;
-    if (!decodeSparseBitVector(R, Bits))
+    if (!decodeSparseBitVector(R, St.FsciMemo[MemoKey]))
       return false;
-    St.FsciMemo.emplace_hint(St.FsciMemo.end(), MapKey, std::move(Bits));
-    PrevMemoKey = MapKey;
+    PrevMemoKey = MemoKey;
   }
 
   St.Steps = R.u64();

@@ -25,16 +25,16 @@
 /// decoding rebuilds it from the keys. The FSCI memo, steps and flags
 /// follow.
 ///
-/// Encoding is deterministic: the hash sets inside KeyState (whose
-/// slot order depends on their growth history) are serialized sorted,
-/// and the std::maps in their natural order, so
+/// Encoding is deterministic: the hash sets inside KeyState and the
+/// FSCI memo table (whose slot order depends on their growth history)
+/// are serialized sorted -- the memo in ascending (V, Loc) order -- so
 /// encode(decode(encode(S))) == encode(S) -- the property the
 /// round-trip tests pin.
 ///
 /// Decoding is total: it consumes untrusted bytes through the
 /// bounds-checked ByteReader, validates every invariant the in-memory
 /// types rely on (canonical conditions, strictly ascending hash sets
-/// and map keys, distinct key slots, in-range KeyIds, valid enum
+/// and memo keys, distinct key slots, in-range KeyIds, valid enum
 /// values, a scaffold byte that matches the sections, exact input
 /// consumption), and returns false on any violation. A corrupt or
 /// version-skewed payload can therefore only produce a cache miss,

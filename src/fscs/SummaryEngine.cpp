@@ -29,6 +29,8 @@ uint64_t tupleHash(LocId M, Ref Q, const Condition &Cond) {
   return H;
 }
 
+const Condition TrueCondition;
+
 ConstraintAtom atom(LocId Loc, ConstraintKind Kind, VarId A, VarId B) {
   return ConstraintAtom{Loc, Kind, A, B};
 }
@@ -143,20 +145,19 @@ SummaryEngine::KeyId SummaryEngine::ensureKey(LocId Loc, Ref R) {
     addResult(K, R, Condition());
     return K;
   }
-  enqueue(K, TraversalTuple{Loc, R, Condition()});
+  enqueue(K, Loc, R, Condition());
   return K;
 }
 
-void SummaryEngine::enqueue(KeyId K, TraversalTuple T) {
+void SummaryEngine::enqueue(KeyId K, LocId M, Ref Q, const Condition &Cond) {
   if (St.BudgetHit)
     return;
-  if (T.Cond.isFalse())
+  if (Cond.isFalse())
     return;
-  uint64_t H = tupleHash(T.M, T.Q, T.Cond);
   KeyState &KS = St.Keys[K];
-  if (!KS.Seen.insert(H))
+  if (!KS.Seen.insert(tupleHash(M, Q, Cond)))
     return;
-  KS.WL.push_back(std::move(T));
+  KS.WL.emplace_back(M, Q, Cond);
   if (!KeyActive[K]) {
     KeyActive[K] = 1;
     ActiveKeys.push_back(K);
@@ -166,24 +167,23 @@ void SummaryEngine::enqueue(KeyId K, TraversalTuple T) {
 void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
   if (Cond.isFalse())
     return;
-  // Cheap memo-only pruning of conditions already known unsatisfiable.
-  if (!satisfiable(Cond))
-    return;
+  KeyState &KS = St.Keys[K];
   // Beyond the per-key cap, collapse to an unconditional origin: sound
   // widening that keeps recursive SCC splices from cross-multiplying
   // condition variants without bound.
-  Condition Effective = Cond;
-  if (St.Keys[K].Results.size() >= Opts.MaxResultsPerKey)
-    Effective = Condition();
+  const Condition &Effective =
+      KS.Results.size() >= Opts.MaxResultsPerKey ? TrueCondition : Cond;
   uint64_t H = refHash(Origin) * 0x100000001b3ull ^ Effective.hash();
-  if (!St.Keys[K].ResultHashes.insert(H))
+  // Most candidates repeat a kept tuple, so the hash is checked first.
+  // satisfiable() has no side effects, and on a known hash checking it
+  // first would end in the same return: the order changes no outcome.
+  if (KS.ResultHashes.contains(H))
     return;
-  SummaryTuple Tuple;
-  Tuple.Anchor = St.Keys[K].R;
-  Tuple.AnchorLoc = St.Keys[K].AnchorLoc;
-  Tuple.Origin = Origin;
-  Tuple.Cond = Effective;
-  St.Keys[K].Results.push_back(std::move(Tuple));
+  // Cheap memo-only pruning of conditions already known unsatisfiable.
+  if (!satisfiable(Cond))
+    return;
+  KS.ResultHashes.insert(H);
+  KS.Results.emplace_back(KS.R, KS.AnchorLoc, Origin, Effective);
   ++Version;
   // Queue the key for waiter feeding; doing it inline would recurse
   // through result -> splice -> result chains and overflow the stack on
@@ -195,25 +195,28 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
 }
 
 void SummaryEngine::feedWaiter(KeyId Provider, size_t WaiterIdx) {
-  // The Waiters vector (and St.Keys itself) can grow during nested
-  // processing, so re-index through St.Keys[Provider] on every access.
-  KeyId Dependent = St.Keys[Provider].Waiters[WaiterIdx].Dependent;
-  LocId CallLoc = St.Keys[Provider].Waiters[WaiterIdx].CallLoc;
-  Condition CondAtCall = St.Keys[Provider].Waiters[WaiterIdx].CondAtCall;
-  while (St.Keys[Provider].Waiters[WaiterIdx].Consumed <
-         St.Keys[Provider].Results.size()) {
-    SummaryTuple R =
-        St.Keys[Provider]
-            .Results[St.Keys[Provider].Waiters[WaiterIdx].Consumed++];
-    Condition Merged = CondAtCall.conjoinAll(R.Cond, Opts.MaxCondAtoms);
+  // addResult() can grow the provider's own Results (a recursive key
+  // feeds itself), so the references below are re-taken every round and
+  // not used past the merge.
+  for (;;) {
+    KeyState &PS = St.Keys[Provider];
+    Waiter &W = PS.Waiters[WaiterIdx];
+    if (W.Consumed >= PS.Results.size())
+      return;
+    const SummaryTuple &R = PS.Results[W.Consumed++];
+    const KeyId Dependent = W.Dependent;
+    const LocId CallLoc = W.CallLoc;
+    const Ref Origin = R.Origin;
+    const bool Resolved = R.isResolved();
+    Condition Merged = W.CondAtCall.conjoinAll(R.Cond, Opts.MaxCondAtoms);
     if (Merged.isFalse())
       continue;
-    if (R.isResolved()) {
-      addResult(Dependent, R.Origin, Merged);
+    if (Resolved) {
+      addResult(Dependent, Origin, Merged);
     } else {
       // Continue the caller-side traversal above the call with the
       // callee's entry ref substituted (the splice step).
-      propagate(Dependent, CallLoc, R.Origin, Merged);
+      propagate(Dependent, CallLoc, Origin, Merged);
     }
   }
 }
@@ -282,7 +285,7 @@ void SummaryEngine::propagate(KeyId K, LocId M, Ref Q,
     return;
   }
   for (LocId P : interestingPreds(M))
-    enqueue(K, TraversalTuple{P, Q, Cond});
+    enqueue(K, P, Q, Cond);
 }
 
 void SummaryEngine::flagBudgetHit() {
@@ -598,8 +601,7 @@ bool SummaryEngine::mayAliasAt(VarId U, VarId S, LocId M) {
 
 const SparseBitVector *SummaryEngine::fsciIfKnown(VarId V,
                                                   LocId Loc) const {
-  auto It = St.FsciMemo.find(std::make_pair(V, Loc));
-  return It == St.FsciMemo.end() ? nullptr : &It->second;
+  return St.FsciMemo.find(State::fsciKey(V, Loc));
 }
 
 bool SummaryEngine::satisfiable(const Condition &Cond) {
@@ -669,10 +671,9 @@ std::vector<SummaryTuple> SummaryEngine::originsBefore(LocId Loc, Ref R) {
 }
 
 const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
-  auto MapKey = std::make_pair(V, Loc);
-  auto It = St.FsciMemo.find(MapKey);
-  if (It != St.FsciMemo.end())
-    return It->second;
+  const uint64_t MemoKey = State::fsciKey(V, Loc);
+  if (const SparseBitVector *Known = St.FsciMemo.find(MemoKey))
+    return *Known;
 
   SparseBitVector Objects;
   U64HashSet Visited;
@@ -705,9 +706,11 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
         Handle(Caller, originsBefore(C, W));
   }
 
-  auto [Ins, _] = St.FsciMemo.emplace(MapKey, std::move(Objects));
+  // Inserted only now: satisfiable() above must not see a partial set.
+  SparseBitVector &Memo = St.FsciMemo[MemoKey];
+  Memo = std::move(Objects);
   ++Version;
-  return Ins->second;
+  return Memo;
 }
 
 uint64_t SummaryEngine::numSummaryTuples() const {
@@ -766,10 +769,10 @@ uint64_t SummaryEngine::State::approxBytes() const {
   // bucket pointer each.
   N += KeyIndex.size() * (sizeof(std::pair<KeySlot, KeyId>) + 16) +
        KeyIndex.bucket_count() * sizeof(void *);
-  for (const auto &[K, Bits] : FsciMemo) {
-    (void)K;
-    N += 48 + Bits.count() / 8;
-  }
+  N += FsciMemo.slotBytes();
+  FsciMemo.forEach([&N](uint64_t, const SparseBitVector &Bits) {
+    N += Bits.approxBytes();
+  });
   return N;
 }
 

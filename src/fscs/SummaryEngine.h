@@ -51,7 +51,6 @@
 #include "support/SparseBitVector.h"
 #include "support/Statistics.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -138,7 +137,8 @@ public:
   std::vector<SummaryTuple> originsBefore(ir::LocId Loc, ir::Ref R);
 
   /// FSCI points-to objects of \p V just before \p Loc: every object o
-  /// with a (spliced, any-context) update sequence from &o to V.
+  /// with a (spliced, any-context) update sequence from &o to V. The
+  /// reference lasts until the next call computes a new set.
   const SparseBitVector &fsciPointsTo(ir::VarId V, ir::LocId Loc);
 
   /// Best-effort satisfiability of \p Cond against memoized FSCI
@@ -177,8 +177,7 @@ public:
   /// a faithful prefix of the dovetail sequence, so the walker's
   /// Definite / known-miss decisions stay sound, while the walker's own
   /// summary keys start empty and never contaminate this engine.
-  std::map<std::pair<ir::VarId, ir::LocId>, SparseBitVector>
-  fsciMemoSnapshot() const {
+  U64FlatMap<SparseBitVector> fsciMemoSnapshot() const {
     return St.FsciMemo;
   }
 
@@ -259,10 +258,20 @@ public:
     /// (AnchorLoc, R) slot -> key. Never serialized (the codec rebuilds
     /// it), so its iteration order is free.
     std::unordered_map<KeySlot, KeyId, KeySlotHash> KeyIndex;
-    std::map<std::pair<ir::VarId, ir::LocId>, SparseBitVector> FsciMemo;
+    /// FSCI points-to set of V just before Loc, keyed by fsciKey(V,
+    /// Loc). Read about ten times per traversal step (satisfiable()
+    /// and the transfer's points-to oracles), so it is one flat table;
+    /// the codec sorts its keys to write them in (V, Loc) order.
+    U64FlatMap<SparseBitVector> FsciMemo;
     uint64_t Steps = 0;
     bool BudgetHit = false;
     bool Approximated = false;
+
+    /// FsciMemo key of (V, Loc). Keys order as the pairs do; the one
+    /// unstorable key is (InvalidVar, InvalidLoc), never a query.
+    static uint64_t fsciKey(ir::VarId V, ir::LocId Loc) {
+      return (uint64_t(V) << 32) | Loc;
+    }
 
     /// True if no waiter has unconsumed provider results: no feed is
     /// pending, so no existing key can gain a tuple or a traversal
@@ -306,7 +315,11 @@ public:
 
 private:
   KeyId ensureKey(ir::LocId Loc, ir::Ref R);
-  void enqueue(KeyId K, TraversalTuple T);
+  /// Queues (M, Q, Cond) for key \p K unless it was queued before; the
+  /// tuple is built only when it is new.
+  void enqueue(KeyId K, ir::LocId M, ir::Ref Q, const Condition &Cond);
+  /// Records (Origin, Cond) as a result of key \p K. A duplicate is
+  /// rejected on its hash before the condition is checked or copied.
   void addResult(KeyId K, ir::Ref Origin, const Condition &Cond);
   void feedWaiter(KeyId Provider, size_t WaiterIdx);
   void drain();

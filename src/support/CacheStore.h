@@ -78,55 +78,39 @@ uint32_t crc32(const void *Data, size_t Len, uint32_t Seed = 0);
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(V); }
-  void u16(uint16_t V) {
-    u8(static_cast<uint8_t>(V));
-    u8(static_cast<uint8_t>(V >> 8));
-  }
-  void u32(uint32_t V) {
-    u16(static_cast<uint16_t>(V));
-    u16(static_cast<uint16_t>(V >> 16));
-  }
-  void u64(uint64_t V) {
-    u32(static_cast<uint32_t>(V));
-    u32(static_cast<uint32_t>(V >> 32));
-  }
+  void u16(uint16_t V) { le(V, 2); }
+  void u32(uint32_t V) { le(V, 4); }
+  void u64(uint64_t V) { le(V, 8); }
   void i8(int8_t V) { u8(static_cast<uint8_t>(V)); }
 
   const std::vector<uint8_t> &bytes() const { return Buf; }
   std::vector<uint8_t> take() { return std::move(Buf); }
 
 private:
+  /// Appends the low \p N bytes of \p V, least significant first.
+  void le(uint64_t V, size_t N) {
+    size_t At = Buf.size();
+    Buf.resize(At + N);
+    for (size_t I = 0; I < N; ++I)
+      Buf[At + I] = static_cast<uint8_t>(V >> (8 * I));
+  }
+
   std::vector<uint8_t> Buf;
 };
 
 /// Bounds-checked reader over an untrusted byte range: any overrun trips
-/// the failure flag and every subsequent read returns 0, so a decoder
-/// can parse straight-line and check ok() once at the end. This is what
-/// keeps a malformed (but crc-valid, e.g. version-skewed) payload from
-/// ever crashing a decode -- it can only fail it.
+/// the failure flag and returns 0, so a decoder can parse straight-line
+/// and check ok() once at the end. This is what keeps a malformed (but
+/// crc-valid, e.g. version-skewed) payload from ever crashing a decode
+/// -- it can only fail it.
 class ByteReader {
 public:
   ByteReader(const uint8_t *Data, size_t Len) : P(Data), Len(Len) {}
 
-  uint8_t u8() {
-    if (Pos + 1 > Len) {
-      Failed = true;
-      return 0;
-    }
-    return P[Pos++];
-  }
-  uint16_t u16() {
-    uint16_t Lo = u8();
-    return static_cast<uint16_t>(Lo | (uint16_t(u8()) << 8));
-  }
-  uint32_t u32() {
-    uint32_t Lo = u16();
-    return Lo | (uint32_t(u16()) << 16);
-  }
-  uint64_t u64() {
-    uint64_t Lo = u32();
-    return Lo | (uint64_t(u32()) << 32);
-  }
+  uint8_t u8() { return static_cast<uint8_t>(le(1)); }
+  uint16_t u16() { return static_cast<uint16_t>(le(2)); }
+  uint32_t u32() { return static_cast<uint32_t>(le(4)); }
+  uint64_t u64() { return le(8); }
   int8_t i8() { return static_cast<int8_t>(u8()); }
 
   /// True if every read so far was in bounds.
@@ -140,6 +124,20 @@ public:
   void fail() { Failed = true; }
 
 private:
+  /// The next \p N bytes as a little-endian value, with one bounds
+  /// check; 0 and a failed stream if fewer remain.
+  uint64_t le(size_t N) {
+    if (Len - Pos < N) {
+      Failed = true;
+      return 0;
+    }
+    uint64_t V = 0;
+    for (size_t I = 0; I < N; ++I)
+      V |= uint64_t(P[Pos + I]) << (8 * I);
+    Pos += N;
+    return V;
+  }
+
   const uint8_t *P;
   size_t Len;
   size_t Pos = 0;

@@ -29,10 +29,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <thread>
 
@@ -531,8 +533,9 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
     SparseBitVector B;
     for (size_t J = 0, M = Rng() % 40; J < M; ++J)
       B.set(static_cast<uint32_t>(Rng() % 4096));
-    St.FsciMemo[{static_cast<ir::VarId>(Rng() % 100),
-                 static_cast<ir::LocId>(Rng() % 200)}] = std::move(B);
+    auto V = static_cast<ir::VarId>(Rng() % 100);
+    auto Loc = static_cast<ir::LocId>(Rng() % 200);
+    St.FsciMemo[fscs::SummaryEngine::State::fsciKey(V, Loc)] = std::move(B);
   }
   St.Steps = Rng();
   St.BudgetHit = Rng() % 2;
@@ -627,6 +630,61 @@ TEST(StateCodec, RoundTripSpilledCondition) {
   EXPECT_EQ(Back.Engine.Keys[0].Results.back().Cond.hash(), C.hash());
   EXPECT_EQ(Back.Engine.Keys[0].Waiters.back().CondAtCall, C);
   EXPECT_EQ(encodeRun(Back), Bytes);
+}
+
+TEST(StateCodec, FsciMemoEncodesInAscendingOrder) {
+  // The memo is a hash table; whatever its slot order, the record lists
+  // (V, Loc) ascending. One chunk per set keeps every entry 24 bytes.
+  const std::pair<ir::VarId, ir::LocId> Inserted[] = {
+      {5, 2}, {1, 9}, {5, 1}, {0, 0}, {1, 3}, {0xfffffffe, 7}, {2, 0}};
+  fscs::CachedClusterRun Run;
+  for (const auto &[V, Loc] : Inserted)
+    Run.Engine.FsciMemo[fscs::SummaryEngine::State::fsciKey(V, Loc)].set(
+        V % 64);
+  std::vector<uint8_t> Bytes = encodeRun(Run);
+
+  ByteReader R(Bytes.data(), Bytes.size());
+  EXPECT_EQ(R.u32(), 0u); // No keys...
+  EXPECT_EQ(R.u8(), 0u);  // ...and so no scaffold.
+  ASSERT_EQ(R.u32(), std::size(Inserted));
+  std::vector<std::pair<ir::VarId, ir::LocId>> Written;
+  for (size_t I = 0; I < std::size(Inserted); ++I) {
+    ir::VarId V = R.u32();
+    ir::LocId Loc = R.u32();
+    Written.emplace_back(V, Loc);
+    EXPECT_EQ(R.u32(), 1u); // One chunk...
+    EXPECT_EQ(R.u32(), 0u); // ...at base 0...
+    EXPECT_EQ(R.u64(), uint64_t(1) << (V % 64)); // ...holding V % 64.
+  }
+  ASSERT_TRUE(R.ok());
+  std::vector<std::pair<ir::VarId, ir::LocId>> Want(std::begin(Inserted),
+                                                    std::end(Inserted));
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(Written, Want);
+
+  // encode(decode(encode(S))) == encode(S).
+  fscs::CachedClusterRun Back;
+  ASSERT_TRUE(fscs::decodeCachedClusterRun(Bytes.data(), Bytes.size(), Back));
+  EXPECT_EQ(Back.Engine.FsciMemo.size(), std::size(Inserted));
+  EXPECT_EQ(encodeRun(Back), Bytes);
+
+  // The decoder holds the order strict: two entries swapped, or one
+  // written twice, is rejected.
+  const size_t First = 4 + 1 + 4, Entry = 24;
+  std::vector<uint8_t> Swapped = Bytes;
+  std::swap_ranges(Swapped.begin() + First, Swapped.begin() + First + Entry,
+                   Swapped.begin() + First + Entry);
+  EXPECT_FALSE(decodes(Swapped));
+  std::vector<uint8_t> Repeated = Bytes;
+  std::copy(Repeated.begin() + First, Repeated.begin() + First + Entry,
+            Repeated.begin() + First + Entry);
+  EXPECT_FALSE(decodes(Repeated));
+  // The last entry, (0xfffffffe, 7), raised to (InvalidVar, InvalidLoc):
+  // still ascending, but that key marks an empty memo slot.
+  std::vector<uint8_t> Reserved = Bytes;
+  const size_t Last = First + (std::size(Inserted) - 1) * Entry;
+  std::fill(Reserved.begin() + Last, Reserved.begin() + Last + 8, 0xff);
+  EXPECT_FALSE(decodes(Reserved));
 }
 
 TEST(StateCodec, EveryTruncationRejected) {

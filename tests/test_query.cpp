@@ -149,11 +149,12 @@ size_t checkAgainstBaseline(const QuerySnapshot &Snap, const ir::Program &P,
 
       // Soundness on every rung: an alias both sound analyses report
       // is real enough that no serving path may drop it.
-      if (BaseMay && AndMay)
+      if (BaseMay && AndMay) {
         EXPECT_TRUE(Ans.MayAlias)
             << "unsound miss on (" << P.var(A).Name << ", "
             << P.var(B).Name << ") via "
             << query::answerSourceName(Ans.Source);
+      }
 
       if (!BaseComplete)
         continue;
@@ -191,8 +192,9 @@ size_t checkAgainstBaseline(const QuerySnapshot &Snap, const ir::Program &P,
                             AndPts.begin(), AndPts.end(),
                             std::back_inserter(Corroborated));
       EXPECT_TRUE(isSubset(Corroborated, Ans.Objects)) << P.var(V).Name;
-      if (Ans.Complete && ExpectExact)
+      if (Ans.Complete && ExpectExact) {
         EXPECT_EQ(Ans.Objects, Base.Objects) << P.var(V).Name;
+      }
     }
   }
   return CompletePairs;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <vector>
 
 using namespace bsaa;
@@ -237,6 +238,17 @@ struct RefCondition {
   }
 };
 
+/// Condition's hash recomputed from its atoms: the fold that the stored
+/// ResultHashes and WaiterHashes were built with, so it may not change.
+uint64_t recomputedHash(const fscs::Condition &C) {
+  uint64_t H = C.isFalse() ? 0x12345 : 0xcbf29ce484222325ull;
+  for (const fscs::ConstraintAtom &A : C.atoms())
+    for (uint64_t V :
+         {uint64_t(A.Loc), uint64_t(A.Kind), uint64_t(A.A), uint64_t(A.B)})
+      H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
+  return H;
+}
+
 void expectSame(const fscs::Condition &C, const RefCondition &R,
                 const std::string &Where) {
   ASSERT_EQ(C.isFalse(), R.IsFalse) << Where;
@@ -244,6 +256,7 @@ void expectSame(const fscs::Condition &C, const RefCondition &R,
   EXPECT_TRUE(std::equal(C.atoms().begin(), C.atoms().end(),
                          R.Atoms.begin()))
       << Where;
+  EXPECT_EQ(C.hash(), recomputedHash(C)) << Where;
   // The canonical value decides equality and hash.
   fscs::Condition Rebuilt;
   ASSERT_TRUE(
@@ -298,10 +311,133 @@ TEST(Condition, MatchesReferenceConjunction) {
       Spilled += C.size() > fscs::Condition::InlineAtoms;
       Collapsed += C.isFalse();
     }
-    if (MaxAtoms > fscs::Condition::InlineAtoms)
+    if (MaxAtoms > fscs::Condition::InlineAtoms) {
       EXPECT_GT(Spilled, 0u);
+    }
     EXPECT_GT(Collapsed, 0u);
   }
+}
+
+namespace {
+
+fscs::ConstraintAtom pointsTo(uint32_t Loc, ir::VarId A, ir::VarId B) {
+  return fscs::ConstraintAtom{Loc, fscs::ConstraintKind::PointsTo, A, B};
+}
+
+fscs::ConstraintAtom notPointsTo(uint32_t Loc, ir::VarId A, ir::VarId B) {
+  return fscs::ConstraintAtom{Loc, fscs::ConstraintKind::NotPointsTo, A, B};
+}
+
+/// Conjoins \p Atoms one by one into true: the definition conjoinAll's
+/// fast paths and merge must reproduce.
+fscs::Condition atomWise(const fscs::Condition &Start,
+                         std::span<const fscs::ConstraintAtom> Atoms,
+                         size_t MaxAtoms) {
+  fscs::Condition C = Start;
+  for (const fscs::ConstraintAtom &A : Atoms)
+    C = C.conjoin(A, MaxAtoms);
+  return C;
+}
+
+fscs::Condition build(std::initializer_list<fscs::ConstraintAtom> Atoms,
+                      size_t MaxAtoms = 8) {
+  return atomWise(fscs::Condition(), {Atoms.begin(), Atoms.size()},
+                  MaxAtoms);
+}
+
+} // namespace
+
+TEST(Condition, CarriedHashMatchesRecomputation) {
+  auto Check = [](const fscs::Condition &C, const char *Path) {
+    EXPECT_EQ(C.hash(), recomputedHash(C)) << Path;
+  };
+  Check(fscs::Condition(), "default");
+  Check(fscs::Condition::falseCondition(), "falseCondition");
+
+  fscs::Condition Two = build({pointsTo(5, 1, 2), pointsTo(3, 1, 2)});
+  Check(Two, "conjoin: sorted insert");
+  Check(Two.conjoin(pointsTo(5, 1, 2), 8), "conjoin: duplicate");
+  Check(Two.conjoin(pointsTo(9, 1, 2), 2), "conjoin: widening drop");
+  Check(Two.conjoin(notPointsTo(3, 1, 2), 8), "conjoin: collapse");
+
+  fscs::Condition Other = build({pointsTo(4, 1, 2), pointsTo(7, 2, 3)});
+  Check(fscs::Condition().conjoinAll(Other, 4), "conjoinAll: true lhs");
+  Check(Two.conjoinAll(fscs::Condition(), 4), "conjoinAll: true rhs");
+  Check(Two.conjoinAll(Other, 8), "conjoinAll: merge");
+  Check(Two.conjoinAll(Other, 3), "conjoinAll: widening drop");
+  Check(Two.conjoinAll(build({notPointsTo(5, 1, 2)}), 8),
+        "conjoinAll: collapse");
+  Check(Two.conjoinAll(fscs::Condition::falseCondition(), 8),
+        "conjoinAll: false rhs");
+
+  // Beyond the inline capacity: the spilled paths and their copies.
+  fscs::Condition Six = build({pointsTo(1, 1, 2), pointsTo(2, 1, 2),
+                               pointsTo(3, 1, 2), pointsTo(4, 1, 2),
+                               pointsTo(5, 1, 2), pointsTo(6, 1, 2)});
+  ASSERT_GT(Six.size(), fscs::Condition::InlineAtoms);
+  Check(Six, "conjoin: spilled");
+  Check(Six.conjoinAll(Other, 8), "conjoinAll: spilled merge");
+  fscs::Condition Copy = Six;
+  Check(Copy, "copy");
+  EXPECT_EQ(Copy, Six);
+  fscs::Condition Moved = std::move(Copy);
+  Check(Moved, "move");
+  EXPECT_EQ(Moved, Six);
+
+  for (const fscs::Condition *C : {&Two, &Six}) {
+    fscs::Condition Decoded;
+    ASSERT_TRUE(
+        fscs::Condition::fromCanonicalAtoms(C->atoms(), false, Decoded));
+    Check(Decoded, "fromCanonicalAtoms");
+    EXPECT_EQ(Decoded, *C);
+  }
+  fscs::Condition DecodedFalse;
+  ASSERT_TRUE(fscs::Condition::fromCanonicalAtoms({}, true, DecodedFalse));
+  Check(DecodedFalse, "fromCanonicalAtoms: false");
+  EXPECT_EQ(DecodedFalse, fscs::Condition::falseCondition());
+}
+
+TEST(Condition, ConjoinAllFastPathsMatchAtomWiseConjunction) {
+  fscs::Condition C = build({pointsTo(5, 1, 2), notPointsTo(3, 2, 1),
+                             pointsTo(9, 4, 4)});
+  for (size_t Cap : {size_t(3), size_t(4), size_t(8)}) {
+    // True on the left: Other itself, when it fits the cap.
+    EXPECT_EQ(fscs::Condition().conjoinAll(C, Cap),
+              atomWise(fscs::Condition(), C.atoms(), Cap))
+        << "cap " << Cap;
+    // True on the right: this, unchanged.
+    EXPECT_EQ(C.conjoinAll(fscs::Condition(), Cap), C) << "cap " << Cap;
+  }
+  // Other holds more atoms than the cap: no fast path, the cap drops the
+  // largest ones.
+  fscs::Condition Capped = fscs::Condition().conjoinAll(C, 2);
+  EXPECT_EQ(Capped, atomWise(fscs::Condition(), C.atoms(), 2));
+  EXPECT_EQ(Capped.size(), 2u);
+  // A contradiction with an atom the cap would drop still collapses, as
+  // it does atom by atom.
+  fscs::Condition Full = build({pointsTo(1, 1, 1), pointsTo(2, 1, 1)});
+  fscs::Condition Clash = build({pointsTo(0, 7, 7), notPointsTo(1, 1, 1)});
+  EXPECT_TRUE(Full.conjoinAll(Clash, 2).isFalse());
+  EXPECT_TRUE(atomWise(Full, Clash.atoms(), 2).isFalse());
+}
+
+TEST(Condition, FromCanonicalAtomsRejectsContradictions) {
+  // Sorted and unique, but an atom and its negation: conjoin() would
+  // have collapsed the pair to false, so no stored condition holds it.
+  const fscs::ConstraintAtom Pair[] = {pointsTo(4, 1, 2), pointsTo(4, 1, 3),
+                                       notPointsTo(4, 1, 2)};
+  fscs::Condition Out = build({pointsTo(9, 9, 9)});
+  EXPECT_FALSE(fscs::Condition::fromCanonicalAtoms(Pair, false, Out));
+  EXPECT_EQ(Out, build({pointsTo(9, 9, 9)})) << "Out was touched";
+  const fscs::ConstraintAtom Same[] = {
+      {4, fscs::ConstraintKind::SameObject, 1, 2},
+      {4, fscs::ConstraintKind::NotSameObject, 1, 2}};
+  EXPECT_FALSE(fscs::Condition::fromCanonicalAtoms(Same, false, Out));
+  // Same location and variables, kinds that are not negations: fine.
+  const fscs::ConstraintAtom Mixed[] = {
+      pointsTo(4, 1, 2), {4, fscs::ConstraintKind::NotSameObject, 1, 2}};
+  EXPECT_TRUE(fscs::Condition::fromCanonicalAtoms(Mixed, false, Out));
+  EXPECT_EQ(Out.size(), 2u);
 }
 
 TEST(Condition, ToStringRendersKinds) {

@@ -108,6 +108,14 @@ std::vector<query::MayAliasQuery> pointerPairs(const ir::Program &P,
   return Batch;
 }
 
+/// Prefix followed by the decimal N ("t3"). Built by appending: GCC 12
+/// misreports `const char * + std::string&&` under -Wrestrict.
+std::string numbered(const char *Prefix, uint64_t N) {
+  std::string S = Prefix;
+  S += std::to_string(N);
+  return S;
+}
+
 } // namespace
 
 //===--------------------------------------------------------------------===//
@@ -136,7 +144,7 @@ TEST(Serving, MultiTenantOracleMatchesColdReplay) {
 
   serving::TenantRegistry Reg(servingOptions());
   for (uint32_t T = 0; T < K; ++T)
-    ASSERT_EQ(Reg.addTenant("t" + std::to_string(T)), T);
+    ASSERT_EQ(Reg.addTenant(numbered("t", T)), T);
 
   // Interleave the streams round-robin: version v of every tenant is
   // submitted before version v+1 of any, so drains of different
@@ -339,8 +347,8 @@ TEST(Serving, CrossTenantEvictionKeepsAnswersIdentical) {
   serving::TenantRegistry Uncapped(servingOptions());
 
   for (uint32_t T = 0; T < K; ++T) {
-    ASSERT_EQ(Capped.addTenant("c" + std::to_string(T)), T);
-    ASSERT_EQ(Uncapped.addTenant("u" + std::to_string(T)), T);
+    ASSERT_EQ(Capped.addTenant(numbered("c", T)), T);
+    ASSERT_EQ(Uncapped.addTenant(numbered("u", T)), T);
     workload::EditState St = workload::initialEditState(Cfgs[T]);
     ASSERT_EQ(Capped.submitEdit(T, compileVersion(Cfgs[T], St), "", 0),
               serving::SubmitStatus::Accepted);

@@ -73,6 +73,14 @@ serving::ServingOptions stressOptions() {
   return SOpts;
 }
 
+/// Prefix followed by the decimal N ("t3"). Built by appending: GCC 12
+/// misreports `const char * + std::string&&` under -Wrestrict.
+std::string numbered(const char *Prefix, uint64_t N) {
+  std::string S = Prefix;
+  S += std::to_string(N);
+  return S;
+}
+
 } // namespace
 
 //===--------------------------------------------------------------------===//
@@ -172,9 +180,10 @@ TEST(ServingStress, ConcurrentReadersSurviveContinuousPublishes) {
     serving::TenantStats St = Reg.stats(T);
     EXPECT_EQ(St.QueueDepth, 0u);
     EXPECT_EQ(St.EditsApplied, St.EditsAccepted);
-    if (T == B)
+    if (T == B) {
       EXPECT_EQ(SubmittedB.load() + 1, // +1: the initial version.
                 St.EditsAccepted + St.EditsCoalesced + St.EditsRejected);
+    }
     // The analyzed-version tags are strictly increasing: drains never
     // reorder or replay a version.
     std::vector<uint64_t> Tags = Reg.appliedTags(T);
@@ -213,7 +222,7 @@ TEST(ServingStress, ParallelSubmittersAccountExactly) {
         workload::applyEdit(St, {workload::EditKind::Mutate, Fn});
         uint64_t Tag = 1000 * (S + 1) + I;
         switch (Reg.submitEdit(T, compileVersion(Cfg, St),
-                               "f" + std::to_string(Fn), Tag)) {
+                               numbered("f", Fn), Tag)) {
         case serving::SubmitStatus::Accepted:
           Accepted.fetch_add(1);
           break;

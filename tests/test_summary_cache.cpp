@@ -470,11 +470,13 @@ TEST(SummaryCache, LeanExportAnswersLikeTheLiveEngineOn100Seeds) {
     for (const fscs::SummaryEngine::KeyState &K : Ex.Keys) {
       EXPECT_TRUE(K.Seen.empty() && K.WL.empty())
           << "seed " << Seed << ": export carries a traversal";
-      if (IsSettled)
+      if (IsSettled) {
         EXPECT_TRUE(K.Waiters.empty() && K.ResultHashes.empty())
             << "seed " << Seed << ": settled export carries scaffolding";
-      if (IsSettled && Ex.BudgetHit)
+      }
+      if (IsSettled && Ex.BudgetHit) {
         EXPECT_TRUE(K.WaiterHashes.empty()) << "seed " << Seed;
+      }
     }
 
     support::ByteWriter W;

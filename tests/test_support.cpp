@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -474,6 +475,88 @@ TEST(U64HashSet, ForEachVisitsEachElementOnce) {
     Want.insert(V);
   }
   EXPECT_EQ(elements(S), Want);
+}
+
+TEST(U64HashSet, ContainsMatchesInsert) {
+  U64HashSet S;
+  // An empty set holds nothing, zero included, and allocates nothing.
+  EXPECT_FALSE(S.contains(0));
+  EXPECT_FALSE(S.contains(1));
+  EXPECT_FALSE(S.contains(~0ull));
+  EXPECT_EQ(S.capacity(), 0u);
+  // Zero is tracked out of band: it is found without any slot.
+  S.insert(0);
+  EXPECT_TRUE(S.contains(0));
+  EXPECT_FALSE(S.contains(1));
+  EXPECT_EQ(S.capacity(), 0u);
+
+  std::mt19937_64 Rng(5);
+  std::set<uint64_t> Ref{0};
+  for (int I = 0; I < 3000; ++I) {
+    // Shared low bits force collisions and long probe runs.
+    uint64_t V = (Rng() % 1000) << (I % 2 ? 40 : 0);
+    EXPECT_EQ(S.contains(V), Ref.count(V) == 1) << "value " << V;
+    EXPECT_EQ(S.insert(V), Ref.insert(V).second);
+    EXPECT_TRUE(S.contains(V));
+  }
+  EXPECT_EQ(S.size(), Ref.size());
+}
+
+TEST(U64FlatMap, FindAndInsertAgainstStdMap) {
+  U64FlatMap<std::string> M;
+  EXPECT_TRUE(M.empty());
+  EXPECT_EQ(M.find(0), nullptr); // Empty: no slot is probed.
+  EXPECT_EQ(M.capacity(), 0u);
+
+  std::mt19937_64 Rng(9);
+  std::map<uint64_t, std::string> Ref;
+  for (int I = 0; I < 4000; ++I) {
+    // Packed (high, low) pairs as the FSCI memo keys them; zero and
+    // keys sharing low bits included.
+    uint64_t K = ((Rng() % 40) << 32) | (Rng() % 60);
+    const std::string *Got = M.find(K);
+    auto It = Ref.find(K);
+    ASSERT_EQ(Got != nullptr, It != Ref.end()) << "key " << K;
+    if (Got) {
+      EXPECT_EQ(*Got, It->second);
+    }
+    std::string V = std::to_string(I);
+    M[K] = V;
+    Ref[K] = V;
+    ASSERT_EQ(M.size(), Ref.size());
+  }
+  std::map<uint64_t, std::string> Seen;
+  M.forEach([&](uint64_t K, const std::string &V) {
+    EXPECT_TRUE(Seen.emplace(K, V).second) << "key " << K << " twice";
+  });
+  EXPECT_EQ(Seen, Ref);
+
+  U64FlatMap<std::string> Copy = M;
+  for (const auto &[K, V] : Ref) {
+    ASSERT_NE(Copy.find(K), nullptr);
+    EXPECT_EQ(*Copy.find(K), V);
+  }
+}
+
+TEST(U64FlatMap, GrowsAtThreeQuartersLoad) {
+  U64FlatMap<int> M;
+  for (uint64_t K = 0; K < 6; ++K)
+    M[K] = static_cast<int>(K);
+  EXPECT_EQ(M.capacity(), 8u); // 6 of 8 slots: exactly 3/4.
+  M[6] = 6;
+  EXPECT_EQ(M.capacity(), 16u);
+  EXPECT_EQ(M.slotBytes(), M.capacity() * 16); // Key + int, padded.
+  for (uint64_t K = 0; K < 7; ++K)
+    EXPECT_EQ(*M.find(K), static_cast<int>(K));
+  // operator[] on a present key neither inserts nor resets.
+  ++M[3];
+  EXPECT_EQ(*M.find(3), 4);
+  EXPECT_EQ(M.size(), 7u);
+  U64FlatMap<int> R;
+  R.reserve(12);
+  EXPECT_EQ(R.capacity(), 16u);
+  R.reserve(13);
+  EXPECT_EQ(R.capacity(), 32u);
 }
 
 TEST(VectorFifo, InterleavedPushPopKeepsOrder) {
