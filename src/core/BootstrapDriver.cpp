@@ -138,14 +138,14 @@ support::Digest andersenRefinementKey(const Program &P, const Cluster &Part,
   return H.digest();
 }
 
-uint64_t approxClusterVectorBytes(const std::vector<Cluster> &Cs) {
+} // namespace
+
+uint64_t core::approxClusterVectorBytes(const std::vector<Cluster> &Cs) {
   uint64_t N = sizeof(Cs);
   for (const Cluster &C : Cs)
     N += sizeof(Cluster) + C.Members.size() * sizeof(VarId);
   return N;
 }
-
-} // namespace
 
 std::vector<Cluster> BootstrapDriver::refineByAndersen(const Cluster &Part) {
   support::Digest Key{0, 0};
@@ -329,14 +329,9 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
   fscs::accumulateDovetailStats(AA.dovetailStats(), stats());
 
   if (Opts.SummaryCache) {
-    // Publish the memoized product a later query can read, so a future
-    // hit replays this run bit-for-bit (first insert wins on a racing
-    // key).
-    fscs::CachedClusterRun Run;
-    Run.Engine = AA.engine().exportState();
-    Run.Dove = AA.dovetailStats();
-    Run.Stats = ES;
-    Opts.SummaryCache->insert(R.Key, std::move(Run));
+    // Publish the run, so a future hit replays it bit-for-bit (first
+    // insert wins on a racing key).
+    Opts.SummaryCache->insert(R.Key, fscs::CachedClusterRun::of(AA));
   }
   return R;
 }
@@ -463,8 +458,7 @@ void emitCacheReport(support::JsonWriter &W, const char *Name,
       .field("store_hits", C.Counters.StoreHits)
       .field("store_misses", C.Counters.StoreMisses)
       .field("store_puts", C.Counters.StorePuts)
-      .field("store_hit_rate", C.Counters.storeHitRate())
-      .field("trim_evictions", C.Counters.TrimEvictions);
+      .field("store_hit_rate", C.Counters.storeHitRate());
   W.endObject();
 }
 

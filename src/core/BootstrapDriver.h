@@ -65,6 +65,9 @@ void submitClusterJobOrThrow(ThreadPool &Pool, std::function<void()> Job);
 /// of one Steensgaard solve.
 using RefinementCache = support::ShardedCache<std::vector<Cluster>>;
 
+/// Payload-size estimate of a RefinementCache entry for its byte gauge.
+uint64_t approxClusterVectorBytes(const std::vector<Cluster> &Cs);
+
 /// Pipeline configuration.
 struct BootstrapOptions {
   /// Steensgaard partitions with more pointers than this get refined by
@@ -147,12 +150,6 @@ struct BootstrapOptions {
   /// and stamps it here so every tenant shares it.
   std::shared_ptr<support::CacheStore> Store;
 
-  /// Byte budget for the in-memory summary cache (0 = unlimited);
-  /// applied by openStoreAndAttach. Trimmed entries only re-miss --
-  /// with a store attached they usually revive from disk instead of
-  /// recomputing.
-  uint64_t SummaryCacheByteBudget = 0;
-
   /// Statistics registry this pipeline accumulates into (null = the
   /// process-wide Statistics::global()). Multi-tenant serving gives
   /// every tenant its own registry so concurrent re-analyses never
@@ -184,6 +181,11 @@ struct ClusterRunResult {
   /// zero when no SummaryCache is attached). Query snapshots adopt
   /// cached runs and the race checker keys its facts by it.
   support::Digest Key;
+
+  /// The engine accounting this result replays.
+  fscs::SummaryEngine::EngineStats engineStats() const {
+    return {Steps, SummaryTuples, SummaryKeys, BudgetHit, Approximated};
+  }
 };
 
 /// Whole-pipeline outcome: the raw material of a Table 1 row.

@@ -22,7 +22,7 @@ IncrementalDriver::IncrementalDriver(BootstrapOptions Opts)
     BaseOpts.AndersenRefinementCache = std::make_shared<RefinementCache>();
   // Persistence wiring: with a store configured, also give the slice
   // cache a home (otherwise optional here), then back every cache with
-  // the store. Without one this still applies the byte budget.
+  // the store.
   if ((BaseOpts.Store || !BaseOpts.StorePath.empty()) &&
       !BaseOpts.RelevantSliceCache)
     BaseOpts.RelevantSliceCache = std::make_shared<SliceCache>();

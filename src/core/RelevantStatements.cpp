@@ -301,8 +301,6 @@ void bsaa::core::attachRelevantSlice(
       computeRelevantStatements(P, Steens, C.Members, Index);
   C.TrackedRefs = Slice.TrackedRefs;
   C.Statements = Slice.Statements;
-  uint64_t Bytes = sizeof(RelevantSlice) +
-                   Slice.TrackedRefs.size() * sizeof(Ref) +
-                   Slice.Statements.size() * sizeof(LocId);
+  uint64_t Bytes = Slice.approxBytes();
   Cache->insert(Key, std::move(Slice), Bytes);
 }

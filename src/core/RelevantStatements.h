@@ -45,6 +45,12 @@ namespace core {
 struct RelevantSlice {
   std::vector<ir::Ref> TrackedRefs;  ///< V_P.
   std::vector<ir::LocId> Statements; ///< St_P.
+
+  /// Payload-size estimate for the slice cache's byte gauge.
+  uint64_t approxBytes() const {
+    return sizeof(RelevantSlice) + TrackedRefs.size() * sizeof(ir::Ref) +
+           Statements.size() * sizeof(ir::LocId);
+  }
 };
 
 /// Statement indexes shared across Algorithm 1 runs. Build once per

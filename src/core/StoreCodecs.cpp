@@ -60,21 +60,6 @@ bool decodeU32s(ByteReader &R, std::vector<uint32_t> &Out) {
   return R.ok();
 }
 
-uint64_t approxSliceBytes(const RelevantSlice &S) {
-  // Same estimate the fresh-insert path in RelevantStatements.cpp
-  // charges, so revived entries account identically.
-  return sizeof(RelevantSlice) + S.TrackedRefs.size() * sizeof(ir::Ref) +
-         S.Statements.size() * sizeof(ir::LocId);
-}
-
-uint64_t approxClusterVectorBytes(const std::vector<Cluster> &Cs) {
-  // Mirrors the estimator in BootstrapDriver.cpp's refinement path.
-  uint64_t N = sizeof(Cs);
-  for (const Cluster &C : Cs)
-    N += sizeof(Cluster) + C.Members.size() * sizeof(ir::VarId);
-  return N;
-}
-
 } // namespace
 
 void core::encodeRelevantSlice(const RelevantSlice &S, ByteWriter &W) {
@@ -135,7 +120,7 @@ void core::attachSliceStore(SliceCache &Cache,
   B.Decode = [](const uint8_t *Data, size_t Len, RelevantSlice &Out) {
     return decodeRelevantSlice(Data, Len, Out);
   };
-  B.ApproxBytes = approxSliceBytes;
+  B.ApproxBytes = [](const RelevantSlice &S) { return S.approxBytes(); };
   Cache.attachStore(std::move(B));
 }
 
@@ -167,7 +152,5 @@ core::openStoreAndAttach(BootstrapOptions &Opts) {
     if (Opts.AndersenRefinementCache)
       attachRefinementStore(*Opts.AndersenRefinementCache, Opts.Store);
   }
-  if (Opts.SummaryCache && Opts.SummaryCacheByteBudget)
-    Opts.SummaryCache->setByteBudget(Opts.SummaryCacheByteBudget);
   return Opts.Store;
 }

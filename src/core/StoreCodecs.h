@@ -59,8 +59,7 @@ void attachRefinementStore(RefinementCache &Cache,
 /// One-stop wiring: resolves the store named by \p Opts (adopting
 /// Opts.Store if already open, else opening Opts.StorePath; returns
 /// null if neither is set), stamps it into Opts.Store, attaches it
-/// behind every cache Opts carries, and applies
-/// Opts.SummaryCacheByteBudget. Throws only if StorePath names an
+/// behind every cache Opts carries. Throws only if StorePath names an
 /// unusable directory.
 std::shared_ptr<support::CacheStore>
 openStoreAndAttach(BootstrapOptions &Opts);

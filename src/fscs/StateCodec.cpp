@@ -51,22 +51,14 @@ void encodeSparseBitVector(const SparseBitVector &S, ByteWriter &W) {
   });
 }
 
-/// True if any key carries ResultHashes or Waiters; a settled export
-/// carries neither, and the state then encodes without those per-key
-/// sections (see the file comment).
-bool hasScaffold(const SummaryEngine::State &St) {
-  for (const SummaryEngine::KeyState &K : St.Keys)
-    if (!K.ResultHashes.empty() || !K.Waiters.empty())
-      return true;
-  return false;
-}
-
+/// An exported state: no traversal scaffolding on any key, and no flags
+/// (a flagged run keeps no state).
 void encodeState(const SummaryEngine::State &St, ByteWriter &W) {
-  const bool Scaffold = hasScaffold(St);
+  assert(!St.BudgetHit && !St.Approximated && "a flagged run keeps no state");
   W.u32(static_cast<uint32_t>(St.Keys.size()));
-  W.u8(Scaffold ? 1 : 0);
   for (const SummaryEngine::KeyState &K : St.Keys) {
-    assert(K.WL.empty() && K.Seen.empty() && "encode exported states only");
+    assert(K.WL.empty() && K.Seen.empty() && K.ResultHashes.empty() &&
+           K.Waiters.empty() && "encode exported states only");
     W.u32(K.AnchorLoc);
     encodeRef(K.R, W);
     // Each tuple's Anchor/AnchorLoc are the key's own (addResult).
@@ -74,16 +66,6 @@ void encodeState(const SummaryEngine::State &St, ByteWriter &W) {
     for (const SummaryTuple &T : K.Results) {
       encodeRef(T.Origin, W);
       encodeCondition(T.Cond, W);
-    }
-    if (Scaffold) {
-      encodeHashSet(K.ResultHashes, W);
-      W.u32(static_cast<uint32_t>(K.Waiters.size()));
-      for (const SummaryEngine::Waiter &Wt : K.Waiters) {
-        W.u32(Wt.Dependent);
-        W.u32(Wt.CallLoc);
-        encodeCondition(Wt.CondAtCall, W);
-        W.u64(Wt.Consumed);
-      }
     }
     encodeHashSet(K.WaiterHashes, W);
   }
@@ -103,15 +85,12 @@ void encodeState(const SummaryEngine::State &St, ByteWriter &W) {
     encodeSparseBitVector(*Bits, W);
   }
   W.u64(St.Steps);
-  W.u8(St.BudgetHit ? 1 : 0);
-  W.u8(St.Approximated ? 1 : 0);
 }
 
 } // namespace
 
 void fscs::encodeCachedClusterRun(const CachedClusterRun &Run,
                                   ByteWriter &W) {
-  encodeState(Run.Engine, W);
   W.u32(Run.Dove.DepthLevels);
   W.u32(Run.Dove.FsciQueries);
   W.u8(Run.Dove.Complete ? 1 : 0);
@@ -120,6 +99,11 @@ void fscs::encodeCachedClusterRun(const CachedClusterRun &Run,
   W.u64(Run.Stats.Keys);
   W.u8(Run.Stats.BudgetHit ? 1 : 0);
   W.u8(Run.Stats.Approximated ? 1 : 0);
+  if (!Run.Stats.flagged())
+    encodeState(Run.Engine, W);
+  assert((!Run.Stats.flagged() ||
+          (Run.Engine.Keys.empty() && Run.Engine.FsciMemo.empty())) &&
+         "a flagged run keeps no state");
 }
 
 //===----------------------------------------------------------------------===//
@@ -141,6 +125,14 @@ bool plausibleCount(ByteReader &R, uint32_t N) {
   return true;
 }
 
+/// A flag byte is 0 or 1, as the encoder writes it.
+bool decodeFlag(ByteReader &R) {
+  uint8_t B = R.u8();
+  if (B > 1)
+    R.fail();
+  return B == 1;
+}
+
 ir::Ref decodeRef(ByteReader &R) {
   ir::Ref Out;
   Out.Var = R.u32();
@@ -152,7 +144,7 @@ ir::Ref decodeRef(ByteReader &R) {
 /// record allocates nothing per condition.
 bool decodeCondition(ByteReader &R, Condition &Out,
                      std::vector<ConstraintAtom> &Atoms) {
-  bool IsFalse = R.u8() != 0;
+  bool IsFalse = decodeFlag(R);
   uint32_t N = R.u32();
   if (!plausibleCount(R, N))
     return false;
@@ -220,11 +212,6 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
   uint32_t NumKeys = R.u32();
   if (!plausibleCount(R, NumKeys))
     return false;
-  uint8_t Scaffold = R.u8();
-  if (Scaffold > 1) {
-    R.fail();
-    return false;
-  }
   St.Keys.resize(NumKeys);
   std::vector<ConstraintAtom> AtomScratch;
   for (SummaryEngine::KeyState &K : St.Keys) {
@@ -241,32 +228,11 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
       if (!decodeCondition(R, T.Cond, AtomScratch))
         return false;
     }
-    if (Scaffold) {
-      if (!decodeHashSet(R, K.ResultHashes))
-        return false;
-      uint32_t NumWaiters = R.u32();
-      if (!plausibleCount(R, NumWaiters))
-        return false;
-      K.Waiters.resize(NumWaiters);
-      for (SummaryEngine::Waiter &Wt : K.Waiters) {
-        Wt.Dependent = R.u32();
-        if (Wt.Dependent >= NumKeys) {
-          R.fail();
-          return false;
-        }
-        Wt.CallLoc = R.u32();
-        if (!decodeCondition(R, Wt.CondAtCall, AtomScratch))
-          return false;
-        Wt.Consumed = static_cast<size_t>(R.u64());
-      }
-    }
     if (!decodeHashSet(R, K.WaiterHashes))
       return false;
   }
-  // Canonical form: the scaffold sections are present iff some key
-  // fills one (what encodeState writes), and every key owns a distinct
-  // index slot (what ensureKey maintains).
-  if (!R.ok() || (Scaffold && !hasScaffold(St)) || !St.rebuildKeyIndex()) {
+  // Every key owns a distinct index slot (what ensureKey maintains).
+  if (!R.ok() || !St.rebuildKeyIndex()) {
     R.fail();
     return false;
   }
@@ -294,8 +260,6 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
   }
 
   St.Steps = R.u64();
-  St.BudgetHit = R.u8() != 0;
-  St.Approximated = R.u8() != 0;
   return R.ok();
 }
 
@@ -304,17 +268,18 @@ bool decodeState(ByteReader &R, SummaryEngine::State &St) {
 bool fscs::decodeCachedClusterRun(const uint8_t *Data, size_t Len,
                                   CachedClusterRun &Out) {
   ByteReader R(Data, Len);
-  if (!decodeState(R, Out.Engine))
-    return false;
   Out.Dove.DepthLevels = R.u32();
   Out.Dove.FsciQueries = R.u32();
-  Out.Dove.Complete = R.u8() != 0;
+  Out.Dove.Complete = decodeFlag(R);
   Out.Stats.Steps = R.u64();
   Out.Stats.SummaryTuples = R.u64();
   Out.Stats.Keys = R.u64();
-  Out.Stats.BudgetHit = R.u8() != 0;
-  Out.Stats.Approximated = R.u8() != 0;
-  // Exact consumption: trailing garbage would mean a layout mismatch
-  // the version byte failed to catch.
+  Out.Stats.BudgetHit = decodeFlag(R);
+  Out.Stats.Approximated = decodeFlag(R);
+  // The state section is present iff the run is unflagged.
+  if (!Out.Stats.flagged() && !decodeState(R, Out.Engine))
+    return false;
+  // Exact consumption: trailing bytes would be a flagged run's state or
+  // a layout mismatch the version byte failed to catch.
   return R.atEnd();
 }

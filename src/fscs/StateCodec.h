@@ -5,25 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Versioned binary codec for CachedClusterRun -- the part of the
-/// SummaryEngine State a later query can read (keys, summary tuples,
-/// FSCI memo, and the traversal scaffolding only where it is live; see
-/// SummaryEngine::exportState) plus the dovetail and engine accounting
-/// a cache hit replays. This is the payload the persistent CacheStore
-/// holds under dependency-scope keys, so a restarted process (or a
-/// freshly onboarded tenant) can import whole cluster fixpoints instead
-/// of re-solving them. Only exported states are encoded: they carry no
-/// Seen sets or worklists.
+/// Versioned binary codec for CachedClusterRun -- the dovetail and
+/// engine accounting a cache hit replays, plus, for an unflagged run,
+/// the part of the SummaryEngine State a later query can read (keys,
+/// summary tuples, waiter hashes and the FSCI memo; see
+/// SummaryEngine::exportState). This is the payload the persistent
+/// CacheStore holds under dependency-scope keys, so a restarted process
+/// (or a freshly onboarded tenant) can import whole cluster fixpoints
+/// instead of re-solving them.
 ///
-/// Layout (version 2): the key count, then one scaffold byte. A settled
-/// export carries no ResultHashes or Waiters on any key; its scaffold
-/// byte is 0 and both sections are absent for every key. Otherwise the
-/// byte is 1 and every key carries both. Each key holds its
+/// Layout (version 3): the dovetail accounting (depth levels, FSCI
+/// queries, complete), then the engine accounting (steps, tuples, keys,
+/// BudgetHit, Approximated). The state section follows iff the run is
+/// unflagged (EngineStats::flagged()): the key count, then per key its
 /// (AnchorLoc, R), its result tuples as (Origin, Cond) -- a tuple's
-/// Anchor and AnchorLoc are always the key's own -- the scaffold
-/// sections if present, and its WaiterHashes. KeyIndex is not stored:
-/// decoding rebuilds it from the keys. The FSCI memo, steps and flags
-/// follow.
+/// Anchor and AnchorLoc are always the key's own -- and its
+/// WaiterHashes; then the FSCI memo and the steps. KeyIndex is not
+/// stored: decoding rebuilds it from the keys.
 ///
 /// Encoding is deterministic: the hash sets inside KeyState and the
 /// FSCI memo table (whose slot order depends on their growth history)
@@ -34,10 +32,10 @@
 /// Decoding is total: it consumes untrusted bytes through the
 /// bounds-checked ByteReader, validates every invariant the in-memory
 /// types rely on (canonical conditions, strictly ascending hash sets
-/// and memo keys, distinct key slots, in-range KeyIds, valid enum
-/// values, a scaffold byte that matches the sections, exact input
-/// consumption), and returns false on any violation. A corrupt or
-/// version-skewed payload can therefore only produce a cache miss,
+/// and memo keys, distinct key slots, valid enum values, flag bytes of
+/// 0 or 1, a state section present iff the run is unflagged, exact
+/// input consumption), and returns false on any violation. A corrupt
+/// or version-skewed payload can therefore only produce a cache miss,
 /// never a malformed State.
 ///
 //===----------------------------------------------------------------------===//
@@ -58,7 +56,7 @@ constexpr uint8_t StoreFamilySummary = 1;
 /// Bump on any layout change; readers treat other versions as a miss,
 /// and the store lets a record of this version supersede one of any
 /// other version under the same key (support/CacheStore.h).
-constexpr uint8_t SummaryCodecVersion = 2;
+constexpr uint8_t SummaryCodecVersion = 3;
 
 /// Serializes \p Run into \p W (deterministic; see file comment).
 void encodeCachedClusterRun(const CachedClusterRun &Run,

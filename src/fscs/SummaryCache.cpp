@@ -2,10 +2,20 @@
 
 #include "fscs/SummaryCache.h"
 
+#include "fscs/ClusterAliasAnalysis.h"
 #include "fscs/StateCodec.h"
 
 using namespace bsaa;
 using namespace bsaa::fscs;
+
+CachedClusterRun CachedClusterRun::of(const ClusterAliasAnalysis &AA) {
+  CachedClusterRun Run;
+  Run.Stats = AA.engine().stats();
+  Run.Dove = AA.dovetailStats();
+  if (!Run.Stats.flagged())
+    Run.Engine = AA.engine().exportState();
+  return Run;
+}
 
 void SummaryCache::attachStore(std::shared_ptr<support::CacheStore> Store) {
   support::CacheStoreBacking<CachedClusterRun> B;

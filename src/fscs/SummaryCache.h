@@ -17,14 +17,16 @@
 /// reads), the second run hits the cache instead of re-running
 /// SummaryEngine. Every run is stored once, under that one key.
 ///
-/// The cache entry is the engine's exported State (per-key summary
-/// tuples + FSCI memo + accounting, and traversal scaffolding only where
-/// a later query can still reach it; see SummaryEngine::exportState)
-/// plus the dovetail-warmup accounting, so a hit replays
-/// *bit-identical* per-cluster metrics and can serve arbitrary further
-/// queries through ClusterAliasAnalysis::adoptState. Soundness of the
-/// key derivation (why digest equality implies state equality) is
-/// argued in DESIGN.md, "Summary-cache key derivation".
+/// The cache entry always holds the run's engine and dovetail-warmup
+/// accounting, so a hit replays *bit-identical* per-cluster metrics.
+/// An unflagged run's entry also holds the engine's exported State
+/// (per-key summary tuples, waiter hashes and the FSCI memo; see
+/// SummaryEngine::exportState), which serves arbitrary further queries
+/// through ClusterAliasAnalysis::adoptState. A flagged run (BudgetHit
+/// or Approximated) keeps no State: queries never read its cluster's
+/// FSCS answers, they go to the fallback (query::QuerySnapshot).
+/// Soundness of the key derivation (why digest equality implies state
+/// equality) is argued in DESIGN.md, "Summary-cache key derivation".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,11 +42,18 @@
 namespace bsaa {
 namespace fscs {
 
+class ClusterAliasAnalysis;
+
 /// One memoized per-cluster FSCS run.
 struct CachedClusterRun {
-  SummaryEngine::State Engine; ///< Post-run memoized product.
-  DovetailStats Dove;          ///< Warmup accounting to replay.
+  /// Post-run memoized product; empty when Stats.flagged().
+  SummaryEngine::State Engine;
+  DovetailStats Dove;               ///< Warmup accounting to replay.
   SummaryEngine::EngineStats Stats; ///< Aggregate accounting to replay.
+
+  /// What the cache keeps of \p AA's finished run: its accounting, and
+  /// its exported State only if the run is unflagged.
+  static CachedClusterRun of(const ClusterAliasAnalysis &AA);
 
   uint64_t approxBytes() const {
     return Engine.approxBytes() + sizeof(*this);
@@ -71,10 +80,6 @@ public:
   /// through; memory misses attempt revival from disk. Wiring-time
   /// only -- call before the cache sees traffic.
   void attachStore(std::shared_ptr<support::CacheStore> Store);
-
-  /// Byte budget for the in-memory tier (0 = unlimited); see
-  /// ShardedCache::setByteBudget.
-  void setByteBudget(uint64_t B) { Cache.setByteBudget(B); }
 
   support::CacheCounters counters() const { return Cache.counters(); }
 

@@ -753,17 +753,10 @@ void SummaryEngine::accumulateGlobalStats(const EngineStats &S,
 uint64_t SummaryEngine::State::approxBytes() const {
   uint64_t N = sizeof(State);
   for (const KeyState &KS : Keys) {
-    N += sizeof(KeyState);
-    N += KS.Results.size() * sizeof(SummaryTuple);
+    N += sizeof(KeyState) + KS.Results.size() * sizeof(SummaryTuple) +
+         KS.WaiterHashes.capacity() * sizeof(uint64_t);
     for (const SummaryTuple &T : KS.Results)
       N += T.Cond.heapBytes();
-    N += (KS.ResultHashes.capacity() + KS.Seen.capacity() +
-          KS.WaiterHashes.capacity()) *
-         sizeof(uint64_t);
-    N += KS.Waiters.size() * sizeof(Waiter);
-    for (const Waiter &W : KS.Waiters)
-      N += W.CondAtCall.heapBytes();
-    N += KS.WL.capacity() * sizeof(TraversalTuple);
   }
   // One node per entry (value plus chain and cached-hash words) and one
   // bucket pointer each.
@@ -776,14 +769,6 @@ uint64_t SummaryEngine::State::approxBytes() const {
   return N;
 }
 
-bool SummaryEngine::State::settled() const {
-  for (const KeyState &KS : Keys)
-    for (const Waiter &W : KS.Waiters)
-      if (W.Consumed < KS.Results.size())
-        return false;
-  return true;
-}
-
 bool SummaryEngine::State::rebuildKeyIndex() {
   KeyIndex.clear();
   for (KeyId K = 0; K < Keys.size(); ++K)
@@ -793,12 +778,10 @@ bool SummaryEngine::State::rebuildKeyIndex() {
 }
 
 SummaryEngine::State SummaryEngine::exportState() const {
+  assert(!stats().flagged() && "export of a flagged run");
+  assert(PendingFeeds.empty() && "export after an interrupted drain");
   // Field by field: copying St whole and clearing the dead sections
   // afterwards would pay for the copy it throws away.
-  const bool Settled = St.settled();
-  // Every public query drains until no feed is pending or the budget
-  // stops it, so only a budget-hit state is unsettled.
-  assert((Settled || St.BudgetHit) && "export after an interrupted drain");
   State Out;
   Out.Keys.resize(St.Keys.size());
   for (size_t K = 0; K < St.Keys.size(); ++K) {
@@ -807,41 +790,21 @@ SummaryEngine::State SummaryEngine::exportState() const {
     To.AnchorLoc = From.AnchorLoc;
     To.R = From.R;
     To.Results = From.Results;
-    if (!Settled || !St.BudgetHit)
-      To.WaiterHashes = From.WaiterHashes;
-    if (!Settled) {
-      To.ResultHashes = From.ResultHashes;
-      To.Waiters = From.Waiters;
-    }
+    To.WaiterHashes = From.WaiterHashes;
   }
   Out.KeyIndex = St.KeyIndex;
   Out.FsciMemo = St.FsciMemo;
   Out.Steps = St.Steps;
-  Out.BudgetHit = St.BudgetHit;
-  Out.Approximated = St.Approximated;
   return Out;
 }
 
 void SummaryEngine::importState(State S) {
   St = std::move(S);
   ++Version;
-  // Rebuild the transient scheduling scaffolding so the restored engine
-  // picks up exactly where the exporting engine stopped: providers
-  // whose waiters have unconsumed results are queued for feeding. A
-  // settled state has none -- it is a fixpoint for every key it holds.
-  // No key is active: exported states carry no worklists, which only
-  // survive a drain() that the budget stopped, and then stay dead.
+  // An imported state is a fixpoint for every key it holds: no key is
+  // active and no feed is pending.
   ActiveKeys.clear();
   PendingFeeds.clear();
   KeyActive.assign(St.Keys.size(), 0);
   FeedQueued.assign(St.Keys.size(), 0);
-  for (KeyId K = 0; K < St.Keys.size(); ++K) {
-    for (const Waiter &W : St.Keys[K].Waiters) {
-      if (W.Consumed < St.Keys[K].Results.size() && !FeedQueued[K]) {
-        FeedQueued[K] = 1;
-        PendingFeeds.push_back(K);
-        break;
-      }
-    }
-  }
 }

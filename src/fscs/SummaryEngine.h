@@ -189,6 +189,11 @@ public:
     uint64_t Keys = 0;
     bool BudgetHit = false;
     bool Approximated = false;
+
+    /// A flagged run's answers may be partial or over-approximated:
+    /// queries route its cluster to the fallback, and the summary cache
+    /// keeps only its accounting, never its State.
+    bool flagged() const { return BudgetHit || Approximated; }
   };
   EngineStats stats() const;
 
@@ -273,44 +278,32 @@ public:
       return (uint64_t(V) << 32) | Loc;
     }
 
-    /// True if no waiter has unconsumed provider results: no feed is
-    /// pending, so no existing key can gain a tuple or a traversal
-    /// step after import (see exportState()).
-    bool settled() const;
-
     /// Rebuilds KeyIndex from every key's (AnchorLoc, R), the mapping
     /// ensureKey() maintains. Returns false if two keys share an index
     /// slot, which no engine run produces.
     bool rebuildKeyIndex();
 
-    /// Payload-size estimate for the cache's byte gauge: the flat
-    /// containers' allocated slots and capacity, plus atoms that spilled
-    /// out of their conditions.
+    /// Payload-size estimate of an exported state for the cache's byte
+    /// gauge: results, waiter hashes, the key index and the FSCI memo,
+    /// plus atoms that spilled out of their conditions.
     uint64_t approxBytes() const;
   };
 
-  /// Copies the part of the memoized product a later query can read
-  /// (call after queries are done). Every key's AnchorLoc, R and
-  /// Results, KeyIndex, FsciMemo, Steps and the flags always travel.
-  /// The traversal scaffolding travels only where it is live:
-  ///
-  ///  * a settled() state has no pending feed, so no existing key ever
-  ///    enqueues or adds a result again: Seen, WL, Waiters and
-  ///    ResultHashes are dead. WaiterHashes stay unless the budget is
-  ///    hit, because a new key's splice dedupes against an existing
-  ///    provider's waiter hashes.
-  ///  * a state is unsettled only when the step budget stopped drain()
-  ///    with feeds queued. It keeps ResultHashes, Waiters and
-  ///    WaiterHashes, so importState() re-queues the same feeds.
-  ///  * under BudgetHit, enqueue() returns early and drain() stops at
-  ///    the first active key, so Seen and WL never travel.
+  /// Copies the part of the memoized product a later query can read,
+  /// after the queries of an unflagged run (the summary cache keeps no
+  /// State of a flagged one): every key's AnchorLoc, R, Results and
+  /// WaiterHashes, KeyIndex, FsciMemo and Steps. Without a budget hit
+  /// every drain() ran to the end, so no feed is pending and no
+  /// existing key enqueues or adds a result again: Seen, WL, Waiters
+  /// and ResultHashes are dead. WaiterHashes travel because a new key's
+  /// splice dedupes against an existing provider's waiter hashes.
   State exportState() const;
 
   /// Installs \p S as this engine's memoized product. Only valid on an
   /// engine constructed over the same program, cluster, and options
-  /// that produced \p S, and on a state without worklists (as
-  /// exportState() makes them); transient scheduling state is rebuilt
-  /// so subsequent queries behave as on the original engine.
+  /// that produced \p S, and on a state exportState() made (or one
+  /// holding only an FSCI memo); later queries then behave as on the
+  /// original engine.
   void importState(State S);
 
 private:

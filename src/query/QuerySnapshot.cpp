@@ -111,7 +111,7 @@ QuerySnapshot::QuerySnapshot(std::shared_ptr<const ir::Program> P,
       // A truncated run may have *lost* alias origins (it never invents
       // them), so its "no alias" verdicts are untrustworthy; route the
       // whole cluster through the fallback chain.
-      NeedsFallback[CI] = (R.BudgetHit || R.Approximated) ? 1 : 0;
+      NeedsFallback[CI] = R.engineStats().flagged();
       Keys.push_back(R.Key);
     }
     // Runs of a driver without a SummaryCache carry no keys.

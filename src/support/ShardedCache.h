@@ -22,20 +22,12 @@
 /// values), the second insert is dropped. This keeps reads repeatable
 /// within a run.
 ///
-/// Two optional tiers extend the in-memory map:
-///
-///  - A persistent CacheStore backing (attachStore): lookups falling
-///    through the map consult the store and, on a decodable record of
-///    the expected codec version, re-publish the value in memory;
-///    winning inserts write through. Anything wrong with the stored
-///    bytes -- absent key, version skew, failed decode -- is just a
-///    miss, so a corrupt store can cost time, never correctness.
-///
-///  - A byte budget (setByteBudget): when the Bytes gauge exceeds the
-///    budget, the least-recently-touched entries are evicted until it
-///    fits. Eviction only turns future hits into re-misses; it cannot
-///    change any answer, because entries are immutable and re-derivable
-///    from their keys.
+/// An optional persistent CacheStore backing (attachStore) extends the
+/// in-memory map: lookups falling through the map consult the store
+/// and, on a decodable record of the expected codec version, re-publish
+/// the value in memory; winning inserts write through. Anything wrong
+/// with the stored bytes -- absent key, version skew, failed decode --
+/// is just a miss, so a corrupt store can cost time, never correctness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +37,6 @@
 #include "support/CacheStore.h"
 #include "support/ContentHash.h"
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -65,7 +56,6 @@ struct CacheCounters {
   uint64_t StoreHits = 0;   ///< Memory misses served from the store.
   uint64_t StoreMisses = 0; ///< Memory misses the store couldn't serve.
   uint64_t StorePuts = 0;   ///< Winning inserts written through.
-  uint64_t TrimEvictions = 0; ///< Entries evicted by the byte budget.
 
   double hitRate() const {
     uint64_t Total = Hits + Misses;
@@ -108,13 +98,6 @@ public:
   /// cache sees traffic (construction-time wiring).
   void attachStore(CacheStoreBacking<V> B) { Backing = std::move(B); }
 
-  /// Sets the byte budget (0 = unlimited). When the Bytes gauge
-  /// exceeds it, least-recently-touched entries are evicted down to
-  /// the budget at the next insert or store-revival.
-  void setByteBudget(uint64_t B) {
-    ByteBudget.store(B, std::memory_order_relaxed);
-  }
-
   /// Returns the cached value or nullptr; bumps the hit/miss counter.
   /// On a memory miss with a store attached, attempts revival from
   /// disk (counted as StoreHits + Hits when it succeeds).
@@ -124,10 +107,8 @@ public:
     {
       std::lock_guard<std::mutex> Lock(S.M);
       auto It = S.Map.find(K);
-      if (It != S.Map.end()) {
-        It->second.Tick = nextTick();
-        Out = It->second.Val;
-      }
+      if (It != S.Map.end())
+        Out = It->second;
     }
     if (Out) {
       Hits.fetch_add(1, std::memory_order_relaxed);
@@ -158,28 +139,10 @@ public:
       std::lock_guard<std::mutex> Lock(S.M);
       auto It = S.Map.find(K);
       if (It != S.Map.end())
-        return It->second.Val;
+        return It->second;
     }
     auto Entry = std::make_shared<const V>(std::move(Val));
     return publish(S, K, std::move(Entry), ApproxBytes, /*Revived=*/false);
-  }
-
-  /// Drops every entry; counters keep accumulating.
-  void clear() {
-    for (Shard &S : Shards) {
-      std::lock_guard<std::mutex> Lock(S.M);
-      S.Map.clear();
-    }
-    Bytes.store(0, std::memory_order_relaxed);
-  }
-
-  uint64_t size() const {
-    uint64_t N = 0;
-    for (const Shard &S : Shards) {
-      std::lock_guard<std::mutex> Lock(S.M);
-      N += S.Map.size();
-    }
-    return N;
   }
 
   CacheCounters counters() const {
@@ -191,20 +154,13 @@ public:
     C.StoreHits = StoreHits.load(std::memory_order_relaxed);
     C.StoreMisses = StoreMisses.load(std::memory_order_relaxed);
     C.StorePuts = StorePuts.load(std::memory_order_relaxed);
-    C.TrimEvictions = TrimEvictions.load(std::memory_order_relaxed);
     return C;
   }
 
 private:
-  struct Entry {
-    std::shared_ptr<const V> Val;
-    uint64_t ChargedBytes = 0; ///< What this entry added to the gauge.
-    uint64_t Tick = 0;         ///< Last-touch stamp for LRU trimming.
-  };
-
   struct Shard {
-    mutable std::mutex M;
-    std::unordered_map<Digest, Entry, DigestHash> Map;
+    std::mutex M;
+    std::unordered_map<Digest, std::shared_ptr<const V>, DigestHash> Map;
   };
 
   Shard &shardFor(const Digest &K) {
@@ -213,26 +169,20 @@ private:
     return Shards[K.Hi % Shards.size()];
   }
 
-  uint64_t nextTick() {
-    return Clock.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
   /// Inserts \p Entry under \p K unless a racer got there first; on a
-  /// win, charges the gauge and trims. A computed entry also bumps
-  /// Inserts and writes through to the store; a \p Revived one (read
-  /// from the store) does neither: revivals would skew
-  /// insert-vs-compute accounting, and writing back what was just read
-  /// is pointless. Returns the value now cached under the key.
+  /// win, charges the gauge. A computed entry also bumps Inserts and
+  /// writes through to the store; a \p Revived one (read from the
+  /// store) does neither: revivals would skew insert-vs-compute
+  /// accounting, and writing back what was just read is pointless.
+  /// Returns the value now cached under the key.
   std::shared_ptr<const V> publish(Shard &S, const Digest &K,
                                    std::shared_ptr<const V> Entry,
                                    uint64_t ApproxBytes, bool Revived) {
     {
       std::lock_guard<std::mutex> Lock(S.M);
-      auto [It, New] =
-          S.Map.try_emplace(K, ShardedCache::Entry{Entry, ApproxBytes, 0});
-      It->second.Tick = nextTick();
+      auto [It, New] = S.Map.try_emplace(K, Entry);
       if (!New)
-        return It->second.Val;
+        return It->second;
     }
     Bytes.fetch_add(ApproxBytes, std::memory_order_relaxed);
     if (!Revived)
@@ -245,7 +195,6 @@ private:
       if (Backing.Store->put(K, Backing.Family, Backing.Version, W.bytes()))
         StorePuts.fetch_add(1, std::memory_order_relaxed);
     }
-    maybeTrim();
     return Entry;
   }
 
@@ -268,60 +217,10 @@ private:
     return nullptr;
   }
 
-  /// Evicts least-recently-touched entries until the gauge fits the
-  /// budget. One trimmer at a time; concurrent callers return
-  /// immediately (the active trimmer observes their bytes).
-  void maybeTrim() {
-    uint64_t Budget = ByteBudget.load(std::memory_order_relaxed);
-    if (Budget == 0 || Bytes.load(std::memory_order_relaxed) <= Budget)
-      return;
-    bool Expected = false;
-    if (!TrimActive.compare_exchange_strong(Expected, true,
-                                            std::memory_order_acquire))
-      return;
-
-    struct Victim {
-      uint64_t Tick;
-      uint64_t ChargedBytes;
-      uint32_t ShardIdx;
-      Digest Key;
-    };
-    std::vector<Victim> Candidates;
-    for (uint32_t SI = 0; SI < Shards.size(); ++SI) {
-      Shard &S = Shards[SI];
-      std::lock_guard<std::mutex> Lock(S.M);
-      for (const auto &[K, E] : S.Map)
-        Candidates.push_back(Victim{E.Tick, E.ChargedBytes, SI, K});
-    }
-    // Oldest first.
-    std::sort(Candidates.begin(), Candidates.end(),
-              [](const Victim &A, const Victim &B) { return A.Tick < B.Tick; });
-
-    for (const Victim &C : Candidates) {
-      if (Bytes.load(std::memory_order_relaxed) <= Budget)
-        break;
-      Shard &S = Shards[C.ShardIdx];
-      std::lock_guard<std::mutex> Lock(S.M);
-      auto It = S.Map.find(C.Key);
-      // Skip entries touched since the snapshot: they earned a
-      // reprieve (and their ChargedBytes may describe a replacement).
-      if (It == S.Map.end() || It->second.Tick != C.Tick)
-        continue;
-      Bytes.fetch_sub(It->second.ChargedBytes, std::memory_order_relaxed);
-      S.Map.erase(It);
-      TrimEvictions.fetch_add(1, std::memory_order_relaxed);
-    }
-    TrimActive.store(false, std::memory_order_release);
-  }
-
   std::vector<Shard> Shards;
   CacheStoreBacking<V> Backing;
   std::atomic<uint64_t> Hits{0}, Misses{0}, Inserts{0}, Bytes{0};
   std::atomic<uint64_t> StoreHits{0}, StoreMisses{0}, StorePuts{0};
-  std::atomic<uint64_t> TrimEvictions{0};
-  std::atomic<uint64_t> Clock{0};
-  std::atomic<uint64_t> ByteBudget{0};
-  std::atomic<bool> TrimActive{false};
 };
 
 } // namespace support

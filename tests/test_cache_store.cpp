@@ -10,8 +10,7 @@
 //    seeds: encode(decode(encode(x))) == encode(x)) and reject every
 //    truncation of a valid payload;
 //  * a ShardedCache with a store attached writes through, revives
-//    memory misses from disk, never charges a racing loser, and trims
-//    to a byte budget without ever changing an answer;
+//    memory misses from disk, and never charges a racing loser;
 //  * a warm-restart pipeline run (all-fresh caches over a populated
 //    store) is byte-identical in replayable stats JSON to the cold run
 //    that populated it.
@@ -481,16 +480,26 @@ ir::Ref randomRef(std::mt19937_64 &Rng) {
                  static_cast<int8_t>(int(Rng() % 4) - 1)};
 }
 
-/// A randomized but invariant-respecting exported CachedClusterRun:
-/// canonical conditions, in-range waiter KeyIds, distinct key slots,
-/// tuples anchored at their key, KeyIndex as the engine keeps it, no
-/// Seen sets or worklists. Odd seeds carry ResultHashes and Waiters,
-/// even seeds are settled exports.
+/// A randomized but invariant-respecting CachedClusterRun. Seeds that
+/// are multiples of 4 are flagged runs, which keep their accounting
+/// only. The others carry an exported state: canonical conditions,
+/// distinct key slots, tuples anchored at their key, KeyIndex as the
+/// engine keeps it, no traversal scaffolding and no flags.
 fscs::CachedClusterRun randomRun(uint64_t Seed) {
   std::mt19937_64 Rng(Seed);
   fscs::CachedClusterRun Run;
+  Run.Dove.DepthLevels = static_cast<uint32_t>(Rng() % 8);
+  Run.Dove.FsciQueries = static_cast<uint32_t>(Rng() % 100);
+  Run.Dove.Complete = Rng() % 2;
+  Run.Stats.Steps = Rng();
+  Run.Stats.SummaryTuples = Rng() % 1000;
+  if (Seed % 4 == 0) {
+    Run.Stats.Keys = Rng() % 1000;
+    Run.Stats.BudgetHit = Rng() % 2;
+    Run.Stats.Approximated = !Run.Stats.BudgetHit || Rng() % 2;
+    return Run;
+  }
   fscs::SummaryEngine::State &St = Run.Engine;
-  const bool Scaffold = Seed % 2;
 
   size_t NumKeys = 1 + Rng() % 5;
   while (St.Keys.size() < NumKeys) {
@@ -515,18 +524,6 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
     }
     for (size_t I = 0, N = Rng() % 4; I < N; ++I)
       K.WaiterHashes.insert(Rng());
-    if (!Scaffold)
-      continue;
-    for (size_t I = 0, N = Rng() % 6; I < N; ++I)
-      K.ResultHashes.insert(Rng());
-    for (size_t I = 0, N = 1 + Rng() % 3; I < N; ++I) {
-      fscs::SummaryEngine::Waiter Wt;
-      Wt.Dependent = static_cast<fscs::SummaryEngine::KeyId>(Rng() % NumKeys);
-      Wt.CallLoc = static_cast<ir::LocId>(Rng() % 200);
-      Wt.CondAtCall = randomCondition(Rng);
-      Wt.Consumed = Rng() % 10;
-      K.Waiters.push_back(std::move(Wt));
-    }
   }
   EXPECT_TRUE(St.rebuildKeyIndex());
   for (size_t I = 0, N = Rng() % 5; I < N; ++I) {
@@ -537,18 +534,8 @@ fscs::CachedClusterRun randomRun(uint64_t Seed) {
     auto Loc = static_cast<ir::LocId>(Rng() % 200);
     St.FsciMemo[fscs::SummaryEngine::State::fsciKey(V, Loc)] = std::move(B);
   }
-  St.Steps = Rng();
-  St.BudgetHit = Rng() % 2;
-  St.Approximated = Rng() % 2;
-
-  Run.Dove.DepthLevels = static_cast<uint32_t>(Rng() % 8);
-  Run.Dove.FsciQueries = static_cast<uint32_t>(Rng() % 100);
-  Run.Dove.Complete = Rng() % 2;
-  Run.Stats.Steps = Rng();
-  Run.Stats.SummaryTuples = Rng() % 1000;
+  St.Steps = Run.Stats.Steps;
   Run.Stats.Keys = NumKeys;
-  Run.Stats.BudgetHit = St.BudgetHit;
-  Run.Stats.Approximated = St.Approximated;
   return Run;
 }
 
@@ -591,19 +578,26 @@ TEST(StateCodec, RoundTripRandomSeeds) {
   }
 }
 
-TEST(StateCodec, SettledStateOmitsScaffoldSections) {
-  // A settled export and the same state with one waiter added differ by
-  // the two per-key scaffold sections.
-  fscs::CachedClusterRun Lean = randomRun(2);
-  ASSERT_TRUE(Lean.Engine.settled());
-  fscs::CachedClusterRun Full = Lean;
-  Full.Engine.Keys[0].Waiters.push_back(
-      fscs::SummaryEngine::Waiter{0, 1, fscs::Condition(), 0});
-  const size_t Keys = Lean.Engine.Keys.size();
-  // Per key: two counts (4 bytes each), plus one waiter of dependent,
-  // call loc, an empty condition (5 bytes) and Consumed.
-  EXPECT_EQ(encodeRun(Full).size(),
-            encodeRun(Lean).size() + Keys * 2 * 4 + 4 + 4 + 5 + 8);
+TEST(StateCodec, FlaggedRunKeepsOnlyItsAccounting) {
+  // The accounting takes 35 bytes: dovetail (4 + 4 + 1) and engine
+  // (8 + 8 + 8 + 1 + 1). A flagged run ends there; an unflagged one
+  // adds its state, here an empty one: key count, memo count, steps.
+  fscs::CachedClusterRun Flagged = randomRun(4);
+  ASSERT_TRUE(Flagged.Stats.flagged());
+  EXPECT_EQ(encodeRun(Flagged).size(), 35u);
+  fscs::CachedClusterRun Empty = Flagged;
+  Empty.Stats.BudgetHit = Empty.Stats.Approximated = false;
+  EXPECT_EQ(encodeRun(Empty).size(), 35u + 4 + 4 + 8);
+
+  fscs::CachedClusterRun Back;
+  std::vector<uint8_t> Bytes = encodeRun(Flagged);
+  ASSERT_TRUE(fscs::decodeCachedClusterRun(Bytes.data(), Bytes.size(), Back));
+  EXPECT_TRUE(Back.Engine.Keys.empty() && Back.Engine.KeyIndex.empty() &&
+              Back.Engine.FsciMemo.empty() && Back.Engine.Steps == 0);
+  EXPECT_EQ(Back.Stats.Steps, Flagged.Stats.Steps);
+  EXPECT_EQ(Back.Stats.BudgetHit, Flagged.Stats.BudgetHit);
+  EXPECT_EQ(Back.Stats.Approximated, Flagged.Stats.Approximated);
+  EXPECT_EQ(encodeRun(Back), Bytes);
 }
 
 TEST(StateCodec, RoundTripSpilledCondition) {
@@ -621,14 +615,11 @@ TEST(StateCodec, RoundTripSpilledCondition) {
   Run.Engine.Keys[0].Results.push_back(
       fscs::SummaryTuple{Run.Engine.Keys[0].R, Run.Engine.Keys[0].AnchorLoc,
                          ir::Ref{1, 0}, C});
-  Run.Engine.Keys[0].Waiters.push_back(
-      fscs::SummaryEngine::Waiter{0, 1, C, 0});
   std::vector<uint8_t> Bytes = encodeRun(Run);
   fscs::CachedClusterRun Back;
   ASSERT_TRUE(fscs::decodeCachedClusterRun(Bytes.data(), Bytes.size(), Back));
   EXPECT_EQ(Back.Engine.Keys[0].Results.back().Cond, C);
   EXPECT_EQ(Back.Engine.Keys[0].Results.back().Cond.hash(), C.hash());
-  EXPECT_EQ(Back.Engine.Keys[0].Waiters.back().CondAtCall, C);
   EXPECT_EQ(encodeRun(Back), Bytes);
 }
 
@@ -644,8 +635,9 @@ TEST(StateCodec, FsciMemoEncodesInAscendingOrder) {
   std::vector<uint8_t> Bytes = encodeRun(Run);
 
   ByteReader R(Bytes.data(), Bytes.size());
-  EXPECT_EQ(R.u32(), 0u); // No keys...
-  EXPECT_EQ(R.u8(), 0u);  // ...and so no scaffold.
+  for (int I = 0; I < 35; ++I)
+    R.u8(); // The unflagged accounting...
+  EXPECT_EQ(R.u32(), 0u); // ...and no keys.
   ASSERT_EQ(R.u32(), std::size(Inserted));
   std::vector<std::pair<ir::VarId, ir::LocId>> Written;
   for (size_t I = 0; I < std::size(Inserted); ++I) {
@@ -670,7 +662,7 @@ TEST(StateCodec, FsciMemoEncodesInAscendingOrder) {
 
   // The decoder holds the order strict: two entries swapped, or one
   // written twice, is rejected.
-  const size_t First = 4 + 1 + 4, Entry = 24;
+  const size_t First = 35 + 4 + 4, Entry = 24;
   std::vector<uint8_t> Swapped = Bytes;
   std::swap_ranges(Swapped.begin() + First, Swapped.begin() + First + Entry,
                    Swapped.begin() + First + Entry);
@@ -688,7 +680,8 @@ TEST(StateCodec, FsciMemoEncodesInAscendingOrder) {
 }
 
 TEST(StateCodec, EveryTruncationRejected) {
-  for (uint64_t Seed : {41u, 42u}) {
+  // Seed 44 is a flagged run, 41 carries a state.
+  for (uint64_t Seed : {41u, 44u}) {
     std::vector<uint8_t> Bytes = encodeRun(randomRun(Seed));
     ASSERT_GT(Bytes.size(), 4u);
     for (size_t Len = 0; Len < Bytes.size(); ++Len) {
@@ -702,30 +695,33 @@ TEST(StateCodec, EveryTruncationRejected) {
 TEST(StateCodec, InvalidStructuresRejected) {
   fscs::CachedClusterRun Run = randomRun(7);
   {
-    // Out-of-range waiter KeyId.
-    fscs::CachedClusterRun Bad = Run;
-    fscs::SummaryEngine::Waiter Wt;
-    Wt.Dependent = 1000;
-    Wt.CallLoc = 0;
-    Bad.Engine.Keys[0].Waiters.push_back(Wt);
-    EXPECT_FALSE(decodes(encodeRun(Bad)));
-  }
-  {
     // Two keys in one index slot.
     fscs::CachedClusterRun Bad = Run;
     Bad.Engine.Keys.push_back(Bad.Engine.Keys[0]);
     EXPECT_FALSE(decodes(encodeRun(Bad)));
   }
-  {
-    // Scaffold byte set although no key carries scaffolding: with no
-    // keys the sections are trivially empty.
-    fscs::CachedClusterRun Empty;
-    std::vector<uint8_t> Bytes = encodeRun(Empty);
+  // The flag bytes sit at offsets 33 (BudgetHit) and 34
+  // (Approximated), at the end of the accounting.
+  for (size_t Flag : {33u, 34u}) {
+    // A flagged record that carries a state.
+    std::vector<uint8_t> Bytes = encodeRun(Run);
     ASSERT_TRUE(decodes(Bytes));
-    Bytes[4] = 1;
+    Bytes[Flag] = 1;
+    EXPECT_FALSE(decodes(Bytes)) << "flag at " << Flag;
+  }
+  {
+    // An unflagged record that lacks one.
+    std::vector<uint8_t> Bytes = encodeRun(randomRun(8));
+    ASSERT_TRUE(decodes(Bytes));
+    Bytes[33] = Bytes[34] = 0;
     EXPECT_FALSE(decodes(Bytes));
-    Bytes[4] = 2;
-    EXPECT_FALSE(decodes(Bytes));
+  }
+  // A flag byte other than 0 or 1 (Complete at offset 8) would
+  // re-encode differently.
+  for (size_t Flag : {8u, 33u, 34u}) {
+    std::vector<uint8_t> Bytes = encodeRun(randomRun(8));
+    Bytes[Flag] = 2;
+    EXPECT_FALSE(decodes(Bytes)) << "flag at " << Flag;
   }
   {
     // Trailing garbage.
@@ -897,50 +893,7 @@ TEST(ShardedCacheRace, LoserPaysNothing) {
   auto H = Hot.counters();
   EXPECT_EQ(H.Inserts, 1u);
   EXPECT_EQ(H.Bytes, 128u);
-  EXPECT_EQ(Hot.size(), 1u);
-}
-
-TEST(ShardedCacheTrim, EvictsToBudgetOldestFirst) {
-  support::ShardedCache<int> Cache;
-  Cache.setByteBudget(500);
-  for (uint64_t I = 0; I < 10; ++I)
-    Cache.insert(key(I, I + 100), int(I), 100);
-  auto C = Cache.counters();
-  EXPECT_LE(C.Bytes, 500u) << "gauge trimmed to budget";
-  EXPECT_GT(C.TrimEvictions, 0u);
-  EXPECT_LE(Cache.size(), 5u);
-  // The most recent insert survives (oldest-first eviction).
-  EXPECT_NE(Cache.lookup(key(9, 109)), nullptr);
-}
-
-TEST(ShardedCacheTrim, TrimOnlyCausesReMisses) {
-  // Identity oracle: with a store attached, a trimmed entry revives
-  // from disk with the same value; without one it is a plain re-miss.
-  // Either way the *answer* to a lookup-insert-lookup protocol is
-  // unchanged -- only hit accounting moves.
-  TempDir Dir;
-  core::SliceCache Cache;
-  core::attachSliceStore(Cache, CacheStore::open(Dir.Path));
-  Cache.setByteBudget(300);
-
-  auto SliceFor = [](uint32_t I) {
-    core::RelevantSlice S;
-    S.Statements = {I, I + 1, I + 2};
-    S.TrackedRefs = {ir::Ref::direct(I)};
-    return S;
-  };
-  for (uint32_t I = 0; I < 12; ++I)
-    Cache.insert(key(I, 1000 + I), SliceFor(I), 100);
-  EXPECT_GT(Cache.counters().TrimEvictions, 0u);
-
-  // Every key still resolves to its original value -- evicted entries
-  // come back from the store bit-equal.
-  for (uint32_t I = 0; I < 12; ++I) {
-    auto V = Cache.lookup(key(I, 1000 + I));
-    ASSERT_NE(V, nullptr) << I;
-    EXPECT_EQ(V->Statements, SliceFor(I).Statements) << I;
-    EXPECT_EQ(V->TrackedRefs, SliceFor(I).TrackedRefs) << I;
-  }
+  EXPECT_EQ((*Hot.lookup(HK))[0], 7);
 }
 
 //===--------------------------------------------------------------------===//
