@@ -72,45 +72,6 @@ void ClusterAliasAnalysis::ensurePrepared() { prepare(); }
 // FSCI queries
 //===--------------------------------------------------------------------===//
 
-/// The FSCI caller-walk shared by the full and definite-only queries:
-/// resolve origins at \p Loc, then splice unresolved ones through every
-/// caller chain (Algorithm 3's any-context union).
-SparseBitVector ClusterAliasAnalysis::walkOrigins(SummaryEngine &E, VarId V,
-                                                  LocId Loc) {
-  SparseBitVector Objects;
-  std::unordered_set<uint64_t> Visited;
-  std::deque<std::pair<FuncId, Ref>> Queue;
-
-  auto Handle = [&](FuncId Owner, std::vector<SummaryTuple> Tuples) {
-    for (SummaryTuple &T : Tuples) {
-      if (!E.satisfiable(T.Cond))
-        continue;
-      if (T.isResolved()) {
-        Objects.set(T.Origin.Var);
-        continue;
-      }
-      if (Owner == Prog.entryFunction() || CG.callers(Owner).empty()) {
-        // Value flows from an uninitialized entry state: the chain is
-        // complete (it has no origin object).
-        continue;
-      }
-      uint64_t H = (uint64_t(Owner) << 34) ^ refHash(T.Origin);
-      if (Visited.insert(H).second)
-        Queue.emplace_back(Owner, T.Origin);
-    }
-  };
-
-  Handle(Prog.loc(Loc).Owner, E.originsBefore(Loc, Ref::direct(V)));
-  while (!Queue.empty()) {
-    auto [F, W] = Queue.front();
-    Queue.pop_front();
-    for (FuncId Caller : CG.callers(F))
-      for (LocId C : CG.callSites(Caller, F))
-        Handle(Caller, E.originsBefore(C, W));
-  }
-  return Objects;
-}
-
 const ClusterAliasAnalysis::PointsToResult &
 ClusterAliasAnalysis::pointsToRef(VarId V, LocId Loc) {
   ensurePrepared();
@@ -119,7 +80,7 @@ ClusterAliasAnalysis::pointsToRef(VarId V, LocId Loc) {
   if (M.Version == Before)
     return M.Answer;
   ++NumWalks;
-  M.Answer.Objects = walkOrigins(*Engine, V, Loc).toVector();
+  M.Answer.Objects = Engine->walkOrigins(V, Loc).toVector();
   M.Answer.Complete =
       !Engine->budgetExhausted() && !Engine->hasApproximation();
   // A walk that changed the engine (new keys, results, flags) is not a
@@ -158,7 +119,7 @@ SummaryEngine &ClusterAliasAnalysis::definiteEngine() {
 ClusterAliasAnalysis::PointsToResult
 ClusterAliasAnalysis::pointsToDefinite(VarId V, LocId Loc) {
   PointsToResult Out;
-  Out.Objects = walkOrigins(definiteEngine(), V, Loc).toVector();
+  Out.Objects = definiteEngine().walkOrigins(V, Loc).toVector();
   // Definite-only results under-approximate: a "no" verdict needs the
   // fully prepared analysis, so the result is never complete.
   Out.Complete = false;

@@ -182,7 +182,6 @@ private:
   };
 
   void ensurePrepared();
-  SparseBitVector walkOrigins(SummaryEngine &E, ir::VarId V, ir::LocId Loc);
   SummaryEngine &definiteEngine();
 
   const ir::Program &Prog;

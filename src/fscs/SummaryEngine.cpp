@@ -17,9 +17,9 @@ uint64_t refHash(Ref R) {
   return (uint64_t(R.Var) << 2) | uint64_t(uint8_t(R.Deref + 1));
 }
 
-/// KeyIndex slot of the summary key (Loc, R).
-SummaryEngine::State::KeySlot keySlot(LocId Loc, Ref R) {
-  return std::make_pair(Loc, refHash(R));
+/// ResultHashes entry of the result (Origin, Cond).
+uint64_t resultHash(Ref Origin, const Condition &Cond) {
+  return refHash(Origin) * 0x100000001b3ull ^ Cond.hash();
 }
 
 uint64_t tupleHash(LocId M, Ref Q, const Condition &Cond) {
@@ -127,17 +127,18 @@ bool SummaryEngine::mayModify(FuncId G, Ref Q) {
 //===--------------------------------------------------------------------===//
 
 SummaryEngine::KeyId SummaryEngine::ensureKey(LocId Loc, Ref R) {
-  auto MapKey = keySlot(Loc, R);
-  auto It = St.KeyIndex.find(MapKey);
-  if (It != St.KeyIndex.end())
-    return It->second;
+  assert(Loc < Prog.numLocs() && R.Deref >= -1 && R.Deref <= 1);
+  const uint64_t IndexKey = State::indexKey(Loc, R.Var);
+  if (const State::KeySlots *Slots = St.KeyIndex.find(IndexKey))
+    if (Slots->ByDeref[R.Deref + 1] != State::NoKey)
+      return Slots->ByDeref[R.Deref + 1];
   KeyId K = static_cast<KeyId>(St.Keys.size());
   St.Keys.emplace_back();
   KeyActive.push_back(0);
   FeedQueued.push_back(0);
   St.Keys[K].AnchorLoc = Loc;
   St.Keys[K].R = R;
-  St.KeyIndex.emplace(MapKey, K);
+  St.KeyIndex[IndexKey].ByDeref[R.Deref + 1] = K;
   ++Version;
 
   if (R.Deref < 0) {
@@ -173,7 +174,7 @@ void SummaryEngine::addResult(KeyId K, Ref Origin, const Condition &Cond) {
   // condition variants without bound.
   const Condition &Effective =
       KS.Results.size() >= Opts.MaxResultsPerKey ? TrueCondition : Cond;
-  uint64_t H = refHash(Origin) * 0x100000001b3ull ^ Effective.hash();
+  uint64_t H = resultHash(Origin, Effective);
   // Most candidates repeat a kept tuple, so the hash is checked first.
   // satisfiable() has no side effects, and on a known hash checking it
   // first would end in the same return: the order changes no outcome.
@@ -208,6 +209,15 @@ void SummaryEngine::feedWaiter(KeyId Provider, size_t WaiterIdx) {
     const LocId CallLoc = W.CallLoc;
     const Ref Origin = R.Origin;
     const bool Resolved = R.isResolved();
+    // At the cap, addResult() records (Origin, true) whatever the merged
+    // condition is, and a false merge records nothing: when the dependent
+    // holds that tuple already, the merge cannot change anything.
+    if (Resolved) {
+      const KeyState &DS = St.Keys[Dependent];
+      if (DS.Results.size() >= Opts.MaxResultsPerKey &&
+          DS.ResultHashes.contains(resultHash(Origin, TrueCondition)))
+        continue;
+    }
     Condition Merged = W.CondAtCall.conjoinAll(R.Cond, Opts.MaxCondAtoms);
     if (Merged.isFalse())
       continue;
@@ -661,11 +671,11 @@ std::vector<SummaryTuple> SummaryEngine::originsBefore(LocId Loc, Ref R) {
   }
   U64HashSet Seen;
   for (LocId P : L.Preds) {
-    for (SummaryTuple &T : summaryAt(P, R)) {
-      uint64_t H = refHash(T.Origin) * 0x100000001b3ull ^ T.Cond.hash();
-      if (Seen.insert(H))
-        Out.push_back(std::move(T));
-    }
+    KeyId K = ensureKey(P, R);
+    drain();
+    for (const SummaryTuple &T : St.Keys[K].Results)
+      if (Seen.insert(resultHash(T.Origin, T.Cond)))
+        Out.push_back(T);
   }
   return Out;
 }
@@ -674,13 +684,22 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
   const uint64_t MemoKey = State::fsciKey(V, Loc);
   if (const SparseBitVector *Known = St.FsciMemo.find(MemoKey))
     return *Known;
+  SparseBitVector Objects = walkOrigins(V, Loc);
+  // Inserted only now: satisfiable() in the walk must not see a partial
+  // set.
+  SparseBitVector &Memo = St.FsciMemo[MemoKey];
+  Memo = std::move(Objects);
+  ++Version;
+  return Memo;
+}
 
+SparseBitVector SummaryEngine::walkOrigins(VarId V, LocId Loc) {
   SparseBitVector Objects;
   U64HashSet Visited;
   VectorFifo<std::pair<FuncId, Ref>> Queue;
 
-  auto Handle = [&](FuncId Owner, std::vector<SummaryTuple> Tuples) {
-    for (SummaryTuple &T : Tuples) {
+  auto Handle = [&](FuncId Owner, const std::vector<SummaryTuple> &Tuples) {
+    for (const SummaryTuple &T : Tuples) {
       if (!satisfiable(T.Cond))
         continue;
       if (T.isResolved()) {
@@ -701,16 +720,10 @@ const SparseBitVector &SummaryEngine::fsciPointsTo(VarId V, LocId Loc) {
   while (!Queue.empty()) {
     auto [F, W] = Queue.front();
     Queue.pop_front();
-    for (FuncId Caller : CG.callers(F))
-      for (LocId C : CG.callSites(Caller, F))
-        Handle(Caller, originsBefore(C, W));
+    for (auto [Caller, Site] : CG.callSitesOf(F))
+      Handle(Caller, originsBefore(Site, W));
   }
-
-  // Inserted only now: satisfiable() above must not see a partial set.
-  SparseBitVector &Memo = St.FsciMemo[MemoKey];
-  Memo = std::move(Objects);
-  ++Version;
-  return Memo;
+  return Objects;
 }
 
 uint64_t SummaryEngine::numSummaryTuples() const {
@@ -758,11 +771,7 @@ uint64_t SummaryEngine::State::approxBytes() const {
     for (const SummaryTuple &T : KS.Results)
       N += T.Cond.heapBytes();
   }
-  // One node per entry (value plus chain and cached-hash words) and one
-  // bucket pointer each.
-  N += KeyIndex.size() * (sizeof(std::pair<KeySlot, KeyId>) + 16) +
-       KeyIndex.bucket_count() * sizeof(void *);
-  N += FsciMemo.slotBytes();
+  N += KeyIndex.slotBytes() + FsciMemo.slotBytes();
   FsciMemo.forEach([&N](uint64_t, const SparseBitVector &Bits) {
     N += Bits.approxBytes();
   });
@@ -770,10 +779,17 @@ uint64_t SummaryEngine::State::approxBytes() const {
 }
 
 bool SummaryEngine::State::rebuildKeyIndex() {
-  KeyIndex.clear();
-  for (KeyId K = 0; K < Keys.size(); ++K)
-    if (!KeyIndex.emplace(keySlot(Keys[K].AnchorLoc, Keys[K].R), K).second)
+  KeyIndex = U64FlatMap<KeySlots>();
+  for (KeyId K = 0; K < Keys.size(); ++K) {
+    const uint64_t IndexKey = indexKey(Keys[K].AnchorLoc, Keys[K].R.Var);
+    const int Slot = Keys[K].R.Deref + 1;
+    if (IndexKey == U64FlatMap<KeySlots>::EmptyKey || Slot < 0 || Slot > 3)
       return false;
+    KeyId &Entry = KeyIndex[IndexKey].ByDeref[Slot];
+    if (Entry != NoKey)
+      return false;
+    Entry = K;
+  }
   return true;
 }
 

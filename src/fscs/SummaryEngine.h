@@ -141,6 +141,12 @@ public:
   /// reference lasts until the next call computes a new set.
   const SparseBitVector &fsciPointsTo(ir::VarId V, ir::LocId Loc);
 
+  /// The caller walk behind fsciPointsTo(), unmemoized: resolves the
+  /// origins of \p V before \p Loc, then splices each unresolved one
+  /// into every call site of every caller of its function (Algorithm
+  /// 3's any-context union), the entry function's callers included.
+  SparseBitVector walkOrigins(ir::VarId V, ir::LocId Loc);
+
   /// Best-effort satisfiability of \p Cond against memoized FSCI
   /// information; unknown atoms count as satisfiable.
   bool satisfiable(const Condition &Cond);
@@ -250,19 +256,23 @@ public:
   /// inputs -- the SummaryCache guarantees that identity by keying
   /// entries on a content digest of exactly those inputs.
   struct State {
-    using KeySlot = std::pair<ir::LocId, uint64_t>;
-    struct KeySlotHash {
-      size_t operator()(const KeySlot &S) const {
-        return static_cast<size_t>(
-            (S.second ^ (uint64_t(S.first) << 34)) * 0x9e3779b97f4a7c15ull >>
-            16);
-      }
+    static constexpr KeyId NoKey = ~KeyId(0);
+
+    /// The keys anchored at one (AnchorLoc, R.Var), one slot per
+    /// R.Deref + 1. The IR's refs use -1, 0 and 1. A fourth slot costs
+    /// nothing (a table slot takes 24 bytes with three KeyIds or four),
+    /// so rebuildKeyIndex() also indexes a decoded Deref of 2.
+    struct KeySlots {
+      KeyId ByDeref[4] = {NoKey, NoKey, NoKey, NoKey};
+      bool operator==(const KeySlots &) const = default;
     };
 
     std::vector<KeyState> Keys;
-    /// (AnchorLoc, R) slot -> key. Never serialized (the codec rebuilds
-    /// it), so its iteration order is free.
-    std::unordered_map<KeySlot, KeyId, KeySlotHash> KeyIndex;
+    /// indexKey(AnchorLoc, R.Var) -> the keys with that anchor and
+    /// variable. Lossless: distinct (AnchorLoc, R) never share a slot.
+    /// Never serialized (the codec rebuilds it), so its iteration order
+    /// is free.
+    U64FlatMap<KeySlots> KeyIndex;
     /// FSCI points-to set of V just before Loc, keyed by fsciKey(V,
     /// Loc). Read about ten times per traversal step (satisfiable()
     /// and the transfer's points-to oracles), so it is one flat table;
@@ -278,9 +288,17 @@ public:
       return (uint64_t(V) << 32) | Loc;
     }
 
+    /// KeyIndex key of (AnchorLoc, Var). The one unstorable key is
+    /// (InvalidLoc, InvalidVar); an engine anchors keys at real
+    /// locations only.
+    static uint64_t indexKey(ir::LocId AnchorLoc, ir::VarId Var) {
+      return (uint64_t(AnchorLoc) << 32) | Var;
+    }
+
     /// Rebuilds KeyIndex from every key's (AnchorLoc, R), the mapping
     /// ensureKey() maintains. Returns false if two keys share an index
-    /// slot, which no engine run produces.
+    /// slot or a key has no slot (a Deref outside -1..2, or the
+    /// unstorable index key), which no engine run produces.
     bool rebuildKeyIndex();
 
     /// Payload-size estimate of an exported state for the cache's byte
@@ -314,6 +332,10 @@ private:
   /// Records (Origin, Cond) as a result of key \p K. A duplicate is
   /// rejected on its hash before the condition is checked or copied.
   void addResult(KeyId K, ir::Ref Origin, const Condition &Cond);
+  /// Splices the provider's results the waiter has not consumed yet. A
+  /// resolved result fed into a dependent at the result cap is skipped
+  /// before its merge when the dependent already holds (Origin, true):
+  /// addResult() would record exactly that tuple, whatever the merge.
   void feedWaiter(KeyId Provider, size_t WaiterIdx);
   void drain();
   /// Not re-entrant: it reuses one outcome buffer, and nothing it calls

@@ -18,6 +18,7 @@
 #include "ir/Ir.h"
 #include "support/Scc.h"
 
+#include <utility>
 #include <vector>
 
 namespace bsaa {
@@ -40,9 +41,13 @@ public:
     return CallerLists[F];
   }
 
-  /// Call locations inside \p Caller whose callee set contains
-  /// \p Callee.
-  std::vector<LocId> callSites(FuncId Caller, FuncId Callee) const;
+  /// Every (caller, call location) whose callee set contains \p Callee:
+  /// callers in callers() order, each caller's sites in ascending
+  /// location order.
+  const std::vector<std::pair<FuncId, LocId>> &
+  callSitesOf(FuncId Callee) const {
+    return CallSiteLists[Callee];
+  }
 
   /// All call locations inside \p Caller.
   const std::vector<LocId> &callLocations(FuncId Caller) const {
@@ -62,10 +67,10 @@ public:
   std::vector<FuncId> reverseTopologicalOrder() const;
 
 private:
-  const Program &Prog;
   std::vector<std::vector<FuncId>> CalleeLists;
   std::vector<std::vector<FuncId>> CallerLists;
   std::vector<std::vector<LocId>> CallLocs;
+  std::vector<std::vector<std::pair<FuncId, LocId>>> CallSiteLists;
   SccResult Sccs;
   std::vector<uint8_t> SelfLoop;
 };

@@ -14,9 +14,9 @@
 ///    uint64_t value is storable, 0 included (it is tracked out of band
 ///    because an all-zero slot marks "empty").
 ///  * U64FlatMap -- the same table with a value beside each key, for
-///    lookup-heavy maps that std::map would keep as a tree of nodes.
-///    One key, U64FlatMap::EmptyKey, marks an empty slot and is not
-///    storable.
+///    lookup-heavy maps that std::map or std::unordered_map would keep
+///    as nodes. One key, U64FlatMap::EmptyKey, marks an empty slot and
+///    is not storable.
 ///  * VectorFifo -- a FIFO queue over a vector plus a head index. Unlike
 ///    std::deque it is nothrow-movable, so a std::vector of structs that
 ///    hold one relocates by move instead of deep-copying every element,
@@ -209,6 +209,21 @@ public:
   /// Bytes of the slot array: what the map costs in memory besides what
   /// its values hold on the heap.
   size_t slotBytes() const { return Slots.size() * sizeof(Slot); }
+
+  /// Same keys with equal values, whatever either table's capacity and
+  /// insertion history.
+  friend bool operator==(const U64FlatMap &A, const U64FlatMap &B) {
+    if (A.size() != B.size())
+      return false;
+    for (const Slot &S : A.Slots) {
+      if (S.Key == EmptyKey)
+        continue;
+      const T *Other = B.find(S.Key);
+      if (!Other || !(*Other == S.Value))
+        return false;
+    }
+    return true;
+  }
 
 private:
   static constexpr size_t MinSlots = 8;

@@ -700,6 +700,17 @@ TEST(StateCodec, InvalidStructuresRejected) {
     Bad.Engine.Keys.push_back(Bad.Engine.Keys[0]);
     EXPECT_FALSE(decodes(encodeRun(Bad)));
   }
+  {
+    // A key with no index slot: a Deref outside -1..2, or the one key
+    // the flat index cannot hold.
+    fscs::CachedClusterRun Bad = Run;
+    Bad.Engine.Keys[0].R.Deref = 3;
+    EXPECT_FALSE(decodes(encodeRun(Bad)));
+    Bad = Run;
+    Bad.Engine.Keys[0].AnchorLoc = ir::InvalidLoc;
+    Bad.Engine.Keys[0].R.Var = ir::InvalidVar;
+    EXPECT_FALSE(decodes(encodeRun(Bad)));
+  }
   // The flag bytes sit at offsets 33 (BudgetHit) and 34
   // (Approximated), at the end of the accounting.
   for (size_t Flag : {33u, 34u}) {

@@ -10,6 +10,7 @@
 #include "frontend/Parser.h"
 #include "ir/CallGraph.h"
 #include "ir/Dumper.h"
+#include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -366,6 +367,84 @@ TEST(Lower, RecursionIsDetected) {
   EXPECT_TRUE(CG.isRecursive(P->findFunction("a")));
   EXPECT_TRUE(CG.isRecursive(P->findFunction("b")));
   EXPECT_FALSE(CG.isRecursive(P->findFunction("main")));
+}
+
+namespace {
+
+/// callSitesOf(Callee) as a scan of each caller's call locations.
+std::vector<std::pair<ir::FuncId, ir::LocId>>
+scanCallSites(const ir::Program &P, const ir::CallGraph &CG,
+              ir::FuncId Callee) {
+  std::vector<std::pair<ir::FuncId, ir::LocId>> Sites;
+  for (ir::FuncId Caller : CG.callers(Callee))
+    for (ir::LocId L : CG.callLocations(Caller)) {
+      const std::vector<ir::FuncId> &Cs = P.loc(L).Callees;
+      if (std::find(Cs.begin(), Cs.end(), Callee) != Cs.end())
+        Sites.emplace_back(Caller, L);
+    }
+  return Sites;
+}
+
+} // namespace
+
+TEST(CallGraph, CallSitesOfMatchesPerCallerScan) {
+  // Self-recursion with two sites, indirect calls that resolve to two
+  // callees, and callees reached from several callers.
+  auto P = compileOk(R"(
+    int *f(int *p) { return p; }
+    int *g(int *p) { return f(p); }
+    void rec(int *p) { if (nondet) { rec(p); } f(p); rec(NULL); }
+    void main(void) {
+      fptr_t fp;
+      int a; int *x;
+      fp = &f;
+      if (nondet) { fp = &g; }
+      x = fp(&a);
+      rec(x);
+      x = g(x);
+      x = fp(x);
+    }
+  )");
+  ir::CallGraph CG(*P);
+  ir::FuncId F = P->findFunction("f"), G = P->findFunction("g"),
+             Rec = P->findFunction("rec"), Main = P->findFunction("main");
+  for (ir::FuncId Callee = 0; Callee < P->numFuncs(); ++Callee)
+    EXPECT_EQ(CG.callSitesOf(Callee), scanCallSites(*P, CG, Callee))
+        << P->func(Callee).Name;
+  // f: g's site, rec's site, main's two indirect sites, callers first
+  // by callers() order.
+  const auto &OfF = CG.callSitesOf(F);
+  ASSERT_EQ(OfF.size(), 4u);
+  EXPECT_EQ(CG.callers(F).size(), 3u);
+  EXPECT_EQ(std::count_if(OfF.begin(), OfF.end(),
+                          [&](const auto &S) { return S.first == Main; }),
+            2);
+  // rec calls itself at two sites, in ascending order.
+  std::vector<ir::LocId> SelfSites;
+  for (auto [Caller, L] : CG.callSitesOf(Rec))
+    if (Caller == Rec)
+      SelfSites.push_back(L);
+  ASSERT_EQ(SelfSites.size(), 2u);
+  EXPECT_LT(SelfSites[0], SelfSites[1]);
+  // g: main's direct call and both indirect ones.
+  EXPECT_EQ(CG.callSitesOf(G).size(), 3u);
+  EXPECT_TRUE(CG.callSitesOf(Main).empty());
+
+  // Generated programs: recursion, function pointers, many callers.
+  for (uint64_t Seed : {3u, 17u, 29u}) {
+    workload::GeneratorConfig Cfg;
+    Cfg.Seed = Seed;
+    Cfg.NumFunctions = 24;
+    Cfg.RecursionPercent = 20;
+    Cfg.FunctionPointers = true;
+    Diagnostics Diags;
+    auto Gen = compileString(workload::generateProgram(Cfg), Diags);
+    ASSERT_TRUE(Gen != nullptr) << Diags.toString();
+    ir::CallGraph GenCG(*Gen);
+    for (ir::FuncId Callee = 0; Callee < Gen->numFuncs(); ++Callee)
+      EXPECT_EQ(GenCG.callSitesOf(Callee), scanCallSites(*Gen, GenCG, Callee))
+          << "seed " << Seed << " callee " << Callee;
+  }
 }
 
 TEST(Lower, PrototypeOnlyFunctionsAreNoOps) {

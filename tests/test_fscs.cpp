@@ -722,3 +722,26 @@ TEST(Fscs, FunctionPointerCalleesUnion) {
   EXPECT_EQ(objectNames(C, R.Objects),
             (std::vector<std::string>{"fa::a", "fb::b"}));
 }
+
+TEST(Fscs, EntryFunctionCallersReachTheWalk) {
+  // main is called from f: the entry value of g in main's second
+  // activation is &b, which f stored. Both the served query and the
+  // FSCI set must see it.
+  Compiled C = compile(R"(
+    int *g; int a; int b;
+    void f(void) { g = &b; main(); }
+    void main(void) {
+      int *p;
+      1a: p = g;
+      2a: g = &a;
+      3a: f();
+    }
+  )");
+  ClusterAliasAnalysis AA(*C.Prog, *C.CG, *C.Steens, C.Whole);
+  auto R = AA.pointsTo(C.var("g"), C.label("1a"));
+  EXPECT_EQ(objectNames(C, R.Objects), std::vector<std::string>{"b"});
+  EXPECT_TRUE(R.Complete);
+  SummaryEngine E(*C.Prog, *C.CG, *C.Steens, C.Whole);
+  EXPECT_EQ(objectNames(C, E.fsciPointsTo(C.var("g"), C.label("1a")).toVector()),
+            std::vector<std::string>{"b"});
+}

@@ -586,7 +586,8 @@ struct PinnedRun {
   support::Digest Bytes;
 };
 
-PinnedRun pinRun(uint64_t Seed, uint64_t StepBudget) {
+PinnedRun pinRun(uint64_t Seed, uint64_t StepBudget,
+                 size_t MaxResultsPerKey) {
   workload::GeneratorConfig Cfg;
   Cfg.Seed = Seed;
   Cfg.NumFunctions = 12;
@@ -598,6 +599,7 @@ PinnedRun pinRun(uint64_t Seed, uint64_t StepBudget) {
   EXPECT_TRUE(P != nullptr) << Diags.toString();
   core::BootstrapOptions Opts = baseOptions();
   Opts.EngineOpts.StepBudget = StepBudget;
+  Opts.EngineOpts.MaxResultsPerKey = MaxResultsPerKey;
   Opts.SummaryCache = std::make_shared<fscs::SummaryCache>();
   core::BootstrapResult R = runIsolated(*P, Opts);
   PinnedRun Out;
@@ -628,15 +630,19 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
   // memory layout may change; the traversal and every tuple may not.
   // The byte digests are of summary codec version 3; each unflagged
   // record holds exactly the sections of its version-2 record, and a
-  // flagged one its accounting alone.
+  // flagged one its accounting alone. The MaxResultsPerKey = 2 rows
+  // collapse almost every key to unconditional results, so nearly every
+  // splice feeds a full dependent key; they were captured from the
+  // engine that still merged every such feed.
   struct Pinned {
     uint64_t Seed;
     uint64_t StepBudget;
+    size_t MaxResultsPerKey;
     const char *Clusters;
     support::Digest Bytes;
   };
   const Pinned Runs[] = {
-      {61, 0,
+      {61, 0, 48,
        "14362/7487/753/00 16472/7268/590/00 15811/7116/503/00 "
        "845/117/117/00 1747/267/201/00 4265/942/450/00 "
        "2477/364/271/00 874/119/119/00 879/119/119/00 882/119/119/00 "
@@ -645,7 +651,7 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
        "2/1/1/00 2/1/1/00 62/31/31/00 62/31/31/00 62/31/31/00 "
        "62/31/31/00 62/31/31/00 ",
        {0xd0a72e382a17e331ull, 0x4b322bd174c50223ull}},
-      {61, 2000,
+      {61, 2000, 48,
        "2000/332/174/10 2000/2017/167/10 2000/2017/167/10 "
        "845/117/117/00 1747/267/201/00 2000/300/229/10 "
        "2000/275/220/10 874/119/119/00 879/119/119/00 882/119/119/00 "
@@ -654,7 +660,7 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
        "2/1/1/00 2/1/1/00 62/31/31/00 62/31/31/00 62/31/31/00 "
        "62/31/31/00 62/31/31/00 ",
        {0x85e6fd53dce6102bull, 0xb67685e56a592a5bull}},
-      {67, 0,
+      {67, 0, 48,
        "849/107/70/00 883/108/71/00 305/30/30/00 5002/1014/542/00 "
        "867/113/113/00 662/83/83/00 32840/11449/701/00 "
        "32720/11438/695/00 908/92/92/00 2/1/1/00 2/1/1/00 2/1/1/00 "
@@ -663,7 +669,7 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
        "6/3/3/00 58/29/29/00 58/29/29/00 58/29/29/00 58/29/29/00 "
        "58/29/29/00 6/3/3/00 ",
        {0xead26ad6c7022f66ull, 0xf3f61541e4c9dbb8ull}},
-      {67, 2000,
+      {67, 2000, 48,
        "849/107/70/00 883/108/71/00 305/30/30/00 2000/314/210/10 "
        "867/113/113/00 662/83/83/00 2000/545/178/10 2000/545/178/10 "
        "908/92/92/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 "
@@ -671,7 +677,7 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
        "58/29/29/00 58/29/29/00 58/29/29/00 6/3/3/00 58/29/29/00 "
        "58/29/29/00 58/29/29/00 58/29/29/00 58/29/29/00 6/3/3/00 ",
        {0xb11560bfee981487ull, 0x9b7fc00e94dde7c9ull}},
-      {71, 0,
+      {71, 0, 48,
        "177743/14121/1402/00 158162/12506/1089/00 9374/599/479/00 "
        "9155/587/470/00 10289/635/516/00 3289/216/216/00 "
        "3289/216/216/00 3285/216/216/00 2963/195/195/00 2/1/1/00 "
@@ -680,7 +686,7 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
        "46/23/23/00 46/23/23/00 50/25/25/00 50/25/25/00 44/22/22/00 "
        "8/4/4/00 50/25/25/00 50/25/25/00 50/25/25/00 ",
        {0x0cade3d8f8783937ull, 0x03001c28f1775be6ull}},
-      {71, 2000,
+      {71, 2000, 48,
        "2000/139/146/10 2000/139/146/10 2000/139/146/10 "
        "2000/139/146/10 2000/139/146/10 2000/139/146/10 "
        "2000/139/146/10 2000/139/146/10 2000/139/146/10 2/1/1/00 "
@@ -689,13 +695,51 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
        "46/23/23/00 46/23/23/00 50/25/25/00 50/25/25/00 44/22/22/00 "
        "8/4/4/00 50/25/25/00 50/25/25/00 50/25/25/00 ",
        {0x722d81473fd89e3full, 0xc52e9e29e5649915ull}},
+      {61, 0, 2,
+       "13879/2913/753/00 10019/2555/590/00 9358/2403/503/00 "
+       "845/117/117/00 1747/274/201/00 4265/946/450/00 "
+       "2477/371/271/00 874/119/119/00 879/119/119/00 882/119/119/00 "
+       "866/119/119/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 "
+       "2/1/1/00 62/31/31/00 2/1/1/00 62/31/31/00 62/31/31/00 "
+       "2/1/1/00 2/1/1/00 62/31/31/00 62/31/31/00 62/31/31/00 "
+       "62/31/31/00 62/31/31/00 ",
+       {0x62fe5700019dec57ull, 0xfea202fdc63c12b8ull}},
+      {61, 2000, 2,
+       "2000/341/174/10 2000/588/177/10 2000/588/177/10 "
+       "845/117/117/00 1747/274/201/00 2000/304/229/10 "
+       "2000/282/220/10 874/119/119/00 879/119/119/00 882/119/119/00 "
+       "866/119/119/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 "
+       "2/1/1/00 62/31/31/00 2/1/1/00 62/31/31/00 62/31/31/00 "
+       "2/1/1/00 2/1/1/00 62/31/31/00 62/31/31/00 62/31/31/00 "
+       "62/31/31/00 62/31/31/00 ",
+       {0xb62be2ba5990c089ull, 0xe99c909b424a7101ull}},
+      {67, 0, 2,
+       "849/95/70/00 883/96/71/00 305/30/30/00 4944/975/542/00 "
+       "867/113/113/00 662/83/83/00 22624/3538/701/00 "
+       "22504/3527/695/00 908/92/92/00 2/1/1/00 2/1/1/00 2/1/1/00 "
+       "2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 10/5/5/00 "
+       "10/5/5/00 58/29/29/00 58/29/29/00 58/29/29/00 58/29/29/00 "
+       "6/3/3/00 58/29/29/00 58/29/29/00 58/29/29/00 58/29/29/00 "
+       "58/29/29/00 6/3/3/00 ",
+       {0x3b4223c9d1e83286ull, 0x644d1d9509cf81b6ull}},
+      {71, 0, 2,
+       "113326/7863/1402/00 98644/6916/1089/00 9374/599/479/00 "
+       "9155/587/470/00 10289/635/516/00 3289/216/216/00 "
+       "3289/216/216/00 3285/216/216/00 2963/195/195/00 2/1/1/00 "
+       "2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 2/1/1/00 10/5/5/00 "
+       "10/5/5/00 44/22/22/00 44/22/22/00 44/22/22/00 44/22/22/00 "
+       "46/23/23/00 46/23/23/00 50/25/25/00 50/25/25/00 44/22/22/00 "
+       "8/4/4/00 50/25/25/00 50/25/25/00 50/25/25/00 ",
+       {0xa05d88fd7c4d928bull, 0x12e9fe8923edf31dull}},
   };
   for (const Pinned &Want : Runs) {
-    PinnedRun Got = pinRun(Want.Seed, Want.StepBudget);
+    PinnedRun Got = pinRun(Want.Seed, Want.StepBudget, Want.MaxResultsPerKey);
     EXPECT_EQ(Got.Clusters, Want.Clusters)
-        << "seed " << Want.Seed << " budget " << Want.StepBudget;
+        << "seed " << Want.Seed << " budget " << Want.StepBudget
+        << " results cap " << Want.MaxResultsPerKey;
     EXPECT_TRUE(Got.Bytes == Want.Bytes)
         << "seed " << Want.Seed << " budget " << Want.StepBudget
+        << " results cap " << Want.MaxResultsPerKey
         << ": encoded cluster runs moved";
   }
 }

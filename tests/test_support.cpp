@@ -559,6 +559,34 @@ TEST(U64FlatMap, GrowsAtThreeQuartersLoad) {
   EXPECT_EQ(R.capacity(), 32u);
 }
 
+TEST(U64FlatMap, EqualityIgnoresCapacityAndInsertionOrder) {
+  U64FlatMap<int> A, B;
+  EXPECT_TRUE(A == B);
+  for (uint64_t K = 0; K < 20; ++K)
+    A[K << 32] = static_cast<int>(K);
+  B.reserve(200); // Another slot count, so another probe layout.
+  for (uint64_t K = 20; K-- > 0;)
+    B[K << 32] = static_cast<int>(K);
+  ASSERT_NE(A.capacity(), B.capacity());
+  EXPECT_TRUE(A == B);
+  EXPECT_TRUE(B == A);
+
+  // A differing value, an extra key, or the same count of other keys
+  // each break it.
+  B[7ull << 32] = -1;
+  EXPECT_FALSE(A == B);
+  B[7ull << 32] = 7;
+  EXPECT_TRUE(A == B);
+  U64FlatMap<int> More = A;
+  More[99] = 0;
+  EXPECT_FALSE(A == More);
+  EXPECT_FALSE(More == A);
+  U64FlatMap<int> Other;
+  for (uint64_t K = 0; K < 20; ++K)
+    Other[(K << 32) | 1] = static_cast<int>(K);
+  EXPECT_FALSE(A == Other);
+}
+
 TEST(VectorFifo, InterleavedPushPopKeepsOrder) {
   static_assert(std::is_nothrow_move_constructible_v<VectorFifo<std::string>>);
   VectorFifo<uint32_t> Q;
