@@ -138,9 +138,9 @@ int main(int Argc, char **Argv) {
       std::printf("  no potential races\n");
     for (const racecheck::RaceWarning &W : Ws)
       std::printf("  potential race on %s: %s@%u '%s' vs %s@%u '%s'\n",
-                  W.Var.c_str(), W.A.Func.c_str(), W.A.LocalIdx,
-                  W.A.Stmt.c_str(), W.B.Func.c_str(), W.B.LocalIdx,
-                  W.B.Stmt.c_str());
+                  W.Var.c_str(), W.A->Func.c_str(), W.A->LocalIdx,
+                  W.A->Stmt.c_str(), W.B->Func.c_str(), W.B->LocalIdx,
+                  W.B->Stmt.c_str());
   }
   return 0;
 }

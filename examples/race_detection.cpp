@@ -117,9 +117,9 @@ void printWarnings(const RaceReport &R) {
               uint32_t(R.Warnings.size()));
   for (const RaceWarning &W : R.Warnings)
     std::printf("  [%s] sev %u  %s: %s@%u '%s'  vs  %s@%u '%s'\n",
-                W.Id.c_str(), W.Severity, W.Var.c_str(), W.A.Func.c_str(),
-                W.A.LocalIdx, W.A.Stmt.c_str(), W.B.Func.c_str(),
-                W.B.LocalIdx, W.B.Stmt.c_str());
+                W.Id.c_str(), W.Severity, W.Var.c_str(), W.A->Func.c_str(),
+                W.A->LocalIdx, W.A->Stmt.c_str(), W.B->Func.c_str(),
+                W.B->LocalIdx, W.B->Stmt.c_str());
   if (R.Warnings.empty())
     std::printf("  none\n");
 }

@@ -155,9 +155,12 @@ ScopeKeyIndex::ScopeKeyIndex(const Program &P, const CallGraph &CG,
       HasPred[Succ] = 1;
   }
   PartDigest.resize(NP);
+  PartFirst.resize(NP);
+  NodeLeader.resize(NP);
   std::unordered_map<uint32_t, uint32_t> FirstInClass;
   for (uint32_t Part = 0; Part < NP; ++Part) {
     const std::vector<VarId> &Members = Steens.partitionMembers(Part);
+    PartFirst[Part] = Members.front();
     support::ContentHasher H;
     H.u32(Steens.depthOfPartition(Part));
     H.boolean(HasPred[Part]);
@@ -182,6 +185,20 @@ ScopeKeyIndex::ScopeKeyIndex(const Program &P, const CallGraph &CG,
                 .first->second);
     PartDigest[Part] = H.digest();
   }
+
+  // Partitions share a hierarchy node only on a points-to cycle, and a
+  // key's partition set is closed under the successor, so it holds
+  // either all of a node's partitions or none: the node's first one in
+  // a key's canonical order is always its leader.
+  std::vector<uint32_t> LeaderOfNode(NP, analysis::InvalidPartition);
+  for (uint32_t Part = 0; Part < NP; ++Part) {
+    uint32_t &Leader = LeaderOfNode[Steens.hierarchyNodeOf(Part)];
+    if (Leader == analysis::InvalidPartition ||
+        PartFirst[Part] < PartFirst[Leader])
+      Leader = Part;
+  }
+  for (uint32_t Part = 0; Part < NP; ++Part)
+    NodeLeader[Part] = LeaderOfNode[Steens.hierarchyNodeOf(Part)];
 }
 
 support::Digest
@@ -269,19 +286,18 @@ ScopeKeyIndex::key(const Cluster &C,
   // equality tests (mayAlias, sameHierarchyNode) and the numeric depth,
   // so hash a canonical form instead: order the relevant partitions by
   // smallest member (members are raw, stable VarIds) and refer to
-  // partitions and hierarchy nodes by first-occurrence position.
+  // partitions and hierarchy nodes by first-occurrence position (a
+  // node's first occurrence is its leader's, see the constructor).
   std::sort(RP.begin(), RP.end(), [&](uint32_t A, uint32_t B) {
-    return Steens.partitionMembers(A).front() <
-           Steens.partitionMembers(B).front();
+    return PartFirst[A] < PartFirst[B];
   });
   for (uint32_t I = 0; I < RP.size(); ++I)
     Pos[RP[I]] = I;
-  std::unordered_map<uint32_t, uint32_t> CanonNode;
   H.u64(RP.size());
   for (uint32_t I = 0; I < RP.size(); ++I) {
     uint32_t Part = RP[I];
     H.u64(PartDigest[Part].Hi).u64(PartDigest[Part].Lo);
-    H.u32(CanonNode.emplace(Steens.hierarchyNodeOf(Part), I).first->second);
+    H.u32(Pos[NodeLeader[Part]]);
     uint32_t Succ = Steens.pointsToPartition(Part);
     // Succ is in RP by closure; InvalidPartition maps to a sentinel.
     H.u32(Succ == analysis::InvalidPartition ? 0xffffffffu : Pos[Succ]);

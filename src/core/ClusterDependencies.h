@@ -89,6 +89,11 @@ private:
   /// Per partition: digest of its depth, has-predecessor bit, member
   /// variable records and the pointee grouping among the members.
   std::vector<support::Digest> PartDigest;
+  /// Per partition: its smallest member (the canonical sort key).
+  std::vector<ir::VarId> PartFirst;
+  /// Per partition: the partition of its hierarchy node with the
+  /// smallest PartFirst (itself unless the node is a cycle).
+  std::vector<uint32_t> NodeLeader;
 };
 
 /// Inverted dependency index over a cover: entry F lists the indices of

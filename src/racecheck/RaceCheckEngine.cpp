@@ -23,12 +23,16 @@ std::shared_ptr<const RaceReport> RaceCheckEngine::report() const {
 void RaceCheckEngine::reset() {
   FactsCache.clear();
   PrevVars.clear();
+  WarningVars.clear();
   UpdateOrdinal = 0;
   std::lock_guard<std::mutex> Lock(ReportMutex);
   Current.reset();
 }
 
 namespace {
+
+/// SharedRank of a variable outside the shared set.
+constexpr uint32_t NotShared = UINT32_MAX;
 
 /// Sorted-vector disjointness.
 bool disjointLocksets(const std::vector<std::string> &A,
@@ -46,7 +50,11 @@ bool disjointLocksets(const std::vector<std::string> &A,
   return true;
 }
 
-bool sameSite(const SiteVerdict &A, const SiteVerdict &B) {
+bool sameSite(const std::shared_ptr<const SiteVerdict> &PA,
+              const std::shared_ptr<const SiteVerdict> &PB) {
+  if (PA == PB)
+    return true; // Replayed facts share their sites.
+  const SiteVerdict &A = *PA, &B = *PB;
   return A.Func == B.Func && A.LocalIdx == B.LocalIdx &&
          A.IsWrite == B.IsWrite && A.Degraded == B.Degraded &&
          A.Stmt == B.Stmt && A.Lockset == B.Lockset;
@@ -60,7 +68,7 @@ query::AnswerSource worseRung(query::AnswerSource A, query::AnswerSource B) {
 
 std::shared_ptr<const RaceCheckEngine::FunctionFacts>
 RaceCheckEngine::computeFacts(const query::QuerySnapshot &Snap, FuncId F,
-                              const std::vector<uint8_t> &IsShared,
+                              const std::vector<uint32_t> &SharedRank,
                               const std::vector<LocId> &LockSites) const {
   const Program &P = Snap.program();
   const Function &Fn = P.func(F);
@@ -139,26 +147,59 @@ RaceCheckEngine::computeFacts(const query::QuerySnapshot &Snap, FuncId F,
   }
 
   // Shared-variable access sites with the lockset held on entry to the
-  // access (in layout order -- deterministic).
+  // access (in layout order -- deterministic), each built once here and
+  // shared by every verdict that names it.
   for (uint32_t I = 0; I < N; ++I) {
     const Location &Loc = P.loc(Fn.Locations[I]);
     if (!Loc.isPointerAssign())
       continue;
     auto Add = [&](VarId V, bool Write) {
-      AccessFact A;
-      A.LocalIdx = I;
-      A.Var = P.var(V).Name;
-      A.IsWrite = Write;
-      A.Lockset.assign(Held[I].begin(), Held[I].end());
-      Facts->Accesses.push_back(std::move(A));
+      auto Site = std::make_shared<SiteVerdict>();
+      Site->Func = Fn.Name;
+      Site->LocalIdx = I;
+      Site->Stmt = dumpStatement(P, Fn.Locations[I]);
+      Site->IsWrite = Write;
+      Site->Lockset.assign(Held[I].begin(), Held[I].end());
+      Site->Degraded = Facts->Degraded;
+      Facts->Accesses.push_back({SharedRank[V], std::move(Site)});
     };
-    if (Loc.Lhs != InvalidVar && IsShared[Loc.Lhs])
+    if (Loc.Lhs != InvalidVar && SharedRank[Loc.Lhs] != NotShared)
       Add(Loc.Lhs, true);
     if (Loc.Rhs != InvalidVar && Loc.Kind == StmtKind::Copy &&
-        IsShared[Loc.Rhs] && Loc.Rhs != Loc.Lhs)
+        SharedRank[Loc.Rhs] != NotShared && Loc.Rhs != Loc.Lhs)
       Add(Loc.Rhs, false);
   }
   return Facts;
+}
+
+std::shared_ptr<const RaceCheckEngine::WarningBlock>
+RaceCheckEngine::buildWarnings(const VarSites &E) {
+  auto Block = std::make_shared<WarningBlock>();
+  uint32_t NumSites = static_cast<uint32_t>(E.Sites.size());
+  for (uint32_t I = 0; I < NumSites; ++I) {
+    for (uint32_t J = I + 1; J < NumSites; ++J) {
+      const SiteVerdict &A = *E.Sites[I];
+      const SiteVerdict &B = *E.Sites[J];
+      if (!A.IsWrite && !B.IsWrite)
+        continue;
+      if (!disjointLocksets(A.Lockset, B.Lockset))
+        continue;
+      RaceWarning W;
+      W.Var = E.Var;
+      W.A = E.Sites[I];
+      W.B = E.Sites[J];
+      W.Source = worseRung(E.Rungs[I], E.Rungs[J]);
+      W.Id = warningId(E.Var, A.Func, A.LocalIdx, A.IsWrite, B.Func,
+                       B.LocalIdx, B.IsWrite);
+      W.Severity = warningSeverity(W, NumSites);
+      Block->push_back(std::move(W));
+    }
+  }
+  std::sort(Block->begin(), Block->end(),
+            [](const RaceWarning &A, const RaceWarning &B) {
+              return A.Id < B.Id;
+            });
+  return Block;
 }
 
 CheckReport
@@ -186,22 +227,23 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
   const CallGraph &CG = S.callGraph();
   CR.Functions = P.numFuncs();
 
-  // Shared variables: global plain ints.
-  std::vector<uint8_t> IsShared(P.numVars(), 0);
-  std::vector<std::string> SharedNames;
+  // Shared variables: global plain ints, ranked by name. The facts key
+  // hashes the sorted names, so a cached access's rank stays valid.
+  std::vector<std::pair<std::string, VarId>> Shared;
   for (VarId V = 0; V < P.numVars(); ++V) {
     const Variable &Var = P.var(V);
     if (Var.Kind == VarKind::Global && !Var.isPointer() &&
-        Var.Base == BaseType::Int) {
-      IsShared[V] = 1;
-      SharedNames.push_back(Var.Name);
-    }
+        Var.Base == BaseType::Int)
+      Shared.push_back({Var.Name, V});
   }
-  std::sort(SharedNames.begin(), SharedNames.end());
+  std::sort(Shared.begin(), Shared.end());
+  std::vector<uint32_t> SharedRank(P.numVars(), NotShared);
   support::ContentHasher SH;
   SH.str("bsaa-shared-set");
-  for (const std::string &Name : SharedNames)
-    SH.str(Name);
+  for (uint32_t R = 0; R < Shared.size(); ++R) {
+    SharedRank[Shared[R].second] = R;
+    SH.str(Shared[R].first);
+  }
   support::Digest SharedDigest = SH.digest();
 
   // Lock clusters, via the inverted pointer->cluster index: the only
@@ -329,7 +371,7 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
       AllFacts[F] = It->second.Facts;
       ++CR.FunctionsFromCache;
     } else {
-      AllFacts[F] = computeFacts(S, F, IsShared, SitesByFunc[F]);
+      AllFacts[F] = computeFacts(S, F, SharedRank, SitesByFunc[F]);
       FactsCache[Key] = {AllFacts[F], UpdateOrdinal};
       ++CR.FunctionsChecked;
     }
@@ -340,81 +382,111 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
   // (function id, layout) order -- deterministic, and identical
   // between a cold run and an incremental replay over the same
   // program.
-  std::map<std::string, VarSites> Vars;
+  std::vector<VarSites> Vars(Shared.size());
+  for (uint32_t R = 0; R < Shared.size(); ++R)
+    Vars[R].Var = std::move(Shared[R].first);
   uint32_t DegradedFunctions = 0;
   for (FuncId F = 0; F < P.numFuncs(); ++F) {
     const FunctionFacts &Facts = *AllFacts[F];
     if (Facts.Degraded)
       ++DegradedFunctions;
-    const Function &Fn = P.func(F);
     for (const AccessFact &A : Facts.Accesses) {
-      SiteVerdict V;
-      V.Func = Fn.Name;
-      V.LocalIdx = A.LocalIdx;
-      V.Stmt = dumpStatement(P, Fn.Locations[A.LocalIdx]);
-      V.IsWrite = A.IsWrite;
-      V.Lockset = A.Lockset;
-      V.Degraded = Facts.Degraded;
-      VarSites &E = Vars[A.Var];
-      E.Sites.push_back(std::move(V));
-      E.Rungs.push_back(Facts.WorstRung);
+      Vars[A.Var].Sites.push_back(A.Site);
+      Vars[A.Var].Rungs.push_back(Facts.WorstRung);
     }
   }
 
-  // Verdicts per variable; a variable whose site vector is unchanged
-  // reuses its ranked warnings from the previous round.
+  // Pair every variable with its previous entry (both lists are in
+  // name order). A variable whose sites and rungs are unchanged keeps
+  // its block; every other one -- changed, new, or gone from the
+  // shared set -- is re-ranked, and its old and new blocks give its
+  // share of the delta (IDs hash the variable name, so no warning ID
+  // is shared between variables).
+  std::vector<uint8_t> KeepPrev(PrevVars.size(), 0);
+  std::vector<uint32_t> PrevToNew(PrevVars.size(), NotShared);
+  // The re-built warnings, each with its variable's index in Vars.
+  std::vector<std::pair<const RaceWarning *, uint32_t>> Fresh;
+  static const WarningBlock NoWarnings;
+  auto diffBlocks = [&](const WarningBlock &Old, const WarningBlock &New) {
+    if (FirstCheck)
+      return; // Everything is added; taken from the ranked report below.
+    // Both sorted by ID.
+    size_t I = 0, J = 0;
+    while (I < Old.size() || J < New.size()) {
+      if (J == New.size() || (I < Old.size() && Old[I].Id < New[J].Id))
+        CR.Delta.Retracted.push_back(Old[I++]);
+      else if (I == Old.size() || New[J].Id < Old[I].Id)
+        CR.Delta.Added.push_back(New[J++]);
+      else
+        ++I, ++J;
+    }
+  };
+  uint32_t PI = 0;
+  for (uint32_t R = 0; R <= Vars.size(); ++R) {
+    for (; PI < PrevVars.size() &&
+           (R == Vars.size() || PrevVars[PI].Var < Vars[R].Var);
+         ++PI)
+      diffBlocks(*PrevVars[PI].Warnings, NoWarnings);
+    if (R == Vars.size())
+      break;
+    VarSites &E = Vars[R];
+    const VarSites *Prev = nullptr;
+    if (PI < PrevVars.size() && PrevVars[PI].Var == E.Var)
+      Prev = &PrevVars[PI++];
+    if (Prev && Prev->Rungs == E.Rungs &&
+        std::equal(E.Sites.begin(), E.Sites.end(), Prev->Sites.begin(),
+                   Prev->Sites.end(), sameSite)) {
+      E.Warnings = Prev->Warnings;
+      KeepPrev[PI - 1] = 1;
+      PrevToNew[PI - 1] = R;
+      continue;
+    }
+    E.Warnings = buildWarnings(E);
+    diffBlocks(Prev ? *Prev->Warnings : NoWarnings, *E.Warnings);
+    for (const RaceWarning &W : *E.Warnings)
+      Fresh.push_back({&W, R});
+  }
+
+  // Rank the re-built warnings (on the first check: all of them) and
+  // merge them into what the previous report keeps.
+  std::sort(Fresh.begin(), Fresh.end(), [](const auto &A, const auto &B) {
+    return rankedBefore(*A.first, *B.first);
+  });
+  std::vector<RaceWarning> FreshRanked;
+  FreshRanked.reserve(Fresh.size());
+  for (const auto &[W, R] : Fresh)
+    FreshRanked.push_back(*W);
+  std::shared_ptr<const RaceReport> Old = report();
+  const WarningBlock &OldWarnings = Old ? Old->Warnings : NoWarnings;
+  assert(WarningVars.size() == OldWarnings.size() && "report out of sync");
+  std::vector<uint8_t> Keep(OldWarnings.size());
+  for (size_t I = 0; I < OldWarnings.size(); ++I)
+    Keep[I] = KeepPrev[WarningVars[I]];
+  std::vector<uint32_t> From;
   auto NewReport = std::make_shared<RaceReport>();
-  NewReport->SharedVariables = static_cast<uint32_t>(SharedNames.size());
+  NewReport->SharedVariables = static_cast<uint32_t>(Vars.size());
   NewReport->LockClusters = CR.LockClusters;
   NewReport->DegradedFunctions = DegradedFunctions;
-  for (auto &[Var, E] : Vars) {
-    auto PrevIt = PrevVars.find(Var);
-    bool Reusable = PrevIt != PrevVars.end() &&
-                    PrevIt->second.Rungs == E.Rungs &&
-                    PrevIt->second.Sites.size() == E.Sites.size();
-    if (Reusable)
-      for (size_t I = 0; I < E.Sites.size(); ++I)
-        if (!sameSite(PrevIt->second.Sites[I], E.Sites[I])) {
-          Reusable = false;
-          break;
-        }
-    if (Reusable) {
-      E.Warnings = PrevIt->second.Warnings;
-    } else {
-      for (size_t I = 0; I < E.Sites.size(); ++I) {
-        for (size_t J = I + 1; J < E.Sites.size(); ++J) {
-          const SiteVerdict &A = E.Sites[I];
-          const SiteVerdict &B = E.Sites[J];
-          if (!A.IsWrite && !B.IsWrite)
-            continue;
-          if (!disjointLocksets(A.Lockset, B.Lockset))
-            continue;
-          RaceWarning W;
-          W.Var = Var;
-          W.A = A;
-          W.B = B;
-          W.Source = worseRung(E.Rungs[I], E.Rungs[J]);
-          W.Id = warningId(Var, A.Func, A.LocalIdx, A.IsWrite, B.Func,
-                           B.LocalIdx, B.IsWrite);
-          W.Severity =
-              warningSeverity(W, static_cast<uint32_t>(E.Sites.size()));
-          E.Warnings.push_back(std::move(W));
-        }
-      }
-    }
-    NewReport->Warnings.insert(NewReport->Warnings.end(), E.Warnings.begin(),
-                               E.Warnings.end());
-  }
-  rankWarnings(NewReport->Warnings);
-  PrevVars = std::move(Vars);
+  NewReport->Warnings = mergeRankedWarnings(
+      OldWarnings, Keep, std::move(FreshRanked), From);
+  std::vector<uint32_t> NewWarningVars(From.size());
+  for (size_t I = 0; I < From.size(); ++I)
+    NewWarningVars[I] = From[I] < OldWarnings.size()
+                            ? PrevToNew[WarningVars[From[I]]]
+                            : Fresh[From[I] - OldWarnings.size()].second;
 
-  // Diff against the previous verdicts and publish atomically.
-  std::shared_ptr<const RaceReport> Old = report();
-  RaceReport Empty;
-  CR.Delta = diffReports(Old ? *Old : Empty, *NewReport);
+  // The delta in the orders of the reports it came from.
+  if (FirstCheck) {
+    CR.Delta.Added = NewReport->Warnings;
+  } else {
+    rankWarnings(CR.Delta.Added);
+    rankWarnings(CR.Delta.Retracted);
+  }
   CR.Warnings = static_cast<uint32_t>(NewReport->Warnings.size());
   CR.WarningsAdded = static_cast<uint32_t>(CR.Delta.Added.size());
   CR.WarningsRetracted = static_cast<uint32_t>(CR.Delta.Retracted.size());
+  PrevVars = std::move(Vars);
+  WarningVars = std::move(NewWarningVars);
   {
     std::lock_guard<std::mutex> Lock(ReportMutex);
     Current = std::move(NewReport);

@@ -37,10 +37,16 @@
 ///     the key is id-free or covered by the scope digest, so entries
 ///     survive the global VarId/LocId renumbering every edit causes;
 ///  4. assembles the verdicts through an access-site index (shared
-///     variable -> all access sites), reusing each variable's ranked
-///     warnings when its site vector is unchanged, and publishes an
-///     atomically swapped RaceReport plus the delta (warnings added /
-///     retracted) against the previous version.
+///     variable -> all access sites, each an immutable SiteVerdict
+///     built once with its function's facts). A variable whose sites
+///     and rungs are unchanged keeps its warning block (shared, not
+///     copied); only changed, new and vanished variables are re-ranked.
+///     The new report merges those re-ranked warnings into the kept
+///     rest of the previous one, and the delta (warnings added /
+///     retracted) is the per-variable difference of the changed
+///     variables' old and new blocks -- both byte-identical to ranking
+///     and diffing the whole report, at a cost that follows the edit.
+///     The report is published by an atomic swap.
 ///
 /// RaceCheckService glues this to query::AliasService: every update()
 /// re-analyzes incrementally, publishes the alias snapshot, and
@@ -57,7 +63,6 @@
 #include "racecheck/RaceReport.h"
 #include "support/ContentHash.h"
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -126,12 +131,14 @@ public:
   void reset();
 
 private:
-  /// One shared-variable access site, in id-free coordinates.
+  /// One shared-variable access site. Everything in it is a function
+  /// of the facts-cache key (the key hashes the function's name and
+  /// body, variable names included, and the shared-variable set), so
+  /// a replayed entry's sites are valid verbatim.
   struct AccessFact {
-    uint32_t LocalIdx = 0;
-    std::string Var;
-    bool IsWrite = false;
-    std::vector<std::string> Lockset; ///< Lock object names, sorted.
+    /// Rank of the variable's name among the sorted shared names.
+    uint32_t Var = 0;
+    std::shared_ptr<const SiteVerdict> Site;
   };
 
   /// Cached per-function lockset dataflow result.
@@ -149,18 +156,25 @@ private:
     uint64_t LastUsed = 0;
   };
 
-  /// Access-site index entry for one shared variable, kept across
-  /// updates so unchanged variables reuse their ranked warnings.
+  /// A variable's warnings, sorted by ID. Immutable: a variable whose
+  /// sites and rungs are unchanged shares its block across updates.
+  using WarningBlock = std::vector<RaceWarning>;
+
+  /// Access-site index entry for one shared variable.
   struct VarSites {
-    std::vector<SiteVerdict> Sites;
+    std::string Var;
+    std::vector<std::shared_ptr<const SiteVerdict>> Sites;
     std::vector<query::AnswerSource> Rungs; ///< Aligned with Sites.
-    std::vector<RaceWarning> Warnings;
+    std::shared_ptr<const WarningBlock> Warnings;
   };
 
   std::shared_ptr<const FunctionFacts>
   computeFacts(const query::QuerySnapshot &Snap, ir::FuncId F,
-               const std::vector<uint8_t> &IsShared,
+               const std::vector<uint32_t> &SharedRank,
                const std::vector<ir::LocId> &LockSites) const;
+
+  /// The warnings over \p E's sites, sorted by ID.
+  static std::shared_ptr<const WarningBlock> buildWarnings(const VarSites &E);
 
   /// Facts-cache entries unused for this many updates are evicted.
   static constexpr uint64_t FactsKeepUpdates = 16;
@@ -169,7 +183,11 @@ private:
 
   std::unordered_map<support::Digest, CacheEntry, support::DigestHash>
       FactsCache;
-  std::map<std::string, VarSites> PrevVars;
+  /// Per shared variable of the published report, in name order.
+  std::vector<VarSites> PrevVars;
+  /// Per warning of the published report: its variable's PrevVars
+  /// index.
+  std::vector<uint32_t> WarningVars;
 
   mutable std::mutex ReportMutex;
   std::shared_ptr<const RaceReport> Current;

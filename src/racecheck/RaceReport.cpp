@@ -6,6 +6,7 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <unordered_set>
 
@@ -51,22 +52,52 @@ uint32_t racecheck::warningSeverity(const RaceWarning &W,
                                     uint32_t VarAccessSites) {
   // Hot variables dominate; verdict quality breaks ties.
   uint32_t Sev = 100 * std::min<uint32_t>(VarAccessSites, 1000);
-  if (W.A.IsWrite && W.B.IsWrite)
+  if (W.A->IsWrite && W.B->IsWrite)
     Sev += 50; // Write-write: definite corruption if real.
-  if (!W.A.Degraded && !W.B.Degraded)
+  if (!W.A->Degraded && !W.B->Degraded)
     Sev += 25; // Fully must-resolved locks: high-confidence verdict.
   if (W.Source == query::AnswerSource::Fscs)
     Sev += 10; // Strongest cascade rung backed the resolution.
   return Sev;
 }
 
+bool racecheck::rankedBefore(const RaceWarning &A, const RaceWarning &B) {
+  if (A.Severity != B.Severity)
+    return A.Severity > B.Severity;
+  return A.Id < B.Id;
+}
+
 void racecheck::rankWarnings(std::vector<RaceWarning> &Warnings) {
-  std::sort(Warnings.begin(), Warnings.end(),
-            [](const RaceWarning &A, const RaceWarning &B) {
-              if (A.Severity != B.Severity)
-                return A.Severity > B.Severity;
-              return A.Id < B.Id;
-            });
+  std::sort(Warnings.begin(), Warnings.end(), rankedBefore);
+}
+
+std::vector<RaceWarning>
+racecheck::mergeRankedWarnings(const std::vector<RaceWarning> &Old,
+                               const std::vector<uint8_t> &Keep,
+                               std::vector<RaceWarning> Fresh,
+                               std::vector<uint32_t> &From) {
+  assert(Keep.size() == Old.size() && "one keep flag per old warning");
+  std::vector<RaceWarning> Out;
+  Out.reserve(Old.size() + Fresh.size());
+  From.clear();
+  From.reserve(Out.capacity());
+  uint32_t NOld = static_cast<uint32_t>(Old.size());
+  uint32_t I = 0, J = 0;
+  while (true) {
+    while (I < NOld && !Keep[I])
+      ++I;
+    if (I == NOld && J == Fresh.size())
+      break;
+    if (J == Fresh.size() ||
+        (I < NOld && rankedBefore(Old[I], Fresh[J]))) {
+      Out.push_back(Old[I]);
+      From.push_back(I++);
+    } else {
+      Out.push_back(std::move(Fresh[J]));
+      From.push_back(NOld + J++);
+    }
+  }
+  return Out;
 }
 
 ReportDelta racecheck::diffReports(const RaceReport &Old,
@@ -116,8 +147,8 @@ std::string racecheck::toReportJson(const RaceReport &R) {
         .field("severity", Warn.Severity)
         .field("var", Warn.Var)
         .field("source", query::answerSourceName(Warn.Source));
-    appendSite(W.key("a"), Warn.A);
-    appendSite(W.key("b"), Warn.B);
+    appendSite(W.key("a"), *Warn.A);
+    appendSite(W.key("b"), *Warn.B);
     W.endObject();
   }
   W.endArray().endObject().endObject();

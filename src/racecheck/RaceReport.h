@@ -21,7 +21,15 @@
 /// Severity rewards hot shared variables (access-site count), pairs
 /// where both sides write, verdicts built entirely from must-resolved
 /// locks (no degraded site), and verdicts whose lock resolution stayed
-/// on the FSCS rung of the cascade (strongest provenance).
+/// on the FSCS rung of the cascade (strongest provenance). Warning IDs
+/// are unique within a report, so the order is total: a re-ranked
+/// subset merged into the kept rest of a ranked report
+/// (mergeRankedWarnings) equals ranking the whole set again.
+///
+/// Sites are immutable and shared: a warning points at its two
+/// SiteVerdicts, which the checker builds once per access site and
+/// shares between every warning, report and cache entry that names
+/// the site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +39,7 @@
 #include "query/QuerySnapshot.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,7 +71,8 @@ struct RaceWarning {
   std::string Id;
   uint32_t Severity = 0;
   std::string Var;
-  SiteVerdict A, B;
+  /// The two sides (never null in a published report).
+  std::shared_ptr<const SiteVerdict> A, B;
   /// Weakest cascade rung that contributed lock resolution to either
   /// side (Fscs when fully must-resolved; Andersen/Steensgaard when a
   /// budget fallback degraded a site).
@@ -98,12 +108,25 @@ std::string warningId(const std::string &Var, const std::string &FuncA,
 /// data plus the total access-site count of its variable.
 uint32_t warningSeverity(const RaceWarning &W, uint32_t VarAccessSites);
 
-/// Sorts \p Warnings into the canonical rank order (severity
-/// descending, ID ascending).
+/// The canonical rank order: severity descending, then ID ascending.
+bool rankedBefore(const RaceWarning &A, const RaceWarning &B);
+
+/// Sorts \p Warnings into the canonical rank order.
 void rankWarnings(std::vector<RaceWarning> &Warnings);
 
+/// Merges two ranked runs into one: the warnings Old[I] whose Keep[I]
+/// is set, and all of \p Fresh. The result equals rankWarnings over
+/// the same warnings. \p From receives, per merged warning, its
+/// source: I for Old[I], Old.size() + J for Fresh[J].
+std::vector<RaceWarning>
+mergeRankedWarnings(const std::vector<RaceWarning> &Old,
+                    const std::vector<uint8_t> &Keep,
+                    std::vector<RaceWarning> Fresh,
+                    std::vector<uint32_t> &From);
+
 /// ID-set difference New \ Old (Added) and Old \ New (Retracted);
-/// both outputs in rank order of their source report.
+/// both outputs in rank order of their source report. The reference
+/// for the checker's per-variable delta (CheckReport::Delta).
 ReportDelta diffReports(const RaceReport &Old, const RaceReport &New);
 
 /// Single-line JSON rendering of the verdict set. Contains no timings

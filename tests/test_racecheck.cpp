@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -106,7 +107,7 @@ std::string siteKey(const SiteVerdict &S) {
 std::set<std::string> raceKeys(const RaceReport &R) {
   std::set<std::string> Keys;
   for (const RaceWarning &W : R.Warnings) {
-    std::string A = siteKey(W.A), B = siteKey(W.B);
+    std::string A = siteKey(*W.A), B = siteKey(*W.B);
     if (B < A)
       std::swap(A, B);
     Keys.insert(W.Var + "|" + A + "|" + B);
@@ -121,11 +122,32 @@ std::vector<std::string> locksetAt(const RaceReport &R, const ir::Program &P,
                                    ir::LocId L) {
   std::string Key = siteKey(P, L);
   for (const RaceWarning &W : R.Warnings)
-    for (const SiteVerdict *S : {&W.A, &W.B})
+    for (const SiteVerdict *S : {W.A.get(), W.B.get()})
       if (siteKey(*S) == Key)
         return S->Lockset;
   ADD_FAILURE() << "no warning carries site " << Key;
   return {};
+}
+
+std::vector<std::string> idsOf(const std::vector<RaceWarning> &Ws) {
+  std::vector<std::string> Ids;
+  for (const RaceWarning &W : Ws)
+    Ids.push_back(W.Id);
+  return Ids;
+}
+
+/// The engine's per-variable delta equals the whole-report ID-set
+/// difference against the report it replaced (\p Prev, null before the
+/// first check): the same IDs in the same order.
+void expectDeltaIsReportDiff(const CheckReport &CR,
+                             const std::shared_ptr<const RaceReport> &Prev,
+                             const RaceReport &Now, const std::string &Where) {
+  ReportDelta Want = diffReports(Prev ? *Prev : RaceReport(), Now);
+  EXPECT_EQ(idsOf(CR.Delta.Added), idsOf(Want.Added)) << Where;
+  EXPECT_EQ(idsOf(CR.Delta.Retracted), idsOf(Want.Retracted)) << Where;
+  EXPECT_EQ(CR.Warnings, Now.Warnings.size()) << Where;
+  EXPECT_EQ(CR.WarningsAdded, Want.Added.size()) << Where;
+  EXPECT_EQ(CR.WarningsRetracted, Want.Retracted.size()) << Where;
 }
 
 } // namespace
@@ -378,8 +400,8 @@ TEST(RaceCheck, HeapLocksFromOneFactoryDoNotProtect) {
   const RaceReport &R = *Svc.report();
   ASSERT_EQ(R.Warnings.size(), 1u) << "heap locks hid the race";
   EXPECT_EQ(R.Warnings[0].Var, "shared");
-  EXPECT_TRUE(R.Warnings[0].A.Degraded);
-  EXPECT_TRUE(R.Warnings[0].B.Degraded);
+  EXPECT_TRUE(R.Warnings[0].A->Degraded);
+  EXPECT_TRUE(R.Warnings[0].B->Degraded);
 }
 
 TEST(RaceDetect, BudgetedRacesAreASupersetOfUnbudgeted) {
@@ -452,7 +474,8 @@ TEST(RaceCheck, FiftyEditOracleMatchesColdBatch) {
     workload::EditState St = workload::initialEditState(Cfg);
 
     RaceCheckService Incr(Opts);
-    uint64_t TotalWarnings = 0;
+    uint64_t TotalWarnings = 0, TotalChurn = 0;
+    std::shared_ptr<const RaceReport> Prev;
     for (uint32_t I = 0; I <= Edits.size(); ++I) {
       if (I > 0)
         workload::applyEdit(St, Edits[I - 1]);
@@ -464,10 +487,152 @@ TEST(RaceCheck, FiftyEditOracleMatchesColdBatch) {
           << " (kind " << (I == 0 ? -1 : int(Edits[I - 1].Kind)) << ")";
       EXPECT_EQ(CR.FunctionsChecked + CR.FunctionsFromCache, CR.Functions)
           << "stream " << StreamSeed << " edit " << I;
+      expectDeltaIsReportDiff(CR, Prev, *Incr.report(),
+                              "stream " + std::to_string(StreamSeed) +
+                                  " edit " + std::to_string(I));
+      Prev = Incr.report();
       TotalWarnings += CR.Warnings;
+      if (I > 0)
+        TotalChurn += CR.WarningsAdded + CR.WarningsRetracted;
     }
+    EXPECT_GT(TotalChurn, 0u)
+        << "stream " << StreamSeed << " never changed a verdict";
     EXPECT_GT(TotalWarnings, 0u)
         << "stream " << StreamSeed << " never produced a verdict";
+  }
+}
+
+// A variable losing its last access retracts all of its warnings; a new
+// shared variable adds its own; a variable leaving the shared set takes
+// its warnings with it. Each step's delta equals the whole-report diff
+// and its report equals a cold service's.
+TEST(RaceCheck, DeltaFollowsVanishingAndNewVariables) {
+  // `a` races between f0 and f1, `b` between f0 and main. f0's write
+  // to `b` keeps its position, so b's warning keeps its ID throughout.
+  const char *V0 = R"(
+    lock_t l;
+    int a; int b;
+    void f0(void) { b = 1; a = 1; }
+    void f1(void) { a = 2; }
+    void main(void) {
+      lock_t *p;
+      p = &l;
+      lock(p);
+      b = 3;
+      unlock(p);
+      f0();
+      f1();
+    }
+  )";
+  // `a` loses every access; the new shared `c` races between f0 and f1.
+  const char *V1 = R"(
+    lock_t l;
+    int a; int b; int c;
+    void f0(void) { b = 1; c = 1; }
+    void f1(void) { c = 2; }
+    void main(void) {
+      lock_t *p;
+      p = &l;
+      lock(p);
+      b = 3;
+      unlock(p);
+      f0();
+      f1();
+    }
+  )";
+  // `c` leaves the shared set together with its accesses.
+  const char *V2 = R"(
+    lock_t l;
+    int a; int b;
+    void f0(void) { b = 1; }
+    void f1(void) { }
+    void main(void) {
+      lock_t *p;
+      p = &l;
+      lock(p);
+      b = 3;
+      unlock(p);
+      f0();
+      f1();
+    }
+  )";
+  auto varsOf = [](const std::vector<RaceWarning> &Ws) {
+    std::set<std::string> Vars;
+    for (const RaceWarning &W : Ws)
+      Vars.insert(W.Var);
+    return Vars;
+  };
+  RaceCheckService Svc(baseOptions());
+  std::shared_ptr<const RaceReport> Prev;
+  uint32_t Step = 0;
+  auto step = [&](const char *Src) {
+    CheckReport CR = Svc.update(compileOk(Src));
+    std::string Where = "step " + std::to_string(Step++);
+    RaceCheckService Cold(baseOptions());
+    Cold.update(compileOk(Src));
+    EXPECT_EQ(toReportJson(*Svc.report()), toReportJson(*Cold.report()))
+        << Where;
+    expectDeltaIsReportDiff(CR, Prev, *Svc.report(), Where);
+    Prev = Svc.report();
+    return CR;
+  };
+
+  CheckReport R0 = step(V0);
+  EXPECT_EQ(varsOf(Svc.report()->Warnings),
+            (std::set<std::string>{"a", "b"}));
+  std::vector<std::string> BIds;
+  for (const RaceWarning &W : Svc.report()->Warnings)
+    if (W.Var == "b")
+      BIds.push_back(W.Id);
+
+  CheckReport R1 = step(V1);
+  EXPECT_EQ(varsOf(R1.Delta.Retracted), (std::set<std::string>{"a"}));
+  EXPECT_EQ(varsOf(R1.Delta.Added), (std::set<std::string>{"c"}));
+  EXPECT_EQ(varsOf(Svc.report()->Warnings),
+            (std::set<std::string>{"b", "c"}));
+
+  CheckReport R2 = step(V2);
+  EXPECT_EQ(varsOf(R2.Delta.Retracted), (std::set<std::string>{"c"}));
+  EXPECT_TRUE(R2.Delta.Added.empty());
+  EXPECT_EQ(Svc.report()->SharedVariables, 2u);
+  std::vector<std::string> BIdsAfter;
+  for (const RaceWarning &W : Svc.report()->Warnings)
+    if (W.Var == "b")
+      BIdsAfter.push_back(W.Id);
+  EXPECT_EQ(BIdsAfter, BIds) << "b's warnings survive the churn around them";
+
+  // Back to the start: a's warnings return, nothing else moves.
+  CheckReport R3 = step(V0);
+  EXPECT_EQ(varsOf(R3.Delta.Added), (std::set<std::string>{"a"}));
+  EXPECT_TRUE(R3.Delta.Retracted.empty());
+  EXPECT_EQ(idsOf(Svc.report()->Warnings), idsOf(R0.Delta.Added));
+}
+
+// reset() drops the per-variable blocks with the rest: the next check
+// recomputes every function, equals a cold service's report, and adds
+// every warning in it.
+TEST(RaceCheck, ResetBehavesLikeAColdService) {
+  workload::GeneratorConfig Cfg = raceConfig(8, 42);
+  std::vector<workload::ProgramEdit> Edits =
+      workload::generateEditStream(Cfg, /*NumEdits=*/6, /*StreamSeed=*/7);
+  workload::EditState St = workload::initialEditState(Cfg);
+  core::BootstrapOptions Opts = baseOptions();
+  RaceCheckService Svc(Opts);
+  for (uint32_t I = 0; I <= Edits.size(); ++I) {
+    if (I > 0)
+      workload::applyEdit(St, Edits[I - 1]);
+    if (I == Edits.size())
+      Svc.engine().reset();
+    CheckReport CR = Svc.update(compileOk(workload::generateProgram(Cfg, St)));
+    if (I < Edits.size())
+      continue;
+    const RaceReport &R = *Svc.report();
+    ASSERT_FALSE(R.Warnings.empty());
+    EXPECT_EQ(toReportJson(R), coldReportJson(Cfg, St, Opts));
+    EXPECT_EQ(CR.FunctionsChecked, CR.Functions);
+    EXPECT_EQ(CR.PredictedInvalidated, CR.Functions);
+    EXPECT_EQ(idsOf(CR.Delta.Added), idsOf(R.Warnings));
+    EXPECT_TRUE(CR.Delta.Retracted.empty());
   }
 }
 
@@ -683,9 +848,9 @@ TEST(RaceCheck, BudgetFallbackDegradesConservatively) {
   ASSERT_EQ(Svc.report()->Warnings.size(), 1u)
       << "budget fallback must over-report, not hide";
   const RaceWarning &W = Svc.report()->Warnings[0];
-  EXPECT_TRUE(W.A.Degraded);
-  EXPECT_TRUE(W.B.Degraded);
-  EXPECT_TRUE(W.A.Lockset.empty());
+  EXPECT_TRUE(W.A->Degraded);
+  EXPECT_TRUE(W.B->Degraded);
+  EXPECT_TRUE(W.A->Lockset.empty());
   EXPECT_NE(W.Source, query::AnswerSource::Fscs);
   EXPECT_GE(Svc.report()->DegradedFunctions, 1u);
 }
@@ -741,13 +906,91 @@ TEST(RaceReport, DiffByWarningId) {
   EXPECT_EQ(D.Retracted[1].Id, "c");
 }
 
+// Merging re-ranked warnings of the changed variables into the kept
+// rest of a ranked report equals ranking the whole set again.
+TEST(RaceReport, MergeEqualsFullRanking) {
+  auto Mk = [](uint32_t Var, uint32_t Severity, uint32_t Serial) {
+    RaceWarning W;
+    W.Var = "v";
+    W.Var += std::to_string(Var);
+    W.Severity = Severity;
+    W.Id = warningId(W.Var, "f", Serial, true, "g", Serial, false);
+    return W;
+  };
+  std::mt19937 Rng(2027);
+  uint32_t Serial = 0;
+  // Few variables and severities: ties across changed and unchanged
+  // variables are the common case.
+  auto generate = [&](uint32_t Var, uint32_t Count) {
+    std::vector<RaceWarning> Ws;
+    for (uint32_t I = 0; I < Count; ++I)
+      Ws.push_back(Mk(Var, 100 * (1 + Rng() % 3) + 25 * (Rng() % 2), Serial++));
+    return Ws;
+  };
+  struct Case {
+    const char *Name;
+    uint32_t Vars;
+    uint32_t OldPerVar;   ///< 0: no previous report.
+    uint32_t FreshPerVar; ///< 0: the changed variables vanish.
+    uint32_t ChangedMask; ///< Bit V: variable V changed.
+  };
+  const Case Cases[] = {
+      {"some changed", 6, 9, 7, 0b010110},
+      {"empty old side", 6, 0, 7, 0b111111},
+      {"empty fresh side", 6, 9, 7, 0},
+      {"all changed", 6, 9, 7, 0b111111},
+      {"vanished variables", 6, 9, 0, 0b001001},
+      {"both empty", 6, 0, 0, 0b111111},
+  };
+  for (const Case &C : Cases)
+    for (uint32_t Round = 0; Round < 20; ++Round) {
+      std::vector<RaceWarning> Old, Fresh;
+      std::vector<uint32_t> OldVar;
+      for (uint32_t V = 0; V < C.Vars; ++V) {
+        for (RaceWarning &W : generate(V, C.OldPerVar))
+          Old.push_back(std::move(W));
+        if (C.ChangedMask >> V & 1)
+          for (RaceWarning &W : generate(V, Rng() % (C.FreshPerVar + 1)))
+            Fresh.push_back(std::move(W));
+      }
+      rankWarnings(Old);
+      rankWarnings(Fresh);
+      std::vector<uint8_t> Keep;
+      std::vector<RaceWarning> Want = Fresh;
+      for (const RaceWarning &W : Old) {
+        uint32_t V = std::stoul(W.Var.substr(1));
+        Keep.push_back(!(C.ChangedMask >> V & 1));
+        if (Keep.back())
+          Want.push_back(W);
+      }
+      rankWarnings(Want);
+
+      std::vector<uint32_t> From;
+      std::vector<RaceWarning> Got =
+          mergeRankedWarnings(Old, Keep, Fresh, From);
+      ASSERT_EQ(idsOf(Got), idsOf(Want)) << C.Name << " round " << Round;
+      ASSERT_EQ(From.size(), Got.size()) << C.Name;
+      for (size_t I = 0; I < Got.size(); ++I) {
+        const RaceWarning &Src = From[I] < Old.size()
+                                     ? Old[From[I]]
+                                     : Fresh[From[I] - Old.size()];
+        EXPECT_EQ(Src.Id, Got[I].Id) << C.Name << " round " << Round;
+        if (From[I] < Old.size()) {
+          EXPECT_TRUE(Keep[From[I]]) << C.Name << ": a dropped warning";
+        }
+      }
+    }
+}
+
 TEST(RaceReport, JsonEscapesStrings) {
   RaceReport R;
   RaceWarning W;
   W.Id = "0123456789abcdef";
   W.Var = "a\"b\\c";
-  W.A.Func = "f0";
-  W.A.Stmt = "x\t=\ny";
+  auto Site = std::make_shared<SiteVerdict>();
+  Site->Func = "f0";
+  Site->Stmt = "x\t=\ny";
+  W.A = W.B = Site;
   R.Warnings.push_back(W);
   std::string J = toReportJson(R);
   EXPECT_NE(J.find("a\\\"b\\\\c"), std::string::npos);

@@ -27,6 +27,7 @@
 
 #include <random>
 #include <set>
+#include <thread>
 
 using namespace bsaa;
 
@@ -741,5 +742,67 @@ TEST(SummaryEngine, PinnedStepsTuplesAndStoreBytes) {
         << "seed " << Want.Seed << " budget " << Want.StepBudget
         << " results cap " << Want.MaxResultsPerKey
         << ": encoded cluster runs moved";
+  }
+}
+
+TEST(ScopeKeyIndex, PinnedKeys) {
+  // One digest over the scope key of every cluster of the pinned-run
+  // covers (the programs of PinnedStepsTuplesAndStoreBytes), captured
+  // while key() still numbered hierarchy nodes through a per-call map.
+  // Persisted store records are addressed by these keys, so a change to
+  // how key() computes them must not move one bit. The keys are also
+  // recomputed from four threads at once: key() keeps no state across
+  // calls, so every thread must see the serial keys.
+  const std::pair<uint64_t, support::Digest> Pinned[] = {
+      {61, {0xb8b648e87ce673e7ull, 0x00a93b4ffb68e304ull}},
+      {67, {0xdb87f45211723f51ull, 0xf50f721c04ec70ddull}},
+      {71, {0x97ef8ad5fc881f8cull, 0x41411fe3959eabe8ull}},
+  };
+  for (const auto &[Seed, Want] : Pinned) {
+    workload::GeneratorConfig Cfg;
+    Cfg.Seed = Seed;
+    Cfg.NumFunctions = 12;
+    Cfg.StmtsPerFunction = 16;
+    Cfg.Communities = 3;
+    Cfg.RecursionPercent = 15;
+    frontend::Diagnostics Diags;
+    auto P = frontend::compileString(workload::generateProgram(Cfg), Diags);
+    ASSERT_TRUE(P != nullptr) << Diags.toString();
+    core::BootstrapOptions Opts = baseOptions();
+    Opts.EngineOpts.StepBudget = 0;
+    core::BootstrapDriver Driver(*P, Opts);
+    std::shared_ptr<const core::SolvedCover> Cover = Driver.buildSolvedCover();
+    core::ScopeKeyIndex Index(*P, *Cover->CG, *Cover->Steens);
+    const std::vector<core::Cluster> &Clusters = Cover->Clusters;
+
+    std::vector<support::Digest> Serial;
+    support::ContentHasher H;
+    for (const core::Cluster &C : Clusters) {
+      Serial.push_back(Index.key(C, Opts.EngineOpts));
+      H.u64(Serial.back().Hi).u64(Serial.back().Lo);
+    }
+    support::Digest Got = H.digest();
+    EXPECT_TRUE(Got == Want) << "seed " << Seed << ": scope keys moved, now "
+                             << std::hex << "{0x" << Got.Hi << "ull, 0x"
+                             << Got.Lo << "ull}";
+
+    std::vector<std::vector<support::Digest>> PerThread(4);
+    std::vector<std::thread> Threads;
+    for (uint32_t T = 0; T < 4; ++T)
+      Threads.emplace_back([&, T] {
+        // Every thread computes every key, each in its own order.
+        for (size_t I = 0; I < Clusters.size(); ++I) {
+          size_t J = (I + T * Clusters.size() / 4) % Clusters.size();
+          PerThread[T].push_back(Index.key(Clusters[J], Opts.EngineOpts));
+        }
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+    for (uint32_t T = 0; T < 4; ++T)
+      for (size_t I = 0; I < Clusters.size(); ++I) {
+        size_t J = (I + T * Clusters.size() / 4) % Clusters.size();
+        EXPECT_TRUE(PerThread[T][I] == Serial[J])
+            << "seed " << Seed << " thread " << T << " cluster " << J;
+      }
   }
 }
