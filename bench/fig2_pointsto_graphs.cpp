@@ -46,6 +46,13 @@ int main() {
   S.run();
   std::printf("Steensgaard partitions and edges:\n");
   GraphWriter SteensDot("steensgaard");
+  // Node names are built by appending: GCC 12 misreports
+  // `const char * + std::string&&` under -Wrestrict.
+  auto NodeName = [](uint32_t Part) {
+    std::string Name = "n";
+    Name += std::to_string(Part);
+    return Name;
+  };
   for (uint32_t Part = 0; Part < S.numPartitions(); ++Part) {
     std::string Label;
     uint32_t Pointers = 0;
@@ -65,10 +72,9 @@ int main() {
     if (Succ != analysis::InvalidPartition)
       std::printf("  -> partition %u", Succ);
     std::printf("\n");
-    SteensDot.addNode("n" + std::to_string(Part), "{" + Label + "}");
+    SteensDot.addNode(NodeName(Part), "{" + Label + "}");
     if (Succ != analysis::InvalidPartition)
-      SteensDot.addEdge("n" + std::to_string(Part),
-                        "n" + std::to_string(Succ));
+      SteensDot.addEdge(NodeName(Part), NodeName(Succ));
   }
 
   analysis::AndersenAnalysis A(*P);

@@ -17,7 +17,6 @@
 //   * QueryEngine warm, multi-threaded batch.
 //
 // Usage: query_throughput [scale] [--stats-json] [--store DIR]
-//                         [--cold-p99]
 //
 // --stats-json appends a machine-readable JSON document (timings,
 // queries/sec, answer-source breakdown) on stdout -- CI uploads it as
@@ -31,15 +30,6 @@
 // summaries from disk. Exits nonzero on any divergence, so CI can gate
 // on it directly.
 //
-// --cold-p99 runs the cold-cluster tail-latency ablation: the first
-// touch of every cluster (one may-alias pair per cluster, no summary
-// cache, so every materialization is genuinely cold) served by an
-// eager snapshot vs a demand-mode snapshot with background promotion.
-// Reports per-query p50/p99 for both, asserts every demand verdict
-// equals the eager one (during the partial phase AND after promotions
-// drain), and exits nonzero unless cold p99 improved at least 2x with
-// zero mismatches -- the CI gate for the demand-serving path.
-//
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
@@ -48,9 +38,7 @@
 #include "core/StoreCodecs.h"
 #include "query/QueryEngine.h"
 #include "support/Json.h"
-#include "support/LatencyHistogram.h"
 #include "support/Statistics.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -86,7 +74,6 @@ std::string replayableJson(const core::BootstrapResult &R) {
 
 int main(int Argc, char **Argv) {
   bool StatsJson = takeFlag(Argc, Argv, "--stats-json");
-  bool ColdP99 = takeFlag(Argc, Argv, "--cold-p99");
   std::string StoreDir;
   if (const char *V = takeFlag(Argc, Argv, "--store", true))
     StoreDir = V;
@@ -204,103 +191,6 @@ int main(int Argc, char **Argv) {
     StoreVerdictsIdentical = WarmEngine.evalMayAlias(Batch, 0) == ColdAnswers;
   }
 
-  // Cold-cluster tail-latency ablation (--cold-p99): eager vs demand
-  // serving over genuinely cold entries (no summary cache to adopt
-  // from), one first-touch query per cluster.
-  size_t ColdQueries = 0;
-  double EagerP50Ms = 0, EagerP99Ms = 0, DemandP50Ms = 0, DemandP99Ms = 0;
-  double ColdImprovement = 0;
-  unsigned long long ColdMismatches = 0, PostMismatches = 0;
-  unsigned long long ColdPartialAnswers = 0, ColdPromotions = 0;
-  if (ColdP99) {
-    // First touch of every cluster: its first two pointer members at
-    // their canonical location. Each query lands on a cluster nobody
-    // has materialized yet -- the tail this ablation measures.
-    struct ColdQuery {
-      ir::VarId A, B;
-      ir::LocId Loc;
-    };
-    std::vector<ColdQuery> ColdQs;
-    for (const core::Cluster &C : Solved->Clusters) {
-      ir::VarId A = ir::InvalidVar, B = ir::InvalidVar;
-      for (ir::VarId V : C.Members) {
-        if (!P->var(V).isPointer())
-          continue;
-        if (A == ir::InvalidVar) {
-          A = V;
-        } else {
-          B = V;
-          break;
-        }
-      }
-      if (B == ir::InvalidVar)
-        continue;
-      ir::LocId Loc = query::canonicalAliasLoc(*P, A, B);
-      if (Loc == ir::InvalidLoc)
-        continue;
-      ColdQs.push_back({A, B, Loc});
-    }
-    ColdQueries = ColdQs.size();
-
-    // Pool outlives both snapshots (declared first): a promotion worker
-    // releasing the last snapshot reference must never destroy the pool
-    // it is running on.
-    auto PromoPool = std::make_shared<ThreadPool>(2);
-    query::QueryOptions EagerOpts;
-    EagerOpts.EngineOpts = BOpts.EngineOpts;
-    query::QueryOptions DemandOpts = EagerOpts;
-    DemandOpts.DemandMode = true;
-    DemandOpts.PromotionPool = PromoPool;
-    // Fresh snapshots: materialized entries are per snapshot, so the
-    // main engine's warm entries never reach these first touches.
-    std::shared_ptr<const query::QuerySnapshot> EagerSnap =
-        query::QuerySnapshot::build(P, Solved, &Result.Clusters, EagerOpts,
-                                    nullptr);
-    std::shared_ptr<const query::QuerySnapshot> DemandSnap =
-        query::QuerySnapshot::build(P, Solved, &Result.Clusters, DemandOpts,
-                                    nullptr);
-
-    support::LatencyHistogram EagerH, DemandH;
-    std::vector<uint8_t> EagerVerdicts;
-    EagerVerdicts.reserve(ColdQs.size());
-    for (const ColdQuery &Q : ColdQs) {
-      Timer T;
-      query::AliasAnswer A = EagerSnap->mayAliasAt(Q.A, Q.B, Q.Loc);
-      EagerH.record(static_cast<uint64_t>(T.seconds() * 1e9));
-      EagerVerdicts.push_back(A.MayAlias ? 1 : 0);
-    }
-    for (size_t I = 0; I < ColdQs.size(); ++I) {
-      const ColdQuery &Q = ColdQs[I];
-      Timer T;
-      query::AliasAnswer A = DemandSnap->mayAliasAt(Q.A, Q.B, Q.Loc);
-      DemandH.record(static_cast<uint64_t>(T.seconds() * 1e9));
-      if ((A.MayAlias ? 1 : 0) != EagerVerdicts[I])
-        ++ColdMismatches;
-    }
-
-    // Drain promotions, then every answer must be identical to the
-    // never-partial snapshot's -- verdict and provenance both.
-    DemandSnap->waitPromotionsIdle();
-    for (size_t I = 0; I < ColdQs.size(); ++I) {
-      const ColdQuery &Q = ColdQs[I];
-      query::AliasAnswer E = EagerSnap->mayAliasAt(Q.A, Q.B, Q.Loc);
-      query::AliasAnswer D = DemandSnap->mayAliasAt(Q.A, Q.B, Q.Loc);
-      if (E.MayAlias != D.MayAlias || E.Source != D.Source)
-        ++PostMismatches;
-    }
-    query::SnapshotStats DSt = DemandSnap->stats();
-    ColdPartialAnswers = DSt.FscsPartialAnswers;
-    ColdPromotions = DSt.PromotionsCompleted;
-
-    support::LatencyHistogram::Snapshot ES = EagerH.snapshot();
-    support::LatencyHistogram::Snapshot DS = DemandH.snapshot();
-    EagerP50Ms = ES.quantileSecondsIfAny(0.50).value_or(0) * 1e3;
-    EagerP99Ms = ES.quantileSecondsIfAny(0.99).value_or(0) * 1e3;
-    DemandP50Ms = DS.quantileSecondsIfAny(0.50).value_or(0) * 1e3;
-    DemandP99Ms = DS.quantileSecondsIfAny(0.99).value_or(0) * 1e3;
-    ColdImprovement = DemandP99Ms > 0 ? EagerP99Ms / DemandP99Ms : 0.0;
-  }
-
   std::printf("Query throughput on autofs (scale %.2f): %zu pointers, "
               "%zu pairs, %zu clusters (cascade %.3fs)\n",
               Scale, Ptrs.size(), NumPairs, Result.Clusters.size(),
@@ -343,21 +233,6 @@ int main(int Argc, char **Argv) {
                 StoreStatsIdentical ? "byte-identical" : "DIVERGED",
                 StoreVerdictsIdentical ? "byte-identical" : "DIVERGED");
   }
-  if (ColdP99) {
-    std::printf("  cold-cluster tail latency (%zu first-touch queries):\n",
-                ColdQueries);
-    std::printf("    eager  p50 %9.3fms  p99 %9.3fms\n", EagerP50Ms,
-                EagerP99Ms);
-    std::printf("    demand p50 %9.3fms  p99 %9.3fms  (%.1fx p99, "
-                "%llu partial answers, %llu promotions)\n",
-                DemandP50Ms, DemandP99Ms, ColdImprovement,
-                ColdPartialAnswers, ColdPromotions);
-    std::printf("    verdicts: %s during partial phase, %s after "
-                "promotion\n",
-                ColdMismatches == 0 ? "identical" : "DIVERGED",
-                PostMismatches == 0 ? "identical" : "DIVERGED");
-  }
-
   if (StatsJson) {
     support::JsonWriter W;
     W.beginObject()
@@ -400,20 +275,6 @@ int main(int Argc, char **Argv) {
         .field("store_live_bytes", StoreLiveBytes)
         .field("warm_stats_identical", StoreStatsIdentical)
         .field("warm_verdicts_identical", StoreVerdictsIdentical)
-        .endObject();
-    W.key("cold_p99")
-        .beginObject()
-        .field("enabled", ColdP99)
-        .field("queries", ColdQueries)
-        .field("eager_p50_ms", EagerP50Ms)
-        .field("eager_p99_ms", EagerP99Ms)
-        .field("demand_p50_ms", DemandP50Ms)
-        .field("demand_p99_ms", DemandP99Ms)
-        .field("p99_improvement", ColdImprovement)
-        .field("partial_answers", ColdPartialAnswers)
-        .field("promotions", ColdPromotions)
-        .field("mismatches", ColdMismatches)
-        .field("post_promotion_mismatches", PostMismatches)
         .endObject()
         .endObject();
     std::puts(W.str().c_str());
@@ -422,11 +283,6 @@ int main(int Argc, char **Argv) {
   // Self-gating: a warm restart that changes any answer or any
   // replayable stat is a correctness failure, not a perf regression.
   if (StoreRun && (!StoreStatsIdentical || !StoreVerdictsIdentical))
-    return 1;
-  // Self-gating for --cold-p99: any verdict divergence is a soundness
-  // failure; a p99 improvement under 2x means the demand path stopped
-  // earning its keep.
-  if (ColdP99 && (ColdMismatches || PostMismatches || ColdImprovement < 2.0))
     return 1;
   return 0;
 }

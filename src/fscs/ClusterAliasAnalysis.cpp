@@ -31,27 +31,14 @@ ClusterAliasAnalysis::ClusterAliasAnalysis(
     const Program &P, const CallGraph &CG,
     const analysis::SteensgaardAnalysis &Steens, const core::Cluster &C,
     SummaryEngine::Options Opts)
-    : Prog(P), CG(CG), Steens(Steens), Clu(C), EngineOpts(Opts),
+    : Prog(P), Steens(Steens), Clu(C),
       Engine(std::make_unique<SummaryEngine>(P, CG, Steens, C, Opts)) {}
 
 void ClusterAliasAnalysis::prepare() {
   if (Prepared)
     return;
   Prepared = true;
-  // After preparePartial() this re-runs the same deterministic order:
-  // the warmed prefix is memoized and fast-forwards.
   DoveStats = dovetail(*Engine, Prog, Steens, Clu);
-}
-
-bool ClusterAliasAnalysis::preparePartial(size_t MaxFsciQueries) {
-  if (Prepared)
-    return true;
-  if (!Partial)
-    Partial = std::make_unique<PartialState>();
-  DoveStats = dovetail(*Engine, Prog, Steens, Clu, MaxFsciQueries);
-  if (DoveStats.Complete)
-    Prepared = true;
-  return Prepared;
 }
 
 void ClusterAliasAnalysis::adoptState(SummaryEngine::State S,
@@ -59,10 +46,7 @@ void ClusterAliasAnalysis::adoptState(SummaryEngine::State S,
   Engine->importState(std::move(S));
   DoveStats = D;
   // The adopted state already contains the dovetail warmup's FSCI memo;
-  // running prepare() again would only re-issue memoized queries. Any
-  // walker engine seeded from the pre-adoption memo is stale by
-  // construction -- drop it so the next definite query re-seeds.
-  Partial.reset();
+  // running prepare() again would only re-issue memoized queries.
   Prepared = true;
 }
 
@@ -87,43 +71,6 @@ ClusterAliasAnalysis::pointsToRef(VarId V, LocId Loc) {
   // function of the state it started from; the next query re-walks.
   M.Version = Engine->version() == Before ? Before : MemoEntry::Stale;
   return M.Answer;
-}
-
-SummaryEngine &ClusterAliasAnalysis::definiteEngine() {
-  if (!Partial)
-    Partial = std::make_unique<PartialState>();
-  size_t MemoSize = Engine->fsciMemoSize();
-  if (!Partial->DefEngine) {
-    SummaryEngine::Options DefOpts = EngineOpts;
-    DefOpts.DefiniteOnly = true;
-    Partial->DefEngine = std::make_unique<SummaryEngine>(
-        Prog, CG, Steens, Clu, DefOpts);
-  } else if (Partial->InjectedMemoSize == MemoSize) {
-    return *Partial->DefEngine;
-  } else {
-    // The dovetail advanced since the last injection: rebuild the
-    // walker so it sees the longer exact prefix. (Its summary keys are
-    // cheap to recompute -- definite-only chains never branch.)
-    SummaryEngine::Options DefOpts = EngineOpts;
-    DefOpts.DefiniteOnly = true;
-    Partial->DefEngine = std::make_unique<SummaryEngine>(
-        Prog, CG, Steens, Clu, DefOpts);
-  }
-  SummaryEngine::State Seed;
-  Seed.FsciMemo = Engine->fsciMemoSnapshot();
-  Partial->DefEngine->importState(std::move(Seed));
-  Partial->InjectedMemoSize = MemoSize;
-  return *Partial->DefEngine;
-}
-
-ClusterAliasAnalysis::PointsToResult
-ClusterAliasAnalysis::pointsToDefinite(VarId V, LocId Loc) {
-  PointsToResult Out;
-  Out.Objects = definiteEngine().walkOrigins(V, Loc).toVector();
-  // Definite-only results under-approximate: a "no" verdict needs the
-  // fully prepared analysis, so the result is never complete.
-  Out.Complete = false;
-  return Out;
 }
 
 bool ClusterAliasAnalysis::mayAlias(VarId A, VarId B, LocId Loc) {

@@ -62,44 +62,7 @@ public:
 
   /// Runs the dovetail warmup (Algorithm 2). Queries run it lazily if
   /// needed; calling it explicitly makes timing measurements cleaner.
-  /// Safe to call after preparePartial(): the dovetail sequence is
-  /// deterministic and memoized, so finishing it fast-forwards through
-  /// the already-warmed prefix and completes the remainder.
   void prepare();
-
-  //===--------------------------------------------------------------===//
-  // Demand-driven partial evaluation (cold-cluster serving)
-  //===--------------------------------------------------------------===//
-
-  /// Advances the dovetail warmup by at most \p MaxFsciQueries total
-  /// FSCI queries (0 = unlimited, equivalent to prepare()). Returns
-  /// true once the warmup is complete. Each call re-runs the
-  /// deterministic dovetail order from the top with the given *total*
-  /// cap; the already-memoized prefix fast-forwards, so calling with a
-  /// growing cap is an incremental, resumable warmup whose memo is at
-  /// every point byte-identical to a prefix of the full warmup's.
-  bool preparePartial(size_t MaxFsciQueries);
-
-  /// Definite-only points-to: the origins of \p V before \p Loc whose
-  /// update sequences are *unconditional* given the FSCI memo warmed so
-  /// far -- a provable under-approximation of pointsTo() on the fully
-  /// prepared analysis (every surviving chain maps to a satisfiable
-  /// chain of the full run; chains that would need Definition 8's
-  /// constraint branching are dropped, never widened). Runs on a
-  /// separate DefiniteOnly walker engine seeded with a snapshot of the
-  /// main engine's exact FSCI memo, so the main engine's state stays a
-  /// faithful dovetail state and later full answers are byte-identical
-  /// to a never-partial run. Complete is always false: a definite "no"
-  /// must come from the fully prepared analysis.
-  PointsToResult pointsToDefinite(ir::VarId V, ir::LocId Loc);
-
-  /// True once preparePartial() has run (or the analysis is fully
-  /// prepared); pointsToDefinite() is meaningful from then on.
-  bool partiallyPrepared() const { return Partial != nullptr || Prepared; }
-
-  /// True once the dovetail warmup ran to completion (prepare(), a
-  /// finished preparePartial(), or adoptState()).
-  bool fullyPrepared() const { return Prepared; }
 
   /// Installs a previously exported engine state plus its dovetail
   /// accounting (a SummaryCache hit) and marks the analysis prepared.
@@ -162,17 +125,6 @@ public:
   const core::Cluster &cluster() const { return Clu; }
 
 private:
-  /// State of the demand-driven partial evaluation between
-  /// preparePartial() and full preparation: the DefiniteOnly walker
-  /// engine plus the size of the FSCI memo last injected into it (a
-  /// grown memo triggers a refreshed injection; a stale injection is
-  /// still sound -- it is a shorter exact prefix, so the walker merely
-  /// proves less).
-  struct PartialState {
-    std::unique_ptr<SummaryEngine> DefEngine;
-    size_t InjectedMemoSize = 0;
-  };
-
   /// One memoized pointsTo answer; served only while Version equals
   /// the engine's version().
   struct MemoEntry {
@@ -182,15 +134,11 @@ private:
   };
 
   void ensurePrepared();
-  SummaryEngine &definiteEngine();
 
   const ir::Program &Prog;
-  const ir::CallGraph &CG;
   const analysis::SteensgaardAnalysis &Steens;
   const core::Cluster &Clu;
-  SummaryEngine::Options EngineOpts; ///< Also seeds the walker engine.
   std::unique_ptr<SummaryEngine> Engine;
-  std::unique_ptr<PartialState> Partial;
   DovetailStats DoveStats;
   bool Prepared = false;
   std::unordered_map<uint64_t, MemoEntry> AnswerMemo; ///< By (V, Loc).

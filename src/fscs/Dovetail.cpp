@@ -14,8 +14,7 @@ using namespace bsaa::ir;
 
 DovetailStats fscs::dovetail(SummaryEngine &Engine, const Program &P,
                              const analysis::SteensgaardAnalysis &Steens,
-                             const core::Cluster &C,
-                             size_t MaxFsciQueries) {
+                             const core::Cluster &C) {
   // Collect every (pointer, location) pair where the slice dereferences
   // the pointer: store bases and load bases. Those are exactly the FSCI
   // sets Algorithm 4 consults.
@@ -35,15 +34,11 @@ DovetailStats fscs::dovetail(SummaryEngine &Engine, const Program &P,
   // See the invariant on DovetailStats: count a query only when issued,
   // count a level only when all of its queries were issued, and report
   // Complete only when on top of that no query was cut short.
-  // The query cap is checked between queries only: a stopped pass
-  // leaves exact memo entries for a faithful prefix of this
-  // deterministic sequence (see the header contract).
   DovetailStats Stats;
   for (auto &[Depth, Uses] : ByDepth) {
     (void)Depth;
     for (auto [Var, Loc] : Uses) {
-      if (Engine.budgetExhausted() ||
-          (MaxFsciQueries && Stats.FsciQueries >= MaxFsciQueries)) {
+      if (Engine.budgetExhausted()) {
         Stats.Complete = false;
         return Stats;
       }

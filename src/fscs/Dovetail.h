@@ -55,19 +55,9 @@ struct DovetailStats {
 
 /// Warms \p Engine's FSCI memo for every dereference base appearing in
 /// the cluster slice, in increasing Steensgaard depth order.
-///
-/// \p MaxFsciQueries bounds how many fsciPointsTo() calls this pass may
-/// issue in total (0 = unlimited). The bound is checked *between*
-/// queries, never inside one, so every memo entry the pass leaves
-/// behind is an exact, fully-computed FSCI set -- a faithful prefix of
-/// the unbounded pass's deterministic query sequence. That exactness is
-/// what the demand-driven partial evaluation relies on when it injects
-/// the memo into a DefiniteOnly walker. Resuming is just calling again
-/// with a larger (or zero) bound: already-memoized queries fast-forward
-/// and the pass continues where the prefix ended.
 DovetailStats dovetail(SummaryEngine &Engine, const ir::Program &P,
                        const analysis::SteensgaardAnalysis &Steens,
-                       const core::Cluster &C, size_t MaxFsciQueries = 0);
+                       const core::Cluster &C);
 
 /// Folds one dovetail pass's accounting into \p Global under the
 /// "fscs." prefix. The cluster driver calls this on *both* the live

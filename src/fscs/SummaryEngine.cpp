@@ -431,14 +431,6 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
         Out.push_back(Outcome{OutcomeKind::Continue, Q, Cond});
         return;
       }
-      if (Opts.DefiniteOnly) {
-        // Definite-only: a certain strong update continues without a
-        // constraint; an ambiguous store kills the chain.
-        if (Definite)
-          Out.push_back(
-              Outcome{OutcomeKind::Continue, Ref::direct(Loc.Rhs), Cond});
-        return;
-      }
       Out.push_back(Outcome{
           OutcomeKind::Continue, Ref::direct(Loc.Rhs),
           Cond.conjoin(atom(M, ConstraintKind::PointsTo, U, V),
@@ -462,8 +454,6 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
       Out.push_back(Outcome{OutcomeKind::Continue, Q, Cond});
       return;
     }
-    if (Opts.DefiniteOnly)
-      return; // *u may or may not be the tracked object: chain dies.
     Out.push_back(Outcome{
         OutcomeKind::Continue, Ref::direct(Loc.Rhs),
         Cond.conjoin(atom(M, ConstraintKind::SameObject, U, S),
@@ -515,16 +505,6 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
       // the Steensgaard pointee partition with constraints).
       VarId TVar = Loc.Rhs;
       const SparseBitVector *Pts = fsciIfKnown(TVar, M);
-      if (Opts.DefiniteOnly) {
-        // Only a known singleton pointee resolves the inner deref
-        // without a constraint; anything else kills the chain.
-        if (Pts && Pts->count() == 1)
-          Pts->forEach([&](uint32_t O) {
-            Out.push_back(
-                Outcome{OutcomeKind::Continue, Ref::deref(O), Cond});
-          });
-        return;
-      }
       std::vector<VarId> &Candidates = CandidateBuf;
       Candidates.clear();
       if (Pts) {
@@ -557,11 +537,6 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
   bool Definite = false;
   if (!mayPointTo(S, R, M, Definite)) {
     Out.push_back(Outcome{OutcomeKind::Continue, Q, Cond});
-    return;
-  }
-  if (Opts.DefiniteOnly) {
-    if (Definite)
-      Out.push_back(writtenValue(Loc, Cond));
     return;
   }
   Outcome Written = writtenValue(Loc, Cond);

@@ -110,17 +110,6 @@ public:
     /// Fan-out cap when a dereference must be enumerated without FSCI
     /// information; beyond it the engine records an approximation flag.
     size_t MaxDerefFanout = 64;
-    /// Definite-only evaluation: whenever the transfer function would
-    /// have to *branch* on unknown points-to information (Definition
-    /// 8's constraint atoms), the traversal drops the chain instead.
-    /// Every surviving tuple is an unconditional update sequence, so
-    /// the result set is a provable under-approximation of a full run
-    /// over the same slice: a definite "yes" witness. This is the
-    /// partial-evaluation mode behind demand-driven cold-cluster
-    /// serving; states produced under it must never be exported into
-    /// the cross-cluster summary cache (the cache key deliberately
-    /// ignores this flag).
-    bool DefiniteOnly = false;
   };
 
   SummaryEngine(const ir::Program &P, const ir::CallGraph &CG,
@@ -171,21 +160,6 @@ public:
   uint64_t stepsUsed() const { return St.Steps; }
   uint64_t numSummaryTuples() const;
   uint64_t numKeys() const { return St.Keys.size(); }
-
-  /// Number of memoized FSCI sets -- the dovetail-progress indicator
-  /// the demand-driven partial path uses to detect when a refreshed
-  /// memo injection is worthwhile.
-  size_t fsciMemoSize() const { return St.FsciMemo.size(); }
-
-  /// Copy of the memoized FSCI sets alone. The demand-driven partial
-  /// evaluation imports this (wrapped in a State carrying only FsciMemo)
-  /// into a DefiniteOnly walker engine: the memo holds *exact* sets for
-  /// a faithful prefix of the dovetail sequence, so the walker's
-  /// Definite / known-miss decisions stay sound, while the walker's own
-  /// summary keys start empty and never contaminate this engine.
-  U64FlatMap<SparseBitVector> fsciMemoSnapshot() const {
-    return St.FsciMemo;
-  }
 
   /// Aggregate accounting of one engine's whole lifetime, cheap enough
   /// to sample once per cluster run.

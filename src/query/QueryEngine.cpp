@@ -6,10 +6,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 
 using namespace bsaa;
 using namespace bsaa::query;
@@ -125,7 +123,7 @@ PointsToAnswer QueryEngine::pointsToAt(ir::VarId V, ir::LocId Loc) const {
 
 std::vector<uint8_t>
 QueryEngine::evalMayAlias(const std::vector<MayAliasQuery> &Queries,
-                          unsigned Threads, ThreadPool *Pool) const {
+                          unsigned Threads) const {
   std::shared_ptr<const QuerySnapshot> S = snapshot();
   assert(S && "query before the first publish()");
   std::vector<uint8_t> Results(Queries.size(), 0);
@@ -141,68 +139,23 @@ QueryEngine::evalMayAlias(const std::vector<MayAliasQuery> &Queries,
     }
   };
 
-  if ((Threads <= 1 && !Pool) || Queries.size() <= 1) {
+  if (Threads <= 1 || Queries.size() <= 1) {
     EvalRange(*S, 0, Queries.size());
     return Results;
   }
 
-  std::unique_ptr<ThreadPool> Owned;
-  if (!Pool) {
-    Owned = std::make_unique<ThreadPool>(Threads);
-    Pool = Owned.get();
-  }
-  unsigned EffThreads = Threads > 0 ? Threads : Pool->numThreads();
-
   // Oversplit a little so an unlucky chunk full of expensive
   // materializations doesn't serialize the batch.
-  size_t NumChunks = std::min<size_t>(
-      Queries.size(), std::max<size_t>(1, size_t(EffThreads) * 4));
+  size_t NumChunks = std::min<size_t>(Queries.size(), size_t(Threads) * 4);
   size_t ChunkSize = (Queries.size() + NumChunks - 1) / NumChunks;
-
-  // Per-batch completion latch. The pool may be shared with other
-  // batches and with background promotions, so waiting must be scoped
-  // to exactly this batch's chunks: ThreadPool::waitAll() would block
-  // on (and steal errors from) unrelated work.
-  std::mutex BatchMutex;
-  std::condition_variable BatchCv;
-  size_t Remaining = 0;
-  std::exception_ptr FirstError;
-
+  ThreadPool Pool(Threads);
   for (size_t Begin = 0; Begin < Queries.size(); Begin += ChunkSize) {
     size_t End = std::min(Begin + ChunkSize, Queries.size());
-    {
-      std::lock_guard<std::mutex> Lock(BatchMutex);
-      ++Remaining;
-    }
-    bool Submitted = Pool->submit([&, Begin, End] {
-      try {
-        EvalRange(*S, Begin, End);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(BatchMutex);
-        if (!FirstError)
-          FirstError = std::current_exception();
-      }
-      std::lock_guard<std::mutex> Lock(BatchMutex);
-      --Remaining;
-      BatchCv.notify_all();
-    });
-    if (!Submitted) {
-      // Shared pool shutting down underneath us: evaluate the chunk
-      // inline rather than failing the batch.
-      {
-        std::lock_guard<std::mutex> Lock(BatchMutex);
-        --Remaining;
-      }
-      EvalRange(*S, Begin, End);
-    }
+    Pool.submit([&, Begin, End] { EvalRange(*S, Begin, End); });
   }
-
-  {
-    std::unique_lock<std::mutex> Lock(BatchMutex);
-    BatchCv.wait(Lock, [&] { return Remaining == 0; });
-    if (FirstError)
-      std::rethrow_exception(FirstError);
-  }
+  // The pool is this batch's alone, so global quiescence is exactly
+  // the batch's completion; the first chunk error is rethrown here.
+  Pool.waitAll();
   return Results;
 }
 

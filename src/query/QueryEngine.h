@@ -20,8 +20,8 @@
 ///    update blocks in-flight queries and no reader ever observes a
 ///    half-updated view. snapshot() still hands out shared_ptrs, under
 ///    a mutex, for callers that pin a version across many calls.
-///  * evalMayAlias() runs a query batch through the shared ThreadPool,
-///    chunked so each worker grabs the snapshot pointer once.
+///  * evalMayAlias() runs a query batch against one pinned snapshot,
+///    inline or chunked over a pool of its own.
 ///  * AliasService glues core::IncrementalDriver to the engine:
 ///    update(program) re-analyzes incrementally, builds a fresh
 ///    snapshot over the driver's solved cover, results and caches, and
@@ -95,20 +95,13 @@ public:
 
   /// Evaluates \p Queries against one consistent snapshot and returns
   /// the verdicts index-aligned (1 = may alias). \p Threads > 1 splits
-  /// the batch across worker threads; 0/1 evaluates inline. Every
-  /// worker chunk writes a disjoint result range, so no synchronization
-  /// is needed beyond the batch's own completion latch.
-  ///
-  /// When \p Pool is non-null its workers run the chunks (the batch
-  /// still completes before returning, tracked by a per-batch latch, so
-  /// a shared long-lived pool is safe: waitAll() -- global quiescence
-  /// plus cross-batch error stealing -- is never used). A null \p Pool
-  /// spins up a transient pool of \p Threads workers, which is how
-  /// every call used to behave and is only sensible for one-off bulk
-  /// batches: per-call thread creation dominates small batches.
+  /// the batch across a pool of that many workers, created for this
+  /// batch and drained with waitAll(); 0/1 evaluates inline. Every
+  /// chunk writes a disjoint result range, so no synchronization is
+  /// needed beyond the drain. Per-call thread creation dominates small
+  /// batches: threads only pay off for bulk ones.
   std::vector<uint8_t> evalMayAlias(const std::vector<MayAliasQuery> &Queries,
-                                    unsigned Threads = 0,
-                                    ThreadPool *Pool = nullptr) const;
+                                    unsigned Threads = 0) const;
 
 private:
   /// A thread's reader slot. Seq is odd while the thread is inside a
@@ -178,13 +171,6 @@ public:
   QueryEngine &engine() { return Engine; }
   const QueryEngine &engine() const { return Engine; }
   core::IncrementalDriver &driver() { return Inc; }
-
-  /// Batch evaluation that reuses the service's promotion pool (when
-  /// one was configured) instead of constructing a pool per batch.
-  std::vector<uint8_t> evalMayAlias(const std::vector<MayAliasQuery> &Queries,
-                                    unsigned Threads = 0) const {
-    return Engine.evalMayAlias(Queries, Threads, QOpts.PromotionPool.get());
-  }
 
   /// Runs after every publish, on the update() caller's thread, with
   /// the batch's report and the snapshot just installed. Lets derived

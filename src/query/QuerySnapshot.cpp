@@ -2,8 +2,6 @@
 
 #include "query/QuerySnapshot.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -38,11 +36,6 @@ ir::LocId query::canonicalAliasLoc(const ir::Program &P, ir::VarId A,
 }
 
 namespace {
-
-/// Total FSCI-query cap for a cold cluster's bounded dovetail warmup in
-/// demand mode: comfortably completes typical clusters while bounding
-/// pathological ones.
-constexpr size_t DemandDovetailBudget = 4096;
 
 /// Intersection test over two sorted vectors.
 bool sortedIntersects(const std::vector<ir::VarId> &A,
@@ -157,25 +150,20 @@ void QuerySnapshot::materializeLocked(uint32_t ClusterIdx, Entry &E) const {
       *Prog, callGraph(), steensgaard(), cover()[ClusterIdx],
       Opts.EngineOpts);
   NumMaterializations.fetch_add(1, std::memory_order_relaxed);
-  bool Adopted = false;
-  if (Cache && hasClusterKeys()) {
-    if (std::shared_ptr<const fscs::CachedClusterRun> Hit =
-            Cache->lookup(Keys[ClusterIdx])) {
-      fscs::SummaryEngine::State S = Hit->Engine;
-      AA->adoptState(std::move(S), Hit->Dove);
-      NumCacheAdoptions.fetch_add(1, std::memory_order_relaxed);
-      Adopted = true;
-    }
+  // The summary cache never evicts and flagged clusters never get
+  // here (they go to the fallback chain first), so a snapshot built
+  // over a cascade with a cache always finds the cluster's run.
+  // prepare() is for snapshots without one.
+  std::shared_ptr<const fscs::CachedClusterRun> Hit;
+  if (Cache && hasClusterKeys())
+    Hit = Cache->lookup(Keys[ClusterIdx]);
+  if (Hit) {
+    fscs::SummaryEngine::State S = Hit->Engine;
+    AA->adoptState(std::move(S), Hit->Dove);
+    NumCacheAdoptions.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    AA->prepare();
   }
-  if (Adopted || !Opts.DemandMode) {
-    // Cache replay is already the cheap path, and eager mode pays the
-    // full preparation up front by definition.
-    if (!Adopted)
-      AA->prepare();
-    E.Phase.store(EntryPhase::Full, std::memory_order_relaxed);
-  }
-  // Demand mode without a cached run: leave the entry Cold. The query
-  // path advances it Cold -> Partial -> Full on demand.
   E.AA = std::move(AA);
   NumResident.fetch_add(1, std::memory_order_relaxed);
 }
@@ -202,107 +190,12 @@ size_t QuerySnapshot::evict(size_t Target, uint32_t Keep) const {
     std::unique_lock<std::mutex> EntryLock(E.M, std::try_to_lock);
     if (!EntryLock.owns_lock() || !E.AA)
       continue;
-    // A queued promotion job finds AA null (or a fresh Cold analysis
-    // after a re-materialization) and handles both.
     E.AA.reset();
-    E.PendingWalks.clear();
-    E.Phase.store(EntryPhase::Cold, std::memory_order_relaxed);
     NumResident.fetch_sub(1, std::memory_order_relaxed);
     NumEvictions.fetch_add(1, std::memory_order_relaxed);
     ++Evicted;
   }
   return Evicted;
-}
-
-void QuerySnapshot::advancePartialLocked(Entry &E) const {
-  if (E.Phase.load(std::memory_order_relaxed) != EntryPhase::Cold)
-    return;
-  E.AA->preparePartial(DemandDovetailBudget);
-  // Even a completed bounded warmup stays Partial: Full means "answer
-  // through the fully prepared engine", and the expensive part of an
-  // eager answer is the conditional query walk, not the warmup --
-  // definite-only serving stays worthwhile until a query (or the
-  // promotion job) actually pays for the full walks.
-  E.Phase.store(EntryPhase::Partial, std::memory_order_relaxed);
-}
-
-void QuerySnapshot::completeLocked(Entry &E) const {
-  E.AA->prepare();
-  E.Phase.store(EntryPhase::Full, std::memory_order_relaxed);
-}
-
-void QuerySnapshot::notePendingLocked(Entry &E, ir::VarId V,
-                                      ir::LocId Loc) const {
-  for (const std::pair<ir::VarId, ir::LocId> &W : E.PendingWalks)
-    if (W.first == V && W.second == Loc)
-      return;
-  E.PendingWalks.emplace_back(V, Loc);
-}
-
-void QuerySnapshot::schedulePromotionLocked(uint32_t ClusterIdx) const {
-  Entry &E = Entries[ClusterIdx];
-  if (E.PromotionQueued ||
-      E.Phase.load(std::memory_order_relaxed) == EntryPhase::Full)
-    return;
-  ThreadPool *Pool = Opts.PromotionPool.get();
-  if (!Pool)
-    return; // No pool: the entry keeps serving partially.
-  E.PromotionQueued = true;
-  {
-    std::lock_guard<std::mutex> Lock(PromoMutex);
-    ++PendingPromotions;
-  }
-  NumPromotionsScheduled.fetch_add(1, std::memory_order_relaxed);
-  // The job holds a strong reference to the snapshot: promoteEntry
-  // reads the solve, Prog and the entry, which must outlive the job. The
-  // pool is external by contract (see QueryOptions::PromotionPool), so
-  // the last release never joins the pool from one of its own workers.
-  std::shared_ptr<const QuerySnapshot> Self = shared_from_this();
-  if (!Pool->submit([Self, ClusterIdx] { Self->promoteEntry(ClusterIdx); })) {
-    // Pool already shutting down; roll the accounting back.
-    E.PromotionQueued = false;
-    NumPromotionsScheduled.fetch_sub(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(PromoMutex);
-    --PendingPromotions;
-    PromoCv.notify_all();
-  }
-}
-
-void QuerySnapshot::promoteEntry(uint32_t ClusterIdx) const {
-  Entry &E = Entries[ClusterIdx];
-  try {
-    std::lock_guard<std::mutex> Lock(E.M);
-    if (E.AA &&
-        E.Phase.load(std::memory_order_relaxed) != EntryPhase::Full) {
-      // Finishing the dovetail fast-forwards through the warmed prefix,
-      // then the pending walks pre-pay the full conditional traversals
-      // the partial answers deferred. Queries never touched this
-      // engine while the entry was Partial (the walker engine is
-      // separate), so its state -- and every later answer -- is
-      // byte-identical to a never-partial materialization.
-      E.AA->prepare();
-      std::vector<std::pair<ir::VarId, ir::LocId>> Walks;
-      Walks.swap(E.PendingWalks);
-      for (std::pair<ir::VarId, ir::LocId> W : Walks)
-        (void)E.AA->pointsToRef(W.first, W.second);
-      E.Phase.store(EntryPhase::Full, std::memory_order_relaxed);
-    }
-    E.PromotionQueued = false;
-  } catch (...) {
-    // A failed promotion leaves the entry Partial; it keeps serving
-    // definite answers and the next gap query promotes synchronously.
-    std::lock_guard<std::mutex> Lock(E.M);
-    E.PromotionQueued = false;
-  }
-  NumPromotionsCompleted.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(PromoMutex);
-  --PendingPromotions;
-  PromoCv.notify_all();
-}
-
-void QuerySnapshot::waitPromotionsIdle() const {
-  std::unique_lock<std::mutex> Lock(PromoMutex);
-  PromoCv.wait(Lock, [this] { return PendingPromotions == 0; });
 }
 
 size_t QuerySnapshot::trimResident(size_t MaxResident) const {
@@ -403,31 +296,8 @@ AliasAnswer QuerySnapshot::mayAliasAt(ir::VarId A, ir::VarId B,
         continue;
       }
       std::unique_lock<std::mutex> Lock = acquire(CI);
-      Entry &E = Entries[CI];
-      if (Opts.DemandMode &&
-          E.Phase.load(std::memory_order_relaxed) != EntryPhase::Full) {
-        // Cold-cluster fast path: a bounded warmup plus a definite-only
-        // walk. Definite origin sets are subsets of the full ones, so an
-        // intersection here is an intersection on the fully prepared
-        // analysis too -- the eager path would return the same "yes"
-        // (its intersect check precedes the Complete check). No
-        // intersection proves nothing; fall through to the full answer.
-        advancePartialLocked(E);
-        fscs::ClusterAliasAnalysis::PointsToResult DA =
-            E.AA->pointsToDefinite(A, Loc);
-        fscs::ClusterAliasAnalysis::PointsToResult DB =
-            E.AA->pointsToDefinite(B, Loc);
-        if (sortedIntersects(DA.Objects, DB.Objects)) {
-          notePendingLocked(E, A, Loc);
-          notePendingLocked(E, B, Loc);
-          schedulePromotionLocked(CI);
-          countAnswer(AnswerSource::FscsPartial);
-          return {true, AnswerSource::FscsPartial};
-        }
-        completeLocked(E);
-      }
       // A != B, so the two references name distinct memo entries.
-      fscs::ClusterAliasAnalysis &AA = *E.AA;
+      fscs::ClusterAliasAnalysis &AA = *Entries[CI].AA;
       uint64_t Walks = AA.numWalks();
       const fscs::ClusterAliasAnalysis::PointsToResult &PA =
           AA.pointsToRef(A, Loc);
@@ -473,7 +343,6 @@ PointsToAnswer QuerySnapshot::pointsToAt(ir::VarId V, ir::LocId Loc) const {
   const std::vector<uint32_t> &CV = clustersOf(V);
   bool AnyFallback = CV.empty() || Loc >= Prog->numLocs();
   bool Truncated = false;
-  bool AnyPartial = false;
   if (!AnyFallback) {
     for (uint32_t CI : CV) {
       if (NeedsFallback[CI]) {
@@ -481,23 +350,7 @@ PointsToAnswer QuerySnapshot::pointsToAt(ir::VarId V, ir::LocId Loc) const {
         continue;
       }
       std::unique_lock<std::mutex> Lock = acquire(CI);
-      Entry &E = Entries[CI];
-      if (Opts.DemandMode &&
-          E.Phase.load(std::memory_order_relaxed) != EntryPhase::Full) {
-        // Serve the definite under-approximation now; the background
-        // promotion makes the next query over this cluster exact. The
-        // answer is marked incomplete, so clients widen as they would
-        // for any truncated set.
-        advancePartialLocked(E);
-        fscs::ClusterAliasAnalysis::PointsToResult D =
-            E.AA->pointsToDefinite(V, Loc);
-        mergeSortedUnique(Ans.Objects, D.Objects);
-        notePendingLocked(E, V, Loc);
-        schedulePromotionLocked(CI);
-        AnyPartial = true;
-        continue;
-      }
-      fscs::ClusterAliasAnalysis &AA = *E.AA;
+      fscs::ClusterAliasAnalysis &AA = *Entries[CI].AA;
       uint64_t Walks = AA.numWalks();
       const fscs::ClusterAliasAnalysis::PointsToResult &R =
           AA.pointsToRef(V, Loc);
@@ -519,9 +372,6 @@ PointsToAnswer QuerySnapshot::pointsToAt(ir::VarId V, ir::LocId Loc) const {
       Ans.Source = AnswerSource::Steensgaard;
     }
     Ans.Complete = false;
-  } else if (AnyPartial) {
-    Ans.Source = AnswerSource::FscsPartial;
-    Ans.Complete = false;
   } else {
     Ans.Source = AnswerSource::Fscs;
     Ans.Complete = true;
@@ -534,21 +384,12 @@ SnapshotStats QuerySnapshot::stats() const {
   SnapshotStats S;
   S.IndexAnswers = Counters.sum(size_t(AnswerSource::Index));
   S.FscsAnswers = Counters.sum(size_t(AnswerSource::Fscs));
-  S.FscsPartialAnswers = Counters.sum(size_t(AnswerSource::FscsPartial));
   S.AndersenAnswers = Counters.sum(size_t(AnswerSource::Andersen));
   S.SteensgaardAnswers = Counters.sum(size_t(AnswerSource::Steensgaard));
   S.Walks = Counters.sum(WalksCounter);
   S.Materializations = NumMaterializations.load(std::memory_order_relaxed);
   S.CacheAdoptions = NumCacheAdoptions.load(std::memory_order_relaxed);
   S.Evictions = NumEvictions.load(std::memory_order_relaxed);
-  S.PromotionsScheduled =
-      NumPromotionsScheduled.load(std::memory_order_relaxed);
-  S.PromotionsCompleted =
-      NumPromotionsCompleted.load(std::memory_order_relaxed);
   S.Resident = NumResident.load(std::memory_order_relaxed);
-  for (size_t CI = 0; CI < cover().size(); ++CI)
-    if (Entries[CI].Phase.load(std::memory_order_relaxed) ==
-        EntryPhase::Partial)
-      ++S.PartialResident;
   return S;
 }

@@ -15,11 +15,13 @@
 ///    without touching any FSCS data;
 ///  * *lazily materialized per-cluster FSCS analyses*. The cascade's
 ///    per-cluster results are replayed from the shared SummaryCache
-///    when available (ClusterAliasAnalysis::adoptState), otherwise
-///    recomputed on first demand; a configurable cap, enforced by a
-///    CLOCK sweep, bounds how many clusters are resident at once. Each
-///    analysis memoizes its points-to answers, so a warm query is a
-///    lock of its cluster's entry plus memo lookups;
+///    (ClusterAliasAnalysis::adoptState) -- for every snapshot built
+///    over a cascade with a cache, that is every materialization --
+///    and only a snapshot without one recomputes a cluster on first
+///    touch; a configurable cap, enforced by a CLOCK sweep, bounds how
+///    many clusters are resident at once. Each analysis memoizes its
+///    points-to answers, so a warm query is a lock of its cluster's
+///    entry plus memo lookups;
 ///  * a *sound precision-fallback chain*. Clusters whose cascade run
 ///    was flagged BudgetHit/Approximated may have lost origins, so a
 ///    "no alias" verdict from their FSCS data cannot be trusted; such
@@ -48,29 +50,22 @@
 #include "support/ThreadSlots.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 namespace bsaa {
-
-class ThreadPool;
-
 namespace query {
 
 /// Which rung of the precision chain produced an answer.
 enum class AnswerSource : uint8_t {
   Index,       ///< Cover index alone (no shared cluster, trivial pair).
   Fscs,        ///< Per-cluster FSCS result.
-  FscsPartial, ///< Definite-only partial FSCS evaluation (demand mode):
-               ///< a provable under-approximation served while the
-               ///< cluster's full materialization completes in the
-               ///< background. Only ever attached to answers the full
-               ///< analysis is guaranteed to agree with (definite-"yes"
-               ///< may-alias witnesses; points-to subsets flagged
-               ///< Complete=false).
+  FscsPartial, ///< Produced by no rung. Kept only because the
+               ///< perfbench harness indexes this enum's layout: a
+               ///< static_assert on Steensgaard's value, its span-name
+               ///< table and a switch over every enumerator. It goes
+               ///< together with those uses.
   Andersen,    ///< Whole-program Andersen fallback (flagged cluster).
   Steensgaard, ///< Last-resort unification fallback.
 };
@@ -81,8 +76,8 @@ const char *answerSourceName(AnswerSource S);
 struct QueryOptions {
   /// Cap on concurrently materialized per-cluster FSCS analyses
   /// (at least 1), enforced by CLOCK eviction. Evicted clusters
-  /// re-materialize on the next query (cheaply, when the summary cache
-  /// still holds their run).
+  /// re-materialize on the next query, by adopting the cascade's cached
+  /// run again when the snapshot has a summary cache.
   size_t MaxMaterializedClusters = 64;
 
   /// Fall back to whole-program Andersen for flagged clusters; when
@@ -99,25 +94,6 @@ struct QueryOptions {
   /// from the driver by AliasService so fallback answers come from the
   /// same solver configuration the cascade's refinement stage used.
   analysis::AndersenAnalysis::Options AndersenOpts;
-
-  /// Demand-driven cold-cluster serving. When a query touches a cluster
-  /// that is not resident (and not in the summary cache), the snapshot
-  /// does not pay the full materialization up front: it warms a bounded
-  /// dovetail prefix, answers definite-"yes" may-alias queries from a
-  /// DefiniteOnly partial evaluation (AnswerSource::FscsPartial), and
-  /// schedules the full materialization on PromotionPool. Queries with
-  /// no definite witness complete the materialization synchronously, so
-  /// every verdict equals the eager mode's. Off by default: eager
-  /// materialize-on-first-touch.
-  bool DemandMode = false;
-
-  /// Pool background promotions run on (demand mode). The snapshot
-  /// never owns a pool: promotion jobs capture a strong reference to
-  /// the snapshot, and an owned pool would make the last release join
-  /// the pool from one of its own workers. Null = promotions are never
-  /// scheduled; partial entries still serve definite answers and
-  /// promote synchronously when a query needs the full analysis.
-  std::shared_ptr<ThreadPool> PromotionPool;
 };
 
 /// A may-alias verdict plus its provenance.
@@ -135,11 +111,10 @@ struct PointsToAnswer {
   bool Complete = true;
 };
 
-/// Serving-side accounting (monotone except Resident/PartialResident).
+/// Serving-side accounting (monotone except Resident).
 struct SnapshotStats {
   uint64_t IndexAnswers = 0;   ///< Answered from the index alone.
   uint64_t FscsAnswers = 0;    ///< Answered at full FSCS precision.
-  uint64_t FscsPartialAnswers = 0; ///< Definite-only partial answers.
   uint64_t AndersenAnswers = 0;
   uint64_t SteensgaardAnswers = 0;
   /// FSCS points-to walks run because the answer memo missed; the
@@ -148,13 +123,7 @@ struct SnapshotStats {
   uint64_t Materializations = 0; ///< Cluster analyses constructed.
   uint64_t CacheAdoptions = 0;   ///< ...of which replayed a cached run.
   uint64_t Evictions = 0;        ///< CLOCK evictions.
-  uint64_t Resident = 0;         ///< Currently materialized clusters
-                                 ///< (partial entries included).
-  uint64_t PartialResident = 0;  ///< ...of which are partial (demand).
-  uint64_t PromotionsScheduled = 0; ///< Background promotions queued.
-  uint64_t PromotionsCompleted = 0; ///< ...of which finished (includes
-                                    ///< no-op completions on entries a
-                                    ///< sync query promoted first).
+  uint64_t Resident = 0;         ///< Currently materialized clusters.
 };
 
 /// The canonical location a location-free mayAlias(p, q) is evaluated
@@ -166,19 +135,11 @@ ir::LocId canonicalAliasLoc(const ir::Program &P, ir::VarId A, ir::VarId B);
 /// Immutable query-serving view of one analyzed program version.
 ///
 /// "Immutable" refers to the analysis inputs and answers; the snapshot
-/// caches materialized per-cluster state internally. In demand mode a
-/// cluster entry moves through a monotone phase machine
-///
-///   Cold -> Partial -> Full
-///
-/// Cold: analysis constructed, dovetail not run. Partial: a bounded
-/// dovetail prefix is warmed and a DefiniteOnly walker serves definite
-/// "yes" witnesses; every other verdict routes through synchronous full
-/// materialization (exactly the eager path) or the fallback ladder, so
-/// an incomplete partial "no" is never served. Full: all queries run
-/// the fully prepared engine. Background promotion (finish the dovetail
-/// plus the pending full walks) moves Partial entries to Full in place.
-class QuerySnapshot : public std::enable_shared_from_this<QuerySnapshot> {
+/// caches materialized per-cluster state internally. A cluster is
+/// either not resident or resident with a fully prepared analysis:
+/// materialization adopts the cascade's cached run for the cluster, or
+/// runs prepare() when the snapshot has no cache to adopt from.
+class QuerySnapshot {
 public:
   /// Builds a snapshot over \p Solved, the solve and cover of \p P.
   /// \p Runs, when non-null, must be aligned index-for-index with
@@ -244,11 +205,6 @@ public:
   }
   SnapshotStats stats() const;
 
-  /// Blocks until no scheduled background promotion is outstanding.
-  /// Benchmarks and the demand-vs-eager oracle use this to compare
-  /// answers at promotion quiescence; serving paths never need it.
-  void waitPromotionsIdle() const;
-
   /// Evicts materialized cluster analyses (CLOCK order: entries not
   /// queried since the hand last passed go first) until at most
   /// max(1, \p MaxResident) remain; returns how many were evicted. The
@@ -267,10 +223,6 @@ private:
                 QueryOptions OptsIn,
                 std::shared_ptr<fscs::SummaryCache> CacheIn);
 
-  /// Materialization phase of one entry (demand mode; eager entries go
-  /// straight to Full). Monotone: never moves backwards.
-  enum class EntryPhase : uint8_t { Cold = 0, Partial = 1, Full = 2 };
-
   /// The serving state of one cluster, alive as long as the snapshot.
   /// ClusterAliasAnalysis queries mutate engine and memo state, so each
   /// entry carries its own mutex; AA is null while the cluster is not
@@ -279,43 +231,21 @@ private:
   struct alignas(support::CacheLine) Entry {
     std::mutex M;
     std::unique_ptr<fscs::ClusterAliasAnalysis> AA; ///< Under M.
-    /// Written under M; atomic so the resident gauge can read it
-    /// without taking every entry lock. Reset to Cold on eviction.
-    std::atomic<EntryPhase> Phase{EntryPhase::Cold};
     /// CLOCK reference bit: set by queries, cleared by the hand.
     std::atomic<bool> Referenced{false};
-    /// True while a promotion job is queued or running. Under M.
-    bool PromotionQueued = false;
-    /// (var, loc) walks served partially; the promotion job re-runs
-    /// them on the full engine so post-promotion answers are warm.
-    /// Under M; bounded (promotion walks every pair anyway).
-    std::vector<std::pair<ir::VarId, ir::LocId>> PendingWalks;
   };
 
   /// Locks cluster \p ClusterIdx's entry and returns the lock, with
   /// the entry's analysis materialized (evicting others, under the
   /// lock, to stay within the cap).
   std::unique_lock<std::mutex> acquire(uint32_t ClusterIdx) const;
-  /// Constructs the entry's analysis. Caller holds E.M; E.AA is null.
+  /// Constructs the entry's analysis, adopting the cascade's cached run
+  /// or preparing it from scratch. Caller holds E.M; E.AA is null.
   void materializeLocked(uint32_t ClusterIdx, Entry &E) const;
   /// Runs the CLOCK hand until at most \p Target entries are resident,
   /// never evicting \p Keep (whose lock the caller may hold) or an
   /// entry locked by a reader; returns how many it evicted.
   size_t evict(size_t Target, uint32_t Keep) const;
-  /// Cold -> Partial: runs the bounded dovetail warmup. Caller holds
-  /// E.M.
-  void advancePartialLocked(Entry &E) const;
-  /// -> Full: finishes the dovetail synchronously. Caller holds E.M.
-  void completeLocked(Entry &E) const;
-  /// Records a partially-served walk for promotion replay. Caller
-  /// holds E.M.
-  void notePendingLocked(Entry &E, ir::VarId V, ir::LocId Loc) const;
-  /// Queues a background promotion for cluster \p ClusterIdx if a pool
-  /// is configured and none is queued. Caller holds its entry's M.
-  void schedulePromotionLocked(uint32_t ClusterIdx) const;
-  /// The promotion job body: finish the dovetail, replay pending
-  /// walks, flip the entry to Full.
-  void promoteEntry(uint32_t ClusterIdx) const;
   const analysis::AndersenAnalysis &andersen() const;
   AliasAnswer fallbackMayAlias(ir::VarId A, ir::VarId B) const;
   void countAnswer(AnswerSource S) const {
@@ -357,14 +287,6 @@ private:
   mutable std::atomic<uint64_t> NumMaterializations{0};
   mutable std::atomic<uint64_t> NumCacheAdoptions{0};
   mutable std::atomic<uint64_t> NumEvictions{0};
-  mutable std::atomic<uint64_t> NumPromotionsScheduled{0};
-  mutable std::atomic<uint64_t> NumPromotionsCompleted{0};
-
-  /// Outstanding promotion jobs (scheduled, not yet finished), with a
-  /// cv for waitPromotionsIdle().
-  mutable std::mutex PromoMutex;
-  mutable std::condition_variable PromoCv;
-  mutable uint64_t PendingPromotions = 0; ///< Guarded by PromoMutex.
 };
 
 } // namespace query

@@ -5,7 +5,6 @@
 #include "support/CacheStore.h"
 #include "support/Json.h"
 #include "support/Statistics.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -49,12 +48,7 @@ const char *bsaa::serving::submitStatusName(SubmitStatus S) {
 //===----------------------------------------------------------------------===//
 
 TenantRegistry::TenantRegistry(ServingOptions OptsIn)
-    : Opts(std::move(OptsIn)),
-      Pool(std::make_shared<ThreadPool>(Opts.DrainThreads)) {
-  // Demand-mode cluster promotions ride the same pool as the drain
-  // jobs: promotion work is the tail end of the same re-analysis the
-  // drains do, and a second pool would only fight the first for cores.
-  Opts.QOpts.PromotionPool = Pool;
+    : Opts(std::move(OptsIn)), Pool(Opts.DrainThreads) {
   // Warm tenant onboarding: resolve the persistent store once; every
   // tenant added later gets fresh in-memory caches (isolation of
   // counters and accounting) that all attach to this one store, so a
@@ -79,10 +73,10 @@ TenantRegistry::~TenantRegistry() {
   for (size_t I = 0; I < N; ++I)
     drainNow(static_cast<TenantId>(I));
   waitIdle();
-  Pool->shutdown();
+  Pool.shutdown();
   // drainLoop() contains every job in a catch-all, so no job error can
   // be pending; claim defensively anyway (debug builds assert claimed).
-  (void)Pool->takeError();
+  (void)Pool.takeError();
 }
 
 TenantId TenantRegistry::addTenant(std::string Name) {
@@ -205,7 +199,7 @@ void TenantRegistry::scheduleDrainLocked(Tenant &Ten) {
     std::lock_guard<std::mutex> Lock(IdleMutex);
     ++ActiveDrains;
   }
-  bool Submitted = Pool->submit([this, &Ten] { drainLoop(Ten); });
+  bool Submitted = Pool.submit([this, &Ten] { drainLoop(Ten); });
   if (!Submitted) {
     // Pool already shutting down (destructor path); the destructor's
     // drainNow() sweep picks the queue up instead.
@@ -550,16 +544,12 @@ std::string TenantRegistry::toStatsJson() const {
         .field("index_answers", S.IndexAnswers)
         .field("fscs_answers", S.FscsAnswers)
         .field("walks", S.Walks)
-        .field("fscs_partial_answers", S.FscsPartialAnswers)
         .field("andersen_answers", S.AndersenAnswers)
         .field("steensgaard_answers", S.SteensgaardAnswers)
         .field("materializations", S.Materializations)
         .field("cache_adoptions", S.CacheAdoptions)
         .field("evictions", S.Evictions)
         .field("resident", S.Resident)
-        .field("partial_resident", S.PartialResident)
-        .field("promotions_scheduled", S.PromotionsScheduled)
-        .field("promotions_completed", S.PromotionsCompleted)
         .endObject();
     W.endObject();
   }

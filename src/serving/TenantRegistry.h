@@ -59,6 +59,7 @@
 #include "query/QueryEngine.h"
 #include "racecheck/RaceCheckEngine.h"
 #include "support/LatencyHistogram.h"
+#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -296,13 +297,10 @@ private:
   template <class Fn> auto timedQuery(TenantId T, Fn &&F);
 
   ServingOptions Opts;
-  /// Shared by drain jobs, background cluster promotions (stamped into
-  /// every tenant's QueryOptions::PromotionPool), and batch query
-  /// evaluation. shared_ptr: snapshots hold a reference, and the
-  /// registry's own reference outlives shutdown(), so a promotion
-  /// worker releasing the last snapshot never destroys the pool from
-  /// inside one of its own workers.
-  std::shared_ptr<ThreadPool> Pool;
+  /// Runs the drain jobs and nothing else: queries, batches included,
+  /// run inline on the caller's thread. Declared after Opts, which
+  /// sizes it.
+  ThreadPool Pool;
 
   /// Serializes addTenant(); guards Tenants and IndexGenerations.
   mutable std::mutex TenantsMutex;

@@ -9,7 +9,11 @@
 //  * the fallback chain, forced by a tiny step budget: flagged clusters
 //    must route through Andersen / Steensgaard and stay sound;
 //  * the inverted index short-circuit, materialization cap, and
-//    summary-cache adoption;
+//    summary-cache adoption -- every served materialization adopts the
+//    cascade's run, from a one-shot cascade, an edit stream that keeps
+//    evicting, or a registry reopened over a persistent store;
+//  * pointsToAt id validation: an unknown id is never a confident
+//    empty answer;
 //  * the answer memo: repeated sequences equal a fresh snapshot, and
 //    entries made stale by later walks are re-walked;
 //  * concurrent readers during snapshot swaps (run under -DBSAA_TSAN=ON
@@ -27,13 +31,17 @@
 #include "frontend/Lower.h"
 #include "fscs/ClusterAliasAnalysis.h"
 #include "ir/CallGraph.h"
+#include "serving/TenantRegistry.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -330,24 +338,152 @@ TEST(QueryLru, CapOfOneStillAnswersExactlyAndEvicts) {
   EXPECT_GT(St.Materializations, St.Resident);
 }
 
+/// Queries every pointer pair of \p Snap's program, so every cluster
+/// that serves a pair gets materialized at least once.
+void touchAllPairs(const QuerySnapshot &Snap) {
+  std::vector<ir::VarId> Ptrs = pointerVars(Snap.program());
+  for (size_t I = 0; I < Ptrs.size(); ++I)
+    for (size_t J = I + 1; J < Ptrs.size(); ++J)
+      (void)Snap.mayAlias(Ptrs[I], Ptrs[J]);
+}
+
+/// The serving invariant: a snapshot built over a cascade that ran
+/// with a summary cache finds that cascade's run for every cluster it
+/// materializes. The cache never evicts and flagged clusters go to the
+/// fallback chain before they materialize, so no materialization ever
+/// has to run the dovetail from scratch.
+void expectEveryMaterializationAdopts(const QuerySnapshot &Snap) {
+  query::SnapshotStats St = Snap.stats();
+  EXPECT_GT(St.Materializations, 0u);
+  EXPECT_EQ(St.CacheAdoptions, St.Materializations);
+}
+
 TEST(QueryCache, MaterializationAdoptsTheCascadesSummaryRuns) {
-  std::shared_ptr<ir::Program> P = makeProgram(7);
+  // One-shot cascades over several programs.
+  for (uint64_t Seed : {7u, 13u, 29u, 41u, 58u}) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::shared_ptr<ir::Program> P = makeProgram(Seed);
+    ASSERT_TRUE(P != nullptr);
+    core::BootstrapOptions BOpts;
+    BOpts.AndersenThreshold = 4;
+    BOpts.SummaryCache = std::make_shared<fscs::SummaryCache>();
+    auto Snap = buildSnapshot(P, BOpts, QueryOptions());
+    touchAllPairs(*Snap);
+    expectEveryMaterializationAdopts(*Snap);
+  }
+
+  workload::GeneratorConfig Cfg;
+  Cfg.Seed = 21;
+  Cfg.NumFunctions = 6;
+  Cfg.StmtsPerFunction = 8;
+  Cfg.Communities = 3;
+  Cfg.LocalsPerFunction = 2;
+  Cfg.RecursionPercent = 10;
+  auto Compile = [&Cfg](const workload::EditState &State) {
+    frontend::Diagnostics Diags;
+    std::unique_ptr<ir::Program> P =
+        frontend::compileString(workload::generateProgram(Cfg, State), Diags);
+    EXPECT_TRUE(P != nullptr) << Diags.toString();
+    return P;
+  };
+
+  {
+    // An edit stream through AliasService with room for one resident
+    // cluster: every snapshot evicts and re-materializes, and each
+    // re-materialization adopts again.
+    SCOPED_TRACE("edit stream");
+    core::BootstrapOptions BOpts;
+    BOpts.AndersenThreshold = 2;
+    QueryOptions Tiny;
+    Tiny.MaxMaterializedClusters = 1;
+    query::AliasService Service(BOpts, Tiny);
+    workload::EditState State = workload::initialEditState(Cfg);
+    Service.update(Compile(State));
+    uint64_t Evictions = 0;
+    auto Check = [&] {
+      std::shared_ptr<const QuerySnapshot> Snap = Service.engine().snapshot();
+      touchAllPairs(*Snap);
+      touchAllPairs(*Snap);
+      expectEveryMaterializationAdopts(*Snap);
+      Evictions += Snap->stats().Evictions;
+    };
+    Check();
+    for (const workload::ProgramEdit &E :
+         workload::generateEditStream(Cfg, 4, /*StreamSeed=*/17)) {
+      workload::applyEdit(State, E);
+      Service.update(Compile(State));
+      Check();
+    }
+    EXPECT_GT(Evictions, 0u) << "the cap never forced a re-materialization";
+  }
+
+  {
+    // A registry reopened over a persistent store: the second lifetime
+    // revives its runs from disk and serves from them.
+    SCOPED_TRACE("reopened store");
+    std::string Dir =
+        (std::filesystem::temp_directory_path() / "bsaa_adopt_XXXXXX")
+            .string();
+    ASSERT_NE(::mkdtemp(Dir.data()), nullptr);
+    serving::ServingOptions SOpts;
+    SOpts.BOpts.AndersenThreshold = 4;
+    SOpts.BOpts.StorePath = Dir;
+    workload::EditState State = workload::initialEditState(Cfg);
+    for (int Lifetime = 0; Lifetime < 2; ++Lifetime) {
+      serving::TenantRegistry Reg(SOpts);
+      serving::TenantId T = Reg.addTenant("adopt");
+      ASSERT_EQ(Reg.submitEdit(T, Compile(State)),
+                serving::SubmitStatus::Accepted);
+      Reg.waitIdle();
+      ASSERT_TRUE(Reg.ready(T));
+      touchAllPairs(*Reg.snapshot(T));
+      expectEveryMaterializationAdopts(*Reg.snapshot(T));
+      if (Lifetime == 1) {
+        EXPECT_GT(Reg.service(T)
+                      .driver()
+                      .options()
+                      .SummaryCache->counters()
+                      .StoreHits,
+                  0u)
+            << "the reopened registry revived nothing from the store";
+      }
+    }
+    std::error_code Ec;
+    std::filesystem::remove_all(Dir, Ec);
+  }
+}
+
+//===--------------------------------------------------------------------===//
+// pointsToAt id validation (regression)
+//===--------------------------------------------------------------------===//
+
+TEST(QueryValidation, PointsToAtDistinguishesUnknownIdFromNonPointer) {
+  std::shared_ptr<ir::Program> P = makeProgram(3);
   ASSERT_TRUE(P != nullptr);
   core::BootstrapOptions BOpts;
   BOpts.AndersenThreshold = 4;
-  BOpts.SummaryCache = std::make_shared<fscs::SummaryCache>();
   auto Snap = buildSnapshot(P, BOpts, QueryOptions());
 
-  std::vector<ir::VarId> Ptrs = pointerVars(*P);
-  for (size_t I = 0; I < Ptrs.size(); ++I)
-    for (size_t J = I + 1; J < Ptrs.size(); ++J)
-      (void)Snap->mayAlias(Ptrs[I], Ptrs[J]);
+  // An id past the variable table is *unknown*: claiming a complete
+  // empty points-to set for it would let a client erase real aliases.
+  PointsToAnswer Unknown =
+      Snap->pointsToAt(static_cast<ir::VarId>(P->numVars() + 7), 0);
+  EXPECT_TRUE(Unknown.Objects.empty());
+  EXPECT_FALSE(Unknown.Complete)
+      << "out-of-range ids must not produce a confident empty answer";
+  EXPECT_EQ(Unknown.Source, AnswerSource::Index);
 
-  query::SnapshotStats St = Snap->stats();
-  ASSERT_GT(St.Materializations, 0u);
-  // Every materialized cluster replays the cascade's cached run instead
-  // of re-running the dovetail from scratch.
-  EXPECT_EQ(St.CacheAdoptions, St.Materializations);
+  // A known non-pointer definitively points to nothing.
+  ir::VarId NonPtr = ir::InvalidVar;
+  for (ir::VarId V = 0; V < P->numVars(); ++V)
+    if (!P->var(V).isPointer()) {
+      NonPtr = V;
+      break;
+    }
+  ASSERT_NE(NonPtr, ir::InvalidVar) << "generator produced no scalar";
+  PointsToAnswer Scalar = Snap->pointsToAt(NonPtr, 0);
+  EXPECT_TRUE(Scalar.Objects.empty());
+  EXPECT_TRUE(Scalar.Complete);
 }
 
 //===--------------------------------------------------------------------===//
