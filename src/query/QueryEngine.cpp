@@ -2,8 +2,6 @@
 
 #include "query/QueryEngine.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 #include <cassert>
 #include <memory>
@@ -122,41 +120,19 @@ PointsToAnswer QueryEngine::pointsToAt(ir::VarId V, ir::LocId Loc) const {
 }
 
 std::vector<uint8_t>
-QueryEngine::evalMayAlias(const std::vector<MayAliasQuery> &Queries,
-                          unsigned Threads) const {
-  std::shared_ptr<const QuerySnapshot> S = snapshot();
-  assert(S && "query before the first publish()");
-  std::vector<uint8_t> Results(Queries.size(), 0);
-
-  auto EvalRange = [&Queries, &Results](const QuerySnapshot &Snap,
-                                        size_t Begin, size_t End) {
-    for (size_t I = Begin; I < End; ++I) {
+QueryEngine::evalMayAlias(const std::vector<MayAliasQuery> &Queries) const {
+  return read([&Queries](const QuerySnapshot *S) {
+    assert(S && "query before the first publish()");
+    std::vector<uint8_t> Results(Queries.size(), 0);
+    for (size_t I = 0; I < Queries.size(); ++I) {
       const MayAliasQuery &Q = Queries[I];
       AliasAnswer A = (Q.Loc == ir::InvalidLoc)
-                          ? Snap.mayAlias(Q.A, Q.B)
-                          : Snap.mayAliasAt(Q.A, Q.B, Q.Loc);
+                          ? S->mayAlias(Q.A, Q.B)
+                          : S->mayAliasAt(Q.A, Q.B, Q.Loc);
       Results[I] = A.MayAlias ? 1 : 0;
     }
-  };
-
-  if (Threads <= 1 || Queries.size() <= 1) {
-    EvalRange(*S, 0, Queries.size());
     return Results;
-  }
-
-  // Oversplit a little so an unlucky chunk full of expensive
-  // materializations doesn't serialize the batch.
-  size_t NumChunks = std::min<size_t>(Queries.size(), size_t(Threads) * 4);
-  size_t ChunkSize = (Queries.size() + NumChunks - 1) / NumChunks;
-  ThreadPool Pool(Threads);
-  for (size_t Begin = 0; Begin < Queries.size(); Begin += ChunkSize) {
-    size_t End = std::min(Begin + ChunkSize, Queries.size());
-    Pool.submit([&, Begin, End] { EvalRange(*S, Begin, End); });
-  }
-  // The pool is this batch's alone, so global quiescence is exactly
-  // the batch's completion; the first chunk error is rethrown here.
-  Pool.waitAll();
-  return Results;
+  });
 }
 
 //===----------------------------------------------------------------------===//

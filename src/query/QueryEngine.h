@@ -20,8 +20,7 @@
 ///    update blocks in-flight queries and no reader ever observes a
 ///    half-updated view. snapshot() still hands out shared_ptrs, under
 ///    a mutex, for callers that pin a version across many calls.
-///  * evalMayAlias() runs a query batch against one pinned snapshot,
-///    inline or chunked over a pool of its own.
+///  * evalMayAlias() runs a query batch against one pinned snapshot.
 ///  * AliasService glues core::IncrementalDriver to the engine:
 ///    update(program) re-analyzes incrementally, builds a fresh
 ///    snapshot over the driver's solved cover, results and caches, and
@@ -94,14 +93,9 @@ public:
   PointsToAnswer pointsToAt(ir::VarId V, ir::LocId Loc) const;
 
   /// Evaluates \p Queries against one consistent snapshot and returns
-  /// the verdicts index-aligned (1 = may alias). \p Threads > 1 splits
-  /// the batch across a pool of that many workers, created for this
-  /// batch and drained with waitAll(); 0/1 evaluates inline. Every
-  /// chunk writes a disjoint result range, so no synchronization is
-  /// needed beyond the drain. Per-call thread creation dominates small
-  /// batches: threads only pay off for bulk ones.
-  std::vector<uint8_t> evalMayAlias(const std::vector<MayAliasQuery> &Queries,
-                                    unsigned Threads = 0) const;
+  /// the verdicts index-aligned (1 = may alias).
+  std::vector<uint8_t>
+  evalMayAlias(const std::vector<MayAliasQuery> &Queries) const;
 
 private:
   /// A thread's reader slot. Seq is odd while the thread is inside a

@@ -37,7 +37,7 @@
 ///    SummaryCache, RefinementCache and SliceCache, so concurrent
 ///    drains of different tenants are fully re-entrant.
 ///
-/// Memory is governed on two levels: per tenant, the snapshot's LRU
+/// Memory is governed on two levels: per tenant, the snapshot's CLOCK
 /// cap on materialized cluster analyses (QueryOptions.
 /// MaxMaterializedClusters); globally, a cross-tenant accountant that
 /// sums resident materialized clusters and trims the least-recently-
@@ -221,9 +221,8 @@ public:
 
   TenantStats stats(TenantId T) const;
 
-  /// All tenants' stats as one JSON document (the --stats-json payload
-  /// of bench/serving_load), plus the shared CacheStore's counters
-  /// ("store", null without one).
+  /// All tenants' stats as one JSON document, plus the shared
+  /// CacheStore's counters ("store", null without one).
   std::string toStatsJson() const;
 
   /// Test access to the underlying per-tenant service.

@@ -103,9 +103,3 @@ LatencyHistogram::Snapshot::quantileNanosIfAny(double Q) const {
   }
   return bucketUpperBound(NumBuckets - 1);
 }
-
-void LatencyHistogram::Snapshot::merge(const Snapshot &Other) {
-  for (uint32_t I = 0; I < NumBuckets; ++I)
-    Counts[I] += Other.Counts[I];
-  Total += Other.Total;
-}

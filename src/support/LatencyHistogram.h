@@ -85,27 +85,12 @@ public:
     /// latency gate pass vacuously on a tenant that served nothing.
     std::optional<uint64_t> quantileNanosIfAny(double Q) const;
 
-    /// Legacy scalar form: quantileNanosIfAny collapsed to 0 on an
-    /// empty snapshot. Prefer the optional form anywhere "no data"
-    /// and "0 ns" must be distinguishable.
-    uint64_t quantileNanos(double Q) const {
-      return quantileNanosIfAny(Q).value_or(0);
-    }
-
     std::optional<double> quantileSecondsIfAny(double Q) const {
       auto N = quantileNanosIfAny(Q);
       if (!N)
         return std::nullopt;
       return static_cast<double>(*N) * 1e-9;
     }
-
-    double quantileSeconds(double Q) const {
-      return static_cast<double>(quantileNanos(Q)) * 1e-9;
-    }
-
-    /// Adds \p Other's counts into this snapshot (cross-histogram
-    /// aggregation, e.g. all tenants combined).
-    void merge(const Snapshot &Other);
   };
 
   Snapshot snapshot() const;

@@ -39,9 +39,9 @@ std::unique_ptr<ir::Program> compileVersion(const workload::GeneratorConfig &C,
   return compileOk(workload::generateProgram(C, St));
 }
 
-/// The bench/ablation_incremental.cpp workload shrunk for test time:
-/// no recursion and no cross-community copies keep dependency cones
-/// small, so single-function edits invalidate few clusters.
+/// The editable workload, sized for test time: no recursion and no
+/// cross-community copies keep dependency cones small, so
+/// single-function edits invalidate few clusters.
 workload::GeneratorConfig editableConfig(uint32_t NumFunctions) {
   workload::GeneratorConfig Cfg;
   Cfg.Seed = 42;

@@ -490,7 +490,7 @@ TEST(QueryValidation, PointsToAtDistinguishesUnknownIdFromNonPointer) {
 // Batched evaluation
 //===--------------------------------------------------------------------===//
 
-TEST(QueryBatch, ThreadedBatchMatchesSequential) {
+TEST(QueryBatch, BatchMatchesSingleQueries) {
   std::shared_ptr<ir::Program> P = makeProgram(11);
   ASSERT_TRUE(P != nullptr);
   core::BootstrapOptions BOpts;
@@ -505,12 +505,10 @@ TEST(QueryBatch, ThreadedBatchMatchesSequential) {
       Batch.push_back({Ptrs[I], Ptrs[J], ir::InvalidLoc});
   ASSERT_FALSE(Batch.empty());
 
-  std::vector<uint8_t> Seq = Engine.evalMayAlias(Batch, 0);
-  std::vector<uint8_t> Par = Engine.evalMayAlias(Batch, 4);
-  EXPECT_EQ(Seq, Par);
-  // And against the single-query path.
+  std::vector<uint8_t> Verdicts = Engine.evalMayAlias(Batch);
+  ASSERT_EQ(Verdicts.size(), Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I)
-    EXPECT_EQ(Seq[I] != 0,
+    EXPECT_EQ(Verdicts[I] != 0,
               Engine.mayAlias(Batch[I].A, Batch[I].B).MayAlias);
 }
 

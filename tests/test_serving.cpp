@@ -177,7 +177,7 @@ TEST(Serving, MultiTenantOracleMatchesColdReplay) {
     std::vector<query::MayAliasQuery> Batch =
         pointerPairs(Reg.snapshot(T)->program());
     EXPECT_EQ(Reg.evalMayAlias(T, Batch),
-              Cold.engine().evalMayAlias(Batch, 0));
+              Cold.engine().evalMayAlias(Batch));
 
     // Full-strength isolation check: the tenant's driver statistics
     // are byte-identical to the cold replay's -- impossible if another
@@ -253,7 +253,7 @@ TEST(Serving, CoalescedDrainMatchesOneByOneReplay) {
   std::vector<query::MayAliasQuery> Batch =
       pointerPairs(Reg.snapshot(T)->program());
   EXPECT_EQ(Reg.evalMayAlias(T, Batch),
-            OneByOne.engine().evalMayAlias(Batch, 0));
+            OneByOne.engine().evalMayAlias(Batch));
   core::IncrementalDriver &Inc = Reg.service(T).driver();
   EXPECT_EQ(core::toStatsJson(Inc.lastResult(), Strip, Inc.statsRegistry()),
             core::toStatsJson(OneByOne.driver().lastResult(), Strip,

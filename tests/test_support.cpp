@@ -800,14 +800,13 @@ TEST(LatencyHistogram, UpperBoundNeverUnderstatesAndErrorIsBounded) {
 TEST(LatencyHistogram, EmptySnapshotReportsNoQuantiles) {
   // An SLO gate comparing "p99 <= threshold" must not pass vacuously on
   // a histogram that never saw a sample: the explicit interface reports
-  // absence, and only the legacy shim maps it to 0.
+  // absence.
   support::LatencyHistogram H;
   support::LatencyHistogram::Snapshot S = H.snapshot();
   EXPECT_TRUE(S.empty());
   EXPECT_FALSE(S.quantileNanosIfAny(0.5).has_value());
   EXPECT_FALSE(S.quantileNanosIfAny(0.99).has_value());
   EXPECT_FALSE(S.quantileSecondsIfAny(0.99).has_value());
-  EXPECT_EQ(S.quantileNanos(0.99), 0u); // Legacy shim: value_or(0).
   H.record(5);
   S = H.snapshot();
   EXPECT_FALSE(S.empty());
@@ -817,31 +816,16 @@ TEST(LatencyHistogram, EmptySnapshotReportsNoQuantiles) {
 
 TEST(LatencyHistogram, QuantilesOverExactBucketsAreExact) {
   support::LatencyHistogram H;
-  EXPECT_EQ(H.snapshot().quantileNanos(0.99), 0u); // Empty: 0 by contract.
+  EXPECT_FALSE(H.snapshot().quantileNanosIfAny(0.99).has_value());
   for (uint64_t V = 0; V < 16; ++V)
     H.record(V);
   support::LatencyHistogram::Snapshot S = H.snapshot();
   EXPECT_EQ(S.Total, 16u);
   // Rank = ceil(q * 16): q=0 clamps to the first sample.
-  EXPECT_EQ(S.quantileNanos(0.0), 0u);
-  EXPECT_EQ(S.quantileNanos(0.5), 7u);   // 8th smallest of 0..15.
-  EXPECT_EQ(S.quantileNanos(1.0), 15u);
-  EXPECT_EQ(S.quantileNanos(2.0), 15u);  // Clamped.
-}
-
-TEST(LatencyHistogram, MergeAddsCounts) {
-  support::LatencyHistogram A, B;
-  for (int I = 0; I < 10; ++I)
-    A.record(1);
-  for (int I = 0; I < 30; ++I)
-    B.record(9);
-  support::LatencyHistogram::Snapshot S = A.snapshot();
-  S.merge(B.snapshot());
-  EXPECT_EQ(S.Total, 40u);
-  EXPECT_EQ(S.Counts[1], 10u);
-  EXPECT_EQ(S.Counts[9], 30u);
-  EXPECT_EQ(S.quantileNanos(0.25), 1u);
-  EXPECT_EQ(S.quantileNanos(0.5), 9u);
+  EXPECT_EQ(S.quantileNanosIfAny(0.0), 0u);
+  EXPECT_EQ(S.quantileNanosIfAny(0.5), 7u);  // 8th smallest of 0..15.
+  EXPECT_EQ(S.quantileNanosIfAny(1.0), 15u);
+  EXPECT_EQ(S.quantileNanosIfAny(2.0), 15u); // Clamped.
 }
 
 TEST(LatencyHistogram, ConcurrentRecordersNeverLoseCounts) {
