@@ -65,9 +65,6 @@ public:
   /// empty for the constant false.
   std::vector<std::pair<uint32_t, bool>> anySat(BddRef F) const;
 
-  /// Nodes allocated so far (including the two terminals).
-  size_t numNodes() const { return Nodes.size(); }
-
   /// Renders F as nested if-then-else text for debugging.
   std::string toString(BddRef F) const;
 

@@ -235,8 +235,7 @@ public:
   const analysis::SteensgaardAnalysis &steensgaard();
 
   /// Stages 1-2(-3): the cluster cover per the options, slices
-  /// attached. Timings land in the result of runAll() / in the fields
-  /// below if called standalone.
+  /// attached. Timings land in the result of runAll().
   std::vector<Cluster> buildCover();
 
   /// buildCover() packaged with this driver's call graph and
@@ -260,8 +259,8 @@ public:
   BootstrapResult runAll();
 
   /// Same pipeline over a cover the caller already built with
-  /// buildCover() -- the incremental driver builds the cover once to
-  /// derive its invalidation prediction and then analyzes it here
+  /// buildCover() -- the incremental driver builds the cover once,
+  /// analyzes it here, and hands the same cover to the query snapshot
   /// without paying for cover construction twice.
   BootstrapResult runAll(const std::vector<Cluster> &Cover);
 
@@ -277,9 +276,6 @@ public:
                                  uint32_t Parts);
 
   const ir::CallGraph &callGraph() const { return *CG; }
-
-  double andersenClusteringSeconds() const { return AndersenSeconds; }
-  double oneFlowSeconds() const { return OneFlowSecs; }
 
 private:
   /// Andersen refinement of one oversized cluster, memoized through

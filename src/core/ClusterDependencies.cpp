@@ -304,13 +304,3 @@ ScopeKeyIndex::key(const Cluster &C,
   }
   return H.digest();
 }
-
-std::vector<std::vector<uint32_t>>
-core::buildClusterDependencyIndex(const Program &P, const CallGraph &CG,
-                                  const std::vector<Cluster> &Cover) {
-  std::vector<std::vector<uint32_t>> Index(P.numFuncs());
-  for (uint32_t I = 0; I < Cover.size(); ++I)
-    for (FuncId F : dependentFunctions(P, CG, Cover[I]))
-      Index[F].push_back(I);
-  return Index;
-}

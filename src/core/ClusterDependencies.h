@@ -96,13 +96,6 @@ private:
   std::vector<uint32_t> NodeLeader;
 };
 
-/// Inverted dependency index over a cover: entry F lists the indices of
-/// the clusters in \p Cover whose dependency scope contains function F.
-/// An edit to F can only change the results of exactly those clusters.
-std::vector<std::vector<uint32_t>>
-buildClusterDependencyIndex(const ir::Program &P, const ir::CallGraph &CG,
-                            const std::vector<Cluster> &Cover);
-
 } // namespace core
 } // namespace bsaa
 

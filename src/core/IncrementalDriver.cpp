@@ -2,12 +2,10 @@
 
 #include "core/IncrementalDriver.h"
 
-#include "core/ClusterDependencies.h"
 #include "core/StoreCodecs.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <utility>
 
 using namespace bsaa;
@@ -67,27 +65,10 @@ IncrementalDriver::update(std::unique_ptr<ir::Program> NewProg,
     Report->ChangedFunctions.clear();
     Report->AddedFunctions.clear();
     Report->RemovedFunctions.clear();
-    Report->PredictedInvalidated.clear();
     if (Cover) {
       Report->ChangedFunctions = Delta.Changed;
       Report->AddedFunctions = Delta.Added;
       Report->RemovedFunctions = Delta.Removed;
-
-      // Predicted invalidation: clusters whose dependency cone contains
-      // an edited function, straight from the inverted index.
-      std::vector<std::vector<uint32_t>> Index = buildClusterDependencyIndex(
-          *NewProg, *NewCover->CG, NewCover->Clusters);
-      std::vector<uint32_t> &Invalid = Report->PredictedInvalidated;
-      for (const std::vector<std::string> *Names : {&Delta.Changed,
-                                                    &Delta.Added})
-        for (const std::string &Name : *Names) {
-          FuncId F = NewProg->findFunction(Name);
-          if (F != InvalidFunc)
-            Invalid.insert(Invalid.end(), Index[F].begin(), Index[F].end());
-        }
-      std::sort(Invalid.begin(), Invalid.end());
-      Invalid.erase(std::unique(Invalid.begin(), Invalid.end()),
-                    Invalid.end());
     }
     Report->SteensgaardAdopted = Adopt;
   }

@@ -16,9 +16,11 @@
 ///  * Andersen refinements of oversized partitions replay from the
 ///    content-addressed RefinementCache, and
 ///  * per-cluster FSCS runs replay from the SummaryCache through
-///    dependency-scope keys (core/ClusterDependencies.h): only the
-///    clusters whose dependency cone touches an edited function miss
-///    and re-analyze.
+///    dependency-scope keys (core/ClusterDependencies.h). The key is
+///    the only invalidation mechanism: a cluster re-analyzes exactly
+///    when its key misses, i.e. when something its run reads changed:
+///    a body in its dependency cone, its members or slice, or the
+///    Steensgaard facts it consults.
 ///
 /// Everything reused is content-addressed, so the produced
 /// BootstrapResult is *byte-identical* (module wall-clock timings and
@@ -53,12 +55,6 @@ struct UpdateReport {
   uint32_t ClustersReanalyzed = 0;
   /// Clusters replayed from the summary cache (dependency-scope key).
   uint32_t ClustersFromCache = 0;
-  /// Upper bound from the dependency index: the sorted indices (into
-  /// lastCover()->Clusters) of the clusters whose dependency cone
-  /// contains an edited (changed/added) function. Every actually
-  /// re-analyzed cluster is either predicted here or freshly shaped by
-  /// the edit (new membership / renumbered ids).
-  std::vector<uint32_t> PredictedInvalidated;
 
   /// Steensgaard was copied from the previous version instead of
   /// re-solved (partition-relevant fingerprints matched).
@@ -88,7 +84,6 @@ public:
 
   const BootstrapResult &lastResult() const { return Result; }
   const ir::Program &program() const { return *Prog; }
-  bool hasVersion() const { return Prog != nullptr; }
 
   /// Shared ownership of the current program version. Query-serving
   /// snapshots (query/QuerySnapshot.h) co-own the program through this

@@ -81,7 +81,6 @@ struct Variable {
 
   bool isPointer() const { return PtrDepth > 0; }
   bool isLockPointer() const { return Base == BaseType::Lock && isPointer(); }
-  bool isFunctionObject() const { return Kind == VarKind::FunctionObj; }
 };
 
 /// Statement kind of a CFG location.

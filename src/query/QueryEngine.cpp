@@ -153,7 +153,5 @@ core::UpdateReport AliasService::update(std::unique_ptr<ir::Program> NewProg) {
   Engine.publish(QuerySnapshot::build(Inc.programPtr(), Inc.lastCover(),
                                       &R.Clusters, QOpts,
                                       Inc.options().SummaryCache));
-  if (OnPublish)
-    OnPublish(Report, Engine.snapshot());
   return Report;
 }

@@ -24,7 +24,9 @@
 ///  * AliasService glues core::IncrementalDriver to the engine:
 ///    update(program) re-analyzes incrementally, builds a fresh
 ///    snapshot over the driver's solved cover, results and caches, and
-///    publishes it.
+///    publishes it. Derived checkers (racecheck::RaceCheckService)
+///    call update() and then re-derive their verdicts from the
+///    returned report and engine().snapshot().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +38,6 @@
 #include "support/ThreadSlots.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -166,21 +167,10 @@ public:
   const QueryEngine &engine() const { return Engine; }
   core::IncrementalDriver &driver() { return Inc; }
 
-  /// Runs after every publish, on the update() caller's thread, with
-  /// the batch's report and the snapshot just installed. Lets derived
-  /// checkers (racecheck::RaceCheckService) re-derive their verdicts
-  /// in lockstep with the alias layer's snapshot swap.
-  using PostPublishHook = std::function<void(
-      const core::UpdateReport &, std::shared_ptr<const QuerySnapshot>)>;
-  void setPostPublishHook(PostPublishHook Hook) {
-    OnPublish = std::move(Hook);
-  }
-
 private:
   core::IncrementalDriver Inc;
   QueryOptions QOpts;
   QueryEngine Engine;
-  PostPublishHook OnPublish;
 };
 
 } // namespace query

@@ -292,28 +292,6 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
 
   assert(FPs->size() == P.numFuncs() && "fingerprints misaligned");
 
-  // Invalidation prediction (accounting; the facts-cache keys are the
-  // mechanism). An edit to function G invalidates G itself, and every
-  // function with a lock site once a lock cluster's dependency cone
-  // contains G: exactly the alias layer's predicted clusters.
-  if (FirstCheck) {
-    CR.PredictedInvalidated = P.numFuncs();
-  } else if (Update) {
-    std::set<FuncId> Invalidated;
-    for (const auto *Names :
-         {&Update->ChangedFunctions, &Update->AddedFunctions})
-      for (const std::string &Name : *Names)
-        if (P.findFunction(Name) != InvalidFunc)
-          Invalidated.insert(P.findFunction(Name));
-    const std::vector<uint32_t> &Predicted = Update->PredictedInvalidated;
-    if (std::any_of(Predicted.begin(), Predicted.end(),
-                    [&](uint32_t CI) { return LockClusterIdxs.count(CI); }))
-      for (FuncId F = 0; F < P.numFuncs(); ++F)
-        if (!SitesByFunc[F].empty())
-          Invalidated.insert(F);
-    CR.PredictedInvalidated = static_cast<uint32_t>(Invalidated.size());
-  }
-
   // Caller closure digest: a must-points-to query at a site in F can
   // ascend into callers*(F), so their bodies are inputs to F's facts.
   auto callerClosureDigest = [&](FuncId F) {
@@ -509,16 +487,10 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
 
 RaceCheckService::RaceCheckService(core::BootstrapOptions BOpts,
                                    query::QueryOptions QOpts)
-    : Service(std::move(BOpts), std::move(QOpts)) {
-  Service.setPostPublishHook(
-      [this](const core::UpdateReport &U,
-             std::shared_ptr<const query::QuerySnapshot> Snap) {
-        Last = Eng.check(std::move(Snap), &U,
-                         &Service.driver().functionFingerprints());
-      });
-}
+    : Service(std::move(BOpts), std::move(QOpts)) {}
 
 CheckReport RaceCheckService::update(std::unique_ptr<ir::Program> NewProg) {
-  Service.update(std::move(NewProg));
-  return Last;
+  core::UpdateReport Report = Service.update(std::move(NewProg));
+  return Eng.check(Service.engine().snapshot(), &Report,
+                   &Service.driver().functionFingerprints());
 }

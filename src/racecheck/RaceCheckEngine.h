@@ -49,9 +49,9 @@
 ///     The report is published by an atomic swap.
 ///
 /// RaceCheckService glues this to query::AliasService: every update()
-/// re-analyzes incrementally, publishes the alias snapshot, and
-/// re-checks races in the post-publish hook -- the repo's first
-/// "edit stream in, updated verdicts out" scenario.
+/// re-analyzes incrementally, publishes the alias snapshot, and then
+/// re-checks races over that snapshot -- the repo's first "edit stream
+/// in, updated verdicts out" scenario.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,14 +81,9 @@ struct CheckReport {
   uint32_t Functions = 0;
   /// Functions whose lockset facts were recomputed this round.
   uint32_t FunctionsChecked = 0;
-  /// Functions whose facts replayed from the content-keyed cache.
+  /// Functions whose facts replayed from the content-keyed cache. The
+  /// facts-cache keys alone decide which functions re-run.
   uint32_t FunctionsFromCache = 0;
-  /// Upper bound from the alias layer's dependency index: functions
-  /// owning an edited body, plus, when a lock cluster is among
-  /// Update.PredictedInvalidated, every function with a lock site.
-  /// Every cache miss outside this set stems from id renumbering
-  /// (conservative scope-key churn), never from a stale replay.
-  uint32_t PredictedInvalidated = 0;
 
   uint32_t LockClusters = 0;
   uint32_t LockSites = 0;
@@ -113,8 +108,8 @@ public:
   /// (QuerySnapshot::hasClusterKeys; e.g. built from an
   /// IncrementalDriver's runs), else std::invalid_argument is thrown.
   /// \p Update, when non-null, is the alias-layer report of the edit
-  /// batch that produced \p Snap; its PredictedInvalidated clusters
-  /// drive the invalidation prediction. \p FPs are the driver's
+  /// batch that produced \p Snap; it is copied into
+  /// CheckReport::Update and decides nothing. \p FPs are the driver's
   /// function fingerprints for the same program
   /// (IncrementalDriver::functionFingerprints); null throws
   /// std::invalid_argument.
@@ -218,7 +213,6 @@ public:
 private:
   query::AliasService Service;
   RaceCheckEngine Eng;
-  CheckReport Last;
 };
 
 } // namespace racecheck

@@ -95,22 +95,8 @@ TenantId TenantRegistry::addTenant(std::string Name) {
   B.StatsRegistry = std::make_shared<Statistics>();
   Ten->Service = std::make_unique<query::AliasService>(B, Opts.QOpts);
 
-  if (Opts.EnableRaceCheck) {
-    // The RaceCheckService pattern lifted per tenant: re-derive race
-    // verdicts in the post-publish hook, on the drain thread. Sound to
-    // run unsynchronized against other tenants because the engine only
-    // touches this tenant's snapshot, and serialized within the tenant
-    // because at most one drain runs per tenant at a time.
+  if (Opts.EnableRaceCheck)
     Ten->RaceCheck = std::make_unique<racecheck::RaceCheckEngine>();
-    query::AliasService *Svc = Ten->Service.get();
-    racecheck::RaceCheckEngine *Eng = Ten->RaceCheck.get();
-    Svc->setPostPublishHook(
-        [Svc, Eng](const core::UpdateReport &U,
-                   std::shared_ptr<const query::QuerySnapshot> Snap) {
-          Eng->check(std::move(Snap), &U,
-                     &Svc->driver().functionFingerprints());
-        });
-  }
 
   std::lock_guard<std::mutex> Lock(TenantsMutex);
   size_t N = Tenants.size();
@@ -228,7 +214,16 @@ void TenantRegistry::drainLoop(Tenant &Ten) {
     // wait-free while the cascade runs.
     try {
       uint64_t Start = nowNanos();
-      Ten.Service->update(std::move(Task.Prog));
+      core::UpdateReport Report = Ten.Service->update(std::move(Task.Prog));
+      // The RaceCheckService pattern lifted per tenant: re-derive race
+      // verdicts on the drain thread, right after the publish. Sound to
+      // run unsynchronized against other tenants because the engine
+      // only touches this tenant's snapshot, and serialized within the
+      // tenant because at most one drain runs per tenant at a time.
+      if (Ten.RaceCheck)
+        Ten.RaceCheck->check(
+            Ten.Service->engine().snapshot(), &Report,
+            &Ten.Service->driver().functionFingerprints());
       Ten.PublishLat.record(nowNanos() - Start);
       Ten.Applied.fetch_add(1, std::memory_order_relaxed);
       {

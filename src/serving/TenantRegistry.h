@@ -8,8 +8,8 @@
 /// The multi-program server core: a TenantRegistry hosts N independent
 /// programs (tenants), each wrapped in its own query::AliasService
 /// (IncrementalDriver + QueryEngine, optionally a per-tenant
-/// racecheck::RaceCheckEngine re-checking in the post-publish hook),
-/// addressed by a TenantId.
+/// racecheck::RaceCheckEngine that the drain re-checks after each
+/// publish), addressed by a TenantId.
 ///
 /// Edit ingestion is asynchronous and isolated per tenant:
 ///
@@ -111,8 +111,8 @@ struct ServingOptions {
   /// tenants (see QuerySnapshot::trimResident).
   size_t GlobalMaxResidentClusters = 0;
 
-  /// Wire a per-tenant racecheck::RaceCheckEngine into the post-publish
-  /// hook (the RaceCheckService pattern, lifted per tenant).
+  /// Give each tenant a racecheck::RaceCheckEngine that re-checks after
+  /// every publish (the RaceCheckService pattern, lifted per tenant).
   bool EnableRaceCheck = false;
 
   /// Schedule a drain job automatically on submit. False = manual mode:

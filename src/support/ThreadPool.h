@@ -84,10 +84,6 @@ public:
   /// unclaimed.
   std::exception_ptr takeError();
 
-  unsigned numThreads() const {
-    return static_cast<unsigned>(Workers.size());
-  }
-
 private:
   void workerLoop();
 

@@ -144,8 +144,21 @@ TEST(Incremental, SingleMutateReanalyzesStrictlyFewerClusters) {
   EXPECT_GT(Rep.ClustersFromCache, 0u) << "no reuse on a one-function edit";
   EXPECT_LT(Rep.ClustersReanalyzed, Rep.NumClusters);
   EXPECT_GT(Rep.ClustersReanalyzed, 0u) << "the edited cone must re-run";
-  // The dependency index predicted every miss.
-  EXPECT_LE(Rep.ClustersReanalyzed, Rep.PredictedInvalidated.size());
+  // Every miss is a cluster whose dependency cone contains the edit.
+  const ir::Program &P = Incr.program();
+  std::shared_ptr<const SolvedCover> Cover = Incr.lastCover();
+  const std::vector<ClusterRunResult> &Runs = Incr.lastResult().Clusters;
+  ASSERT_EQ(Runs.size(), Cover->Clusters.size());
+  ir::FuncId F4 = P.findFunction("f4");
+  ASSERT_NE(F4, ir::InvalidFunc);
+  for (size_t I = 0; I < Runs.size(); ++I) {
+    if (Runs[I].FromCache)
+      continue;
+    std::vector<ir::FuncId> D =
+        dependentFunctions(P, *Cover->CG, Cover->Clusters[I]);
+    EXPECT_TRUE(std::binary_search(D.begin(), D.end(), F4))
+        << "cluster " << I << " re-ran without f4 in its cone";
+  }
   ASSERT_EQ(Rep.ChangedFunctions.size(), 1u);
   EXPECT_EQ(Rep.ChangedFunctions[0], "f4");
   EXPECT_TRUE(Rep.AddedFunctions.empty());
@@ -308,27 +321,3 @@ TEST(ClusterDependencies, ScopeKeysSurviveAnAppendEdit) {
   EXPECT_EQ(Matched, Cover0.size());
 }
 
-TEST(ClusterDependencies, IndexCoversEveryClusterThroughItsCone) {
-  workload::GeneratorConfig Cfg = editableConfig(8);
-  workload::EditState St = workload::initialEditState(Cfg);
-  auto P = compileVersion(Cfg, St);
-  BootstrapOptions Opts = baseOptions();
-  BootstrapDriver D(*P, Opts);
-  D.steensgaard();
-  std::vector<Cluster> Cover = D.buildCover();
-
-  std::vector<std::vector<uint32_t>> Index =
-      buildClusterDependencyIndex(*P, D.callGraph(), Cover);
-  ASSERT_EQ(Index.size(), P->numFuncs());
-  // Index[F] lists exactly the clusters whose cone contains F.
-  for (uint32_t I = 0; I < Cover.size(); ++I) {
-    std::vector<ir::FuncId> D_I = dependentFunctions(*P, D.callGraph(), Cover[I]);
-    std::set<ir::FuncId> InD(D_I.begin(), D_I.end());
-    for (ir::FuncId F = 0; F < P->numFuncs(); ++F) {
-      bool Listed = std::find(Index[F].begin(), Index[F].end(), I) !=
-                    Index[F].end();
-      EXPECT_EQ(Listed, InD.count(F) > 0)
-          << "cluster " << I << " vs function " << P->func(F).Name;
-    }
-  }
-}

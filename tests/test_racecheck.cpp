@@ -10,7 +10,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/ClusterDependencies.h"
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
 #include "racecheck/RaceCheckEngine.h"
@@ -630,7 +629,6 @@ TEST(RaceCheck, ResetBehavesLikeAColdService) {
     ASSERT_FALSE(R.Warnings.empty());
     EXPECT_EQ(toReportJson(R), coldReportJson(Cfg, St, Opts));
     EXPECT_EQ(CR.FunctionsChecked, CR.Functions);
-    EXPECT_EQ(CR.PredictedInvalidated, CR.Functions);
     EXPECT_EQ(idsOf(CR.Delta.Added), idsOf(R.Warnings));
     EXPECT_TRUE(CR.Delta.Retracted.empty());
   }
@@ -659,60 +657,6 @@ TEST(RaceCheck, TouchUpdateReplaysEveryFunction) {
   RaceCheckEngine Fresh;
   EXPECT_THROW(Fresh.check(Svc.alias().engine().snapshot(), nullptr, nullptr),
                std::invalid_argument);
-}
-
-// CheckReport::PredictedInvalidated over an edit stream equals an
-// independent recomputation from the dependency cones: every edited
-// function, plus every function with a lock site once an edited
-// function lies in some lock cluster's cone.
-TEST(RaceCheck, PredictedInvalidationMatchesDependencyCones) {
-  workload::GeneratorConfig Cfg = raceConfig(10, 33);
-  std::vector<workload::ProgramEdit> Edits =
-      workload::generateEditStream(Cfg, /*NumEdits=*/20, /*StreamSeed=*/5);
-  workload::EditState St = workload::initialEditState(Cfg);
-  RaceCheckService Svc(baseOptions());
-  uint32_t LockConeHits = 0, EditedOnly = 0;
-  for (uint32_t I = 0; I <= Edits.size(); ++I) {
-    if (I > 0)
-      workload::applyEdit(St, Edits[I - 1]);
-    CheckReport CR = Svc.update(compileOk(workload::generateProgram(Cfg, St)));
-    std::shared_ptr<const query::QuerySnapshot> Snap =
-        Svc.alias().engine().snapshot();
-    const ir::Program &P = Snap->program();
-    if (I == 0) {
-      EXPECT_EQ(CR.PredictedInvalidated, P.numFuncs());
-      continue;
-    }
-    std::set<ir::FuncId> Edited;
-    for (const auto *Names :
-         {&CR.Update.ChangedFunctions, &CR.Update.AddedFunctions})
-      for (const std::string &Name : *Names)
-        if (P.findFunction(Name) != ir::InvalidFunc)
-          Edited.insert(P.findFunction(Name));
-    bool LockConeEdited = false;
-    for (ir::VarId V = 0; V < P.numVars(); ++V) {
-      if (!P.var(V).isLockPointer())
-        continue;
-      for (uint32_t CI : Snap->clustersOf(V))
-        for (ir::FuncId F : core::dependentFunctions(P, Snap->callGraph(),
-                                                     Snap->cover()[CI]))
-          LockConeEdited |= Edited.count(F) != 0;
-    }
-    std::set<ir::FuncId> Expected = Edited;
-    if (LockConeEdited)
-      for (ir::LocId L = 0; L < P.numLocs(); ++L)
-        if (P.loc(L).Kind == ir::StmtKind::Lock ||
-            P.loc(L).Kind == ir::StmtKind::Unlock)
-          Expected.insert(P.loc(L).Owner);
-    EXPECT_EQ(CR.PredictedInvalidated, Expected.size()) << "edit " << I;
-    if (LockConeEdited)
-      ++LockConeHits;
-    else if (!Edited.empty())
-      ++EditedOnly;
-  }
-  // The stream exercises both arms of the prediction.
-  EXPECT_GT(LockConeHits, 0u);
-  EXPECT_GT(EditedOnly, 0u);
 }
 
 TEST(RaceCheck, StableWarningIdsSurviveUnrelatedEdits) {
