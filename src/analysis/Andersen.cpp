@@ -19,27 +19,62 @@ AndersenAnalysis::AndersenAnalysis(const Program &P)
 AndersenAnalysis::AndersenAnalysis(const Program &P, Options Opts)
     : Prog(P), Opts(Opts) {}
 
-void AndersenAnalysis::addConstraintsFrom(const std::vector<LocId> &Stmts) {
-  for (LocId L : Stmts) {
-    const Location &Loc = Prog.loc(L);
+void AndersenAnalysis::collectConstraints(const std::vector<LocId> &Stmts) {
+  auto IsConstraint = [](const Location &Loc) {
     switch (Loc.Kind) {
     case StmtKind::Copy:
-      addCopyEdge(Loc.Rhs, Loc.Lhs);
+    case StmtKind::AddrOf:
+    case StmtKind::Alloc:
+    case StmtKind::Load:
+    case StmtKind::Store:
+      return Loc.Lhs != InvalidVar && Loc.Rhs != InvalidVar;
+    default:
+      return false;
+    }
+  };
+  Vars.clear();
+  for (LocId L : Stmts) {
+    const Location &Loc = Prog.loc(L);
+    if (!IsConstraint(Loc))
+      continue;
+    Vars.push_back(Loc.Lhs);
+    Vars.push_back(Loc.Rhs);
+  }
+  std::sort(Vars.begin(), Vars.end());
+  Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
+  NodeOf = U64FlatMap<uint32_t>();
+  NodeOf.reserve(Vars.size());
+  for (uint32_t N = 0; N < Vars.size(); ++N)
+    NodeOf[Vars[N]] = N;
+  Constraints.clear();
+  for (LocId L : Stmts) {
+    const Location &Loc = Prog.loc(L);
+    if (IsConstraint(Loc))
+      Constraints.push_back(
+          {Loc.Kind, *NodeOf.find(Loc.Lhs), *NodeOf.find(Loc.Rhs)});
+  }
+}
+
+void AndersenAnalysis::addConstraints() {
+  for (const AndersenConstraint &C : Constraints) {
+    switch (C.Kind) {
+    case StmtKind::Copy:
+      addCopyEdge(C.Rhs, C.Lhs);
       break;
     case StmtKind::AddrOf:
     case StmtKind::Alloc:
-      Pts[Reps.find(Loc.Lhs)].set(Loc.Rhs);
+      Pts[Reps.find(C.Lhs)].set(C.Rhs);
       break;
     case StmtKind::Load: {
       uint32_t Idx = static_cast<uint32_t>(Loads.size());
-      Loads.emplace_back(Loc.Rhs, Loc.Lhs);
-      LoadsAt[Reps.find(Loc.Rhs)].push_back(Idx);
+      Loads.emplace_back(C.Rhs, C.Lhs);
+      LoadsAt[Reps.find(C.Rhs)].push_back(Idx);
       break;
     }
     case StmtKind::Store: {
       uint32_t Idx = static_cast<uint32_t>(Stores.size());
-      Stores.emplace_back(Loc.Lhs, Loc.Rhs);
-      StoresAt[Reps.find(Loc.Lhs)].push_back(Idx);
+      Stores.emplace_back(C.Lhs, C.Rhs);
+      StoresAt[Reps.find(C.Lhs)].push_back(Idx);
       break;
     }
     default:
@@ -69,7 +104,8 @@ void AndersenAnalysis::run() {
 
 void AndersenAnalysis::runOn(const std::vector<LocId> &Stmts) {
   Timer T;
-  uint32_t N = Prog.numVars();
+  collectConstraints(Stmts);
+  const uint32_t N = static_cast<uint32_t>(Vars.size());
   // A fresh forest every run: merges from a previous runOn (or its HVN
   // pass) describe a different statement slice and must not leak in.
   Reps = UnionFind(N);
@@ -87,16 +123,29 @@ void AndersenAnalysis::runOn(const std::vector<LocId> &Stmts) {
   PropagatedBytes = 0;
 
   if (Opts.EnableHVN)
-    PrepStats = prepareAndersen(Prog, Stmts, Reps);
+    PrepStats = prepareAndersen(N, Constraints, Reps);
 
-  addConstraintsFrom(Stmts);
+  addConstraints();
   solve();
+
+  // Members are node ids; queries speak VarIds. Node ids order as their
+  // VarIds do, so each translated set is built in ascending order.
+  for (uint32_t V = 0; V < N; ++V) {
+    if (Reps.find(V) != V || Pts[V].empty())
+      continue;
+    SparseBitVector Translated;
+    Pts[V].forEach([&](uint32_t O) { Translated.set(Vars[O]); });
+    Pts[V] = std::move(Translated);
+  }
+  // After this, find() never writes, so concurrent pointsTo() calls are
+  // safe.
+  Reps.compressAll();
   HasRun = true;
   SolveSeconds = T.seconds();
 }
 
 void AndersenAnalysis::solve() {
-  uint32_t N = Prog.numVars();
+  const uint32_t N = static_cast<uint32_t>(Vars.size());
   const bool Diff = Opts.EnableDiffProp;
   Worklist WL(N);
   for (uint32_t V = 0; V < N; ++V)
@@ -186,7 +235,7 @@ void AndersenAnalysis::solve() {
 }
 
 void AndersenAnalysis::collapseCycles(Worklist &WL) {
-  uint32_t N = Prog.numVars();
+  const uint32_t N = static_cast<uint32_t>(Vars.size());
   // SCC over the copy graph restricted to representatives.
   SccResult Sccs = computeSccs(
       N, [this](uint32_t V, const std::function<void(uint32_t)> &Visit) {
@@ -251,7 +300,8 @@ void AndersenAnalysis::collapseCycles(Worklist &WL) {
 
 const SparseBitVector &AndersenAnalysis::pointsTo(VarId V) const {
   assert(HasRun && "query before run()");
-  return Pts[Reps.find(V)];
+  const uint32_t *Node = NodeOf.find(V);
+  return Node ? Pts[Reps.find(*Node)] : Empty;
 }
 
 std::vector<VarId> AndersenAnalysis::pointsToVars(VarId V) const {

@@ -24,7 +24,10 @@
 /// In the bootstrapping cascade the solver is also run *restricted to the
 /// statement slice of one Steensgaard partition* (runOn), which is what
 /// makes Andersen's analysis scale on programs where a whole-program run
-/// would be too slow: Steensgaard bootstraps Andersen.
+/// would be too slow: Steensgaard bootstraps Andersen. Every solve
+/// numbers the variables its statements mention densely, so a slice's
+/// solve costs time and memory in the slice's size, not the program's;
+/// run() is runOn() over every pointer assignment.
 ///
 /// Being unidirectional, Andersen points-to sets are not equivalence
 /// classes; the derived *Andersen clusters* -- sets of pointers pointing
@@ -38,6 +41,7 @@
 
 #include "analysis/AndersenPrepare.h"
 #include "ir/Ir.h"
+#include "support/FlatContainers.h"
 #include "support/SparseBitVector.h"
 #include "support/UnionFind.h"
 
@@ -79,7 +83,8 @@ public:
   /// partition (Algorithm 1).
   void runOn(const std::vector<ir::LocId> &Stmts);
 
-  /// Points-to set of \p V as a bit set over VarIds.
+  /// Points-to set of \p V as a bit set over VarIds; empty for a
+  /// variable the solved statements never mention.
   const SparseBitVector &pointsTo(ir::VarId V) const;
 
   /// Points-to set materialized as a sorted vector.
@@ -116,7 +121,10 @@ public:
   uint64_t duplicateCopyEdges() const;
 
 private:
-  void addConstraintsFrom(const std::vector<ir::LocId> &Stmts);
+  /// Numbers the variables of \p Stmts densely (Vars) and translates
+  /// their pointer assignments into Constraints over that numbering.
+  void collectConstraints(const std::vector<ir::LocId> &Stmts);
+  void addConstraints();
   bool addCopyEdge(uint32_t From, uint32_t To);
   void solve();
   /// Collapses copy-edge SCCs among representatives. Merged
@@ -130,6 +138,18 @@ private:
   const ir::Program &Prog;
   Options Opts;
 
+  /// The solve's variables: node id -> VarId, ascending, so node ids
+  /// order as their VarIds do. Every array below is indexed by node id,
+  /// and the points-to members are node ids until solve() has run,
+  /// after which they are translated to VarIds.
+  std::vector<ir::VarId> Vars;
+  /// VarId -> node id, for the variables in Vars. pointsTo() is the
+  /// query fallback's hot path, so this is a hash probe, not a search.
+  U64FlatMap<uint32_t> NodeOf;
+  std::vector<AndersenConstraint> Constraints;
+  /// pointsTo() of a variable outside Vars.
+  SparseBitVector Empty;
+
   /// Node representatives (offline HVN and online cycle elimination
   /// both merge nodes here).
   UnionFind Reps;
@@ -141,7 +161,7 @@ private:
   /// Members added to Pts since the node was last processed (only
   /// maintained under EnableDiffProp).
   std::vector<SparseBitVector> Delta;
-  /// x = *y pairs (y, x) and *x = y pairs (x, y); raw variable ids.
+  /// x = *y pairs (y, x) and *x = y pairs (x, y); node ids.
   std::vector<std::pair<ir::VarId, ir::VarId>> Loads;
   std::vector<std::pair<ir::VarId, ir::VarId>> Stores;
   /// Loads/Stores indexed by their pointer operand's representative.

@@ -111,11 +111,12 @@ uint32_t tarjanSccs(const OfflineGraph &G, std::vector<uint32_t> &Comp) {
 
 } // namespace
 
-PrepareStats analysis::prepareAndersen(const Program &P,
-                                       const std::vector<LocId> &Stmts,
-                                       UnionFind &Reps) {
+PrepareStats
+analysis::prepareAndersen(uint32_t NumVars,
+                          const std::vector<AndersenConstraint> &Constraints,
+                          UnionFind &Reps) {
   PrepareStats Stats;
-  uint32_t N = P.numVars();
+  uint32_t N = NumVars;
   Stats.VarNodes = N;
   if (N == 0)
     return Stats;
@@ -132,31 +133,28 @@ PrepareStats analysis::prepareAndersen(const Program &P,
   // One ADR label per address-taken object, assigned on first sight.
   std::vector<uint32_t> ObjLabel(N, 0);
 
-  // Two passes over the statements: count predecessor degrees, then
+  // Two passes over the constraints: count predecessor degrees, then
   // fill the CSR.
   std::vector<uint32_t> Degree(G.NumNodes + 1, 0);
-  for (LocId L : Stmts) {
-    const Location &Loc = P.loc(L);
-    if (Loc.Lhs == InvalidVar || Loc.Rhs == InvalidVar)
-      continue;
-    switch (Loc.Kind) {
+  for (const AndersenConstraint &C : Constraints) {
+    switch (C.Kind) {
     case StmtKind::Copy:
-      ++Degree[Loc.Lhs];
+      ++Degree[C.Lhs];
       break;
     case StmtKind::AddrOf:
     case StmtKind::Alloc:
-      if (ObjLabel[Loc.Rhs] == 0)
-        ObjLabel[Loc.Rhs] = NextLabel++;
-      G.AddrLabels[Loc.Lhs].push_back(ObjLabel[Loc.Rhs]);
-      G.Taken[Loc.Rhs] = 1;
+      if (ObjLabel[C.Rhs] == 0)
+        ObjLabel[C.Rhs] = NextLabel++;
+      G.AddrLabels[C.Lhs].push_back(ObjLabel[C.Rhs]);
+      G.Taken[C.Rhs] = 1;
       break;
     case StmtKind::Load: // Lhs = *Rhs
-      G.HasRef[Loc.Rhs] = 1;
-      ++Degree[Loc.Lhs];
+      G.HasRef[C.Rhs] = 1;
+      ++Degree[C.Lhs];
       break;
     case StmtKind::Store: // *Lhs = Rhs
-      G.HasRef[Loc.Lhs] = 1;
-      ++Degree[G.refNode(Loc.Lhs)];
+      G.HasRef[C.Lhs] = 1;
+      ++Degree[G.refNode(C.Lhs)];
       break;
     default:
       break;
@@ -168,19 +166,16 @@ PrepareStats analysis::prepareAndersen(const Program &P,
   G.Preds.resize(G.PredOffsets[G.NumNodes]);
   std::vector<uint32_t> Fill(G.PredOffsets.begin(),
                              G.PredOffsets.end() - 1);
-  for (LocId L : Stmts) {
-    const Location &Loc = P.loc(L);
-    if (Loc.Lhs == InvalidVar || Loc.Rhs == InvalidVar)
-      continue;
-    switch (Loc.Kind) {
+  for (const AndersenConstraint &C : Constraints) {
+    switch (C.Kind) {
     case StmtKind::Copy:
-      G.Preds[Fill[Loc.Lhs]++] = Loc.Rhs;
+      G.Preds[Fill[C.Lhs]++] = C.Rhs;
       break;
     case StmtKind::Load:
-      G.Preds[Fill[Loc.Lhs]++] = G.refNode(Loc.Rhs);
+      G.Preds[Fill[C.Lhs]++] = G.refNode(C.Rhs);
       break;
     case StmtKind::Store:
-      G.Preds[Fill[G.refNode(Loc.Lhs)]++] = Loc.Rhs;
+      G.Preds[Fill[G.refNode(C.Lhs)]++] = C.Rhs;
       break;
     default:
       break;

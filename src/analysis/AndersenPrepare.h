@@ -65,7 +65,8 @@ namespace analysis {
 
 /// Accounting of one offline preparation run.
 struct PrepareStats {
-  uint32_t VarNodes = 0;  ///< Variables in the offline universe.
+  uint32_t VarNodes = 0;  ///< Variables in the offline universe (the
+                          ///< solve's, not the program's).
   uint32_t RefNodes = 0;  ///< Materialized `*v` nodes.
   uint32_t Labels = 0;    ///< Distinct pointer-equivalence labels issued.
   /// Variables merged away because they sit in a multi-member direct
@@ -79,11 +80,21 @@ struct PrepareStats {
   uint32_t Collapsed = 0;
 };
 
-/// Runs the offline HVN pass over the constraint-relevant statements
-/// \p Stmts of \p P and records every provable equivalence as a merge
-/// in \p Reps (which must already span P.numVars() singletons).
-PrepareStats prepareAndersen(const ir::Program &P,
-                             const std::vector<ir::LocId> &Stmts,
+/// One inclusion constraint of a solve, over the solve's dense variable
+/// numbering: Kind is Copy (Lhs = Rhs), AddrOf or Alloc (Lhs = &Rhs),
+/// Load (Lhs = *Rhs) or Store (*Lhs = Rhs).
+struct AndersenConstraint {
+  ir::StmtKind Kind;
+  uint32_t Lhs;
+  uint32_t Rhs;
+};
+
+/// Runs the offline HVN pass over \p Constraints, whose variables are
+/// numbered densely below \p NumVars, and records every provable
+/// equivalence as a merge in \p Reps (which must already span
+/// \p NumVars singletons).
+PrepareStats prepareAndersen(uint32_t NumVars,
+                             const std::vector<AndersenConstraint> &Constraints,
                              UnionFind &Reps);
 
 } // namespace analysis

@@ -303,7 +303,9 @@ ClusterRunResult BootstrapDriver::analyzeCluster(const Cluster &C) const {
     }
   }
 
-  fscs::ClusterAliasAnalysis AA(Prog, *CG, *Steens, C, Opts.EngineOpts);
+  fscs::ClusterAliasAnalysis AA(
+      Prog, *CG, *Steens, C, Opts.EngineOpts,
+      std::make_unique<fscs::AndersenOracle>(Prog, C));
   AA.prepare();
   // Workload: the points-to set of every member pointer at its owning
   // function's exit (globals: at the entry function's exit).

@@ -205,7 +205,9 @@ support::Digest
 ScopeKeyIndex::key(const Cluster &C,
                    const fscs::SummaryEngine::Options &Opts) const {
   support::ContentHasher H;
-  H.u64(0x53434f50'454b5932ull); // "SCOPEKY2"
+  // "SCOPEKY3": runs consult the slice's Andersen oracle, so a record
+  // written by the Steensgaard-only engine must never replay.
+  H.u64(0x53434f50'454b5933ull);
 
   H.u64(Opts.MaxCondAtoms);
   H.u64(Opts.MaxResultsPerKey);

@@ -30,9 +30,10 @@ ClusterAliasAnalysis::ClusterAliasAnalysis(
 ClusterAliasAnalysis::ClusterAliasAnalysis(
     const Program &P, const CallGraph &CG,
     const analysis::SteensgaardAnalysis &Steens, const core::Cluster &C,
-    SummaryEngine::Options Opts)
+    SummaryEngine::Options Opts, std::unique_ptr<AndersenOracle> Oracle)
     : Prog(P), Steens(Steens), Clu(C),
-      Engine(std::make_unique<SummaryEngine>(P, CG, Steens, C, Opts)) {}
+      Engine(std::make_unique<SummaryEngine>(P, CG, Steens, C, Opts,
+                                             std::move(Oracle))) {}
 
 void ClusterAliasAnalysis::prepare() {
   if (Prepared)

@@ -26,6 +26,7 @@
 #define BSAA_FSCS_CLUSTERALIASANALYSIS_H
 
 #include "core/Cluster.h"
+#include "fscs/AndersenOracle.h"
 #include "fscs/Dovetail.h"
 #include "fscs/SummaryEngine.h"
 #include "ir/CallGraph.h"
@@ -56,9 +57,12 @@ public:
   ClusterAliasAnalysis(const ir::Program &P, const ir::CallGraph &CG,
                        const analysis::SteensgaardAnalysis &Steens,
                        const core::Cluster &C);
+  /// \p Oracle is handed to the engine (see SummaryEngine's
+  /// constructor); the cascade and query serving always pass one.
   ClusterAliasAnalysis(const ir::Program &P, const ir::CallGraph &CG,
                        const analysis::SteensgaardAnalysis &Steens,
-                       const core::Cluster &C, SummaryEngine::Options Opts);
+                       const core::Cluster &C, SummaryEngine::Options Opts,
+                       std::unique_ptr<AndersenOracle> Oracle = nullptr);
 
   /// Runs the dovetail warmup (Algorithm 2). Queries run it lazily if
   /// needed; calling it explicitly makes timing measurements cleaner.

@@ -3,6 +3,7 @@
 #include "fscs/SummaryEngine.h"
 
 #include "analysis/Steensgaard.h"
+#include "fscs/AndersenOracle.h"
 
 #include <algorithm>
 #include <cassert>
@@ -44,13 +45,17 @@ SummaryEngine::SummaryEngine(const Program &P, const CallGraph &CG,
 
 SummaryEngine::SummaryEngine(const Program &P, const CallGraph &CG,
                              const analysis::SteensgaardAnalysis &Steens,
-                             const core::Cluster &C, Options Opts)
-    : Prog(P), CG(CG), Steens(Steens), Clu(C), Opts(Opts) {
+                             const core::Cluster &C, Options Opts,
+                             std::unique_ptr<AndersenOracle> Oracle)
+    : Prog(P), CG(CG), Steens(Steens), Clu(C), Opts(Opts),
+      Oracle(std::move(Oracle)) {
   InSlice.assign(P.numLocs(), 0);
   for (LocId L : C.Statements)
     InSlice[L] = 1;
   buildModifyInfo();
 }
+
+SummaryEngine::~SummaryEngine() = default;
 
 //===--------------------------------------------------------------------===//
 // Per-function modification info
@@ -502,7 +507,8 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
     case StmtKind::Load: {
       // s = *t: *s is *(*t). Resolve the inner dereference through the
       // FSCI points-to set of t (known: enumerate; unknown: enumerate
-      // the Steensgaard pointee partition with constraints).
+      // the Steensgaard pointee partition with constraints, less the
+      // members the oracle rules out).
       VarId TVar = Loc.Rhs;
       const SparseBitVector *Pts = fsciIfKnown(TVar, M);
       std::vector<VarId> &Candidates = CandidateBuf;
@@ -511,8 +517,17 @@ void SummaryEngine::transfer(LocId M, Ref Q, const Condition &Cond,
         Pts->forEach([&](uint32_t O) { Candidates.push_back(O); });
       } else {
         uint32_t Succ = Steens.pointsToPartition(Steens.partitionOf(TVar));
-        if (Succ != analysis::InvalidPartition)
-          Candidates = Steens.partitionMembers(Succ);
+        if (Succ != analysis::InvalidPartition) {
+          const std::vector<VarId> &Members = Steens.partitionMembers(Succ);
+          if (Oracle) {
+            const SparseBitVector &Allowed = Oracle->pointsTo(TVar);
+            for (VarId O : Members)
+              if (Allowed.test(O))
+                Candidates.push_back(O);
+          } else {
+            Candidates = Members;
+          }
+        }
       }
       if (Candidates.size() > Opts.MaxDerefFanout) {
         flagApproximated();
@@ -571,17 +586,25 @@ bool SummaryEngine::mayPointTo(VarId U, VarId V, LocId M, bool &Definite) {
     Definite = Pts->count() == 1;
     return true;
   }
-  return true; // Unknown: branch with constraints.
+  // Unknown: branch with constraints, unless the oracle rules V out. An
+  // oracle singleton is flow-insensitive and proves no strong update.
+  return !Oracle || Oracle->pointsTo(U).test(V);
 }
 
 bool SummaryEngine::mayAliasAt(VarId U, VarId S, LocId M) {
   if (!Steens.mayAlias(U, S) && U != S)
     return false;
-  const SparseBitVector *PU = fsciIfKnown(U, M);
-  const SparseBitVector *PS = fsciIfKnown(S, M);
+  const SparseBitVector *PU = knownOrOracleSet(U, M);
+  const SparseBitVector *PS = knownOrOracleSet(S, M);
   if (PU && PS)
     return PU->intersects(*PS);
   return true;
+}
+
+const SparseBitVector *SummaryEngine::knownOrOracleSet(VarId V, LocId M) {
+  if (const SparseBitVector *Known = fsciIfKnown(V, M))
+    return Known;
+  return Oracle ? &Oracle->pointsTo(V) : nullptr;
 }
 
 const SparseBitVector *SummaryEngine::fsciIfKnown(VarId V,

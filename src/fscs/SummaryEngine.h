@@ -36,7 +36,11 @@
 /// paper's dovetailing (Algorithm 2). When the set is not yet known
 /// (cyclic points-to or in-flight recursion), the engine falls back to
 /// branching with points-to constraints (Definition 8), exactly as the
-/// paper prescribes for the cyclic case.
+/// paper prescribes for the cyclic case. Which targets it branches on
+/// comes from the Steensgaard pointee partition (the paper's Algorithm
+/// 4) or, when the engine is given one, from an AndersenOracle over the
+/// cluster's slice, which rules out the partition members Andersen
+/// proves unreachable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,6 +66,8 @@ class SteensgaardAnalysis;
 } // namespace analysis
 
 namespace fscs {
+
+class AndersenOracle;
 
 /// One summary tuple: the value of Anchor at AnchorLoc may come from
 /// Origin under Cond. Origin is either resolved (an address: Deref ==
@@ -115,9 +121,16 @@ public:
   SummaryEngine(const ir::Program &P, const ir::CallGraph &CG,
                 const analysis::SteensgaardAnalysis &Steens,
                 const core::Cluster &C);
+  /// \p Oracle, when given, answers where the FSCI set of a pointer is
+  /// unknown: a target it rules out is never forked on, and a
+  /// dereference enumerates only the pointee-partition members it
+  /// allows. Without it the engine is the paper's Steensgaard-only
+  /// Algorithm 4. An oracle answer never proves a strong update.
   SummaryEngine(const ir::Program &P, const ir::CallGraph &CG,
                 const analysis::SteensgaardAnalysis &Steens,
-                const core::Cluster &C, Options Opts);
+                const core::Cluster &C, Options Opts,
+                std::unique_ptr<AndersenOracle> Oracle = nullptr);
+  ~SummaryEngine();
 
   /// Origins of \p R's value immediately *after* executing \p AnchorLoc.
   std::vector<SummaryTuple> summaryAt(ir::LocId AnchorLoc, ir::Ref R);
@@ -343,6 +356,9 @@ private:
   bool mayPointTo(ir::VarId U, ir::VarId V, ir::LocId M, bool &Definite);
   /// May pointers \p U and \p S point to the same object before \p M?
   bool mayAliasAt(ir::VarId U, ir::VarId S, ir::LocId M);
+  /// The FSCI set of \p V before \p M if known, else the oracle's set,
+  /// else nullptr (anything may be a target).
+  const SparseBitVector *knownOrOracleSet(ir::VarId V, ir::LocId M);
 
   //===--------------------------------------------------------------===//
   // FSCI machinery (Algorithm 3, demand-driven)
@@ -385,6 +401,7 @@ private:
   const analysis::SteensgaardAnalysis &Steens;
   const core::Cluster &Clu;
   Options Opts;
+  std::unique_ptr<AndersenOracle> Oracle; ///< Null: Steensgaard only.
 
   std::vector<uint8_t> InSlice; ///< Location -> in St_P.
 

@@ -146,9 +146,12 @@ QuerySnapshot::acquire(uint32_t ClusterIdx) const {
 }
 
 void QuerySnapshot::materializeLocked(uint32_t ClusterIdx, Entry &E) const {
+  // The cascade's engine configuration, oracle included: an adopted
+  // state must keep growing exactly as the run that exported it would.
+  const core::Cluster &C = cover()[ClusterIdx];
   auto AA = std::make_unique<fscs::ClusterAliasAnalysis>(
-      *Prog, callGraph(), steensgaard(), cover()[ClusterIdx],
-      Opts.EngineOpts);
+      *Prog, callGraph(), steensgaard(), C, Opts.EngineOpts,
+      std::make_unique<fscs::AndersenOracle>(*Prog, C));
   NumMaterializations.fetch_add(1, std::memory_order_relaxed);
   // The summary cache never evicts and flagged clusters never get
   // here (they go to the fallback chain first), so a snapshot built

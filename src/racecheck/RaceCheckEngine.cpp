@@ -204,7 +204,7 @@ RaceCheckEngine::buildWarnings(const VarSites &E) {
 
 CheckReport
 RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
-                       const core::UpdateReport *Update,
+                       const core::UpdateReport * /*Update*/,
                        const std::vector<FunctionFingerprint> *FPs) {
   assert(Snap && "check() needs a snapshot");
   // The facts cache keys lock sites by their clusters' run keys.
@@ -217,8 +217,6 @@ RaceCheckEngine::check(std::shared_ptr<const query::QuerySnapshot> Snap,
         "RaceCheckEngine::check needs the driver's function fingerprints");
   Timer T;
   CheckReport CR;
-  if (Update)
-    CR.Update = *Update;
   bool FirstCheck = UpdateOrdinal == 0;
   ++UpdateOrdinal;
 

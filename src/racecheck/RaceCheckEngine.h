@@ -74,10 +74,6 @@ namespace racecheck {
 
 /// What one re-check did and what it reused.
 struct CheckReport {
-  /// The alias-layer report for the same edit batch (zeroed when the
-  /// engine is driven directly without an IncrementalDriver).
-  core::UpdateReport Update;
-
   uint32_t Functions = 0;
   /// Functions whose lockset facts were recomputed this round.
   uint32_t FunctionsChecked = 0;
@@ -107,9 +103,9 @@ public:
   /// \p Snap must carry its runs' summary-cache keys
   /// (QuerySnapshot::hasClusterKeys; e.g. built from an
   /// IncrementalDriver's runs), else std::invalid_argument is thrown.
-  /// \p Update, when non-null, is the alias-layer report of the edit
-  /// batch that produced \p Snap; it is copied into
-  /// CheckReport::Update and decides nothing. \p FPs are the driver's
+  /// \p Update, the alias-layer report of the edit batch that produced
+  /// \p Snap (or null), is not read: the facts-cache keys alone decide
+  /// what re-runs. \p FPs are the driver's
   /// function fingerprints for the same program
   /// (IncrementalDriver::functionFingerprints); null throws
   /// std::invalid_argument.

@@ -12,6 +12,7 @@
 #include "core/RelevantStatements.h"
 #include "frontend/Diagnostics.h"
 #include "frontend/Lower.h"
+#include "fscs/AndersenOracle.h"
 #include "fscs/ClusterAliasAnalysis.h"
 #include "fscs/SummaryEngine.h"
 #include "ir/CallGraph.h"
@@ -319,6 +320,23 @@ TEST(Fscs, Figure5BarConditionalTuples) {
   }
   EXPECT_TRUE(FoundD);
   EXPECT_TRUE(FoundB);
+}
+
+TEST(Fscs, Figure5AndersenOraclePrunesPointsToB) {
+  // The same question with Andersen over the slice as the oracle: x is
+  // only ever assigned &c and w (which is assigned u, which nothing
+  // assigns), so A(x) = {c}. x cannot point to b at 1c, 1c cannot
+  // overwrite b, and bar's summary for a is the single tuple
+  // (a, 2c, b, true) -- the x -> b fork is pruned.
+  Compiled C = compile(Figure5Program);
+  SummaryEngine Engine(*C.Prog, *C.CG, *C.Steens, C.Whole,
+                       SummaryEngine::Options(),
+                       std::make_unique<AndersenOracle>(*C.Prog, C.Whole));
+  std::vector<SummaryTuple> Tuples =
+      Engine.summaryAt(C.label("2c"), ir::Ref::direct(C.var("a")));
+  ASSERT_EQ(Tuples.size(), 1u);
+  EXPECT_EQ(Tuples[0].Origin, ir::Ref::direct(C.var("b")));
+  EXPECT_TRUE(Tuples[0].Cond.isTrue());
 }
 
 //===--------------------------------------------------------------------===//

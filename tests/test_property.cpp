@@ -156,17 +156,26 @@ std::unique_ptr<ir::Program> generate(uint64_t Seed) {
   return P;
 }
 
+/// The Andersen oracle over \p C's slice when \p On, else none (the
+/// paper's Steensgaard-only engine).
+std::unique_ptr<fscs::AndersenOracle> oracleIf(bool On, const ir::Program &P,
+                                               const core::Cluster &C) {
+  return On ? std::make_unique<fscs::AndersenOracle>(P, C) : nullptr;
+}
+
 /// Checks every \p SampleEvery-th observed fact against the whole-
 /// program FSCS answer: interpreter ⊆ FSCS. Returns the facts checked.
 uint32_t expectObservationsInFscs(const ir::Program &P,
                                   const Interpreter::Observations &Obs,
                                   uint32_t SampleEvery,
-                                  const std::string &What) {
+                                  const std::string &What,
+                                  bool WithOracle = false) {
   ir::CallGraph CG(P);
   analysis::SteensgaardAnalysis S(P);
   S.run();
   core::Cluster Whole = core::wholeProgramCluster(P);
-  fscs::ClusterAliasAnalysis AA(P, CG, S, Whole);
+  fscs::ClusterAliasAnalysis AA(P, CG, S, Whole, fscs::SummaryEngine::Options(),
+                                oracleIf(WithOracle, P, Whole));
 
   uint32_t Seen = 0, Checked = 0;
   for (const auto &[Where, Objects] : Obs) {
@@ -186,19 +195,62 @@ uint32_t expectObservationsInFscs(const ir::Program &P,
   return Checked;
 }
 
+void fscsIsSoundAgainstConcreteExecutions(uint64_t Seed, bool WithOracle) {
+  auto P = generate(Seed);
+  if (!P)
+    return;
+  Interpreter Interp(*P, Seed * 31 + 7);
+  Interpreter::Observations Obs = Interp.run(60, 3000);
+  // Sample to keep the test fast: every 7th fact.
+  expectObservationsInFscs(*P, Obs, 7, "seed " + std::to_string(Seed),
+                           WithOracle);
+}
+
+/// Per-cluster FSCS answers equal the whole-program run's, with the
+/// Andersen oracle on both sides or on neither.
+void cascadeAgreesWithWholeProgram(uint64_t Seed, bool WithOracle) {
+  auto P = generate(Seed);
+  if (!P)
+    return;
+  core::BootstrapOptions Opts;
+  Opts.AndersenThreshold = 4; // Force Andersen splitting.
+  core::BootstrapDriver Driver(*P, Opts);
+  const analysis::SteensgaardAnalysis &S = Driver.steensgaard();
+  std::vector<core::Cluster> Cover = Driver.buildCover();
+
+  core::Cluster Whole = core::wholeProgramCluster(*P);
+  fscs::ClusterAliasAnalysis WholeAA(*P, Driver.callGraph(), S, Whole,
+                                     fscs::SummaryEngine::Options(),
+                                     oracleIf(WithOracle, *P, Whole));
+
+  for (const core::Cluster &C : Cover) {
+    fscs::ClusterAliasAnalysis AA(*P, Driver.callGraph(), S, C,
+                                  fscs::SummaryEngine::Options(),
+                                  oracleIf(WithOracle, *P, C));
+    uint32_t Checked = 0;
+    for (ir::VarId V : C.Members) {
+      if (!P->var(V).isPointer() || ++Checked > 5)
+        continue;
+      ir::FuncId Owner = P->var(V).Owner != ir::InvalidFunc
+                             ? P->var(V).Owner
+                             : P->entryFunction();
+      if (Owner == ir::InvalidFunc)
+        continue;
+      ir::LocId At = P->func(Owner).Exit;
+      EXPECT_EQ(AA.pointsTo(V, At).Objects,
+                WholeAA.pointsTo(V, At).Objects)
+          << "cluster/whole mismatch for " << P->var(V).Name << " (seed "
+          << Seed << ", oracle " << WithOracle << ")";
+    }
+  }
+}
+
 } // namespace
 
 class RandomPrograms : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomPrograms, FscsIsSoundAgainstConcreteExecutions) {
-  auto P = generate(GetParam());
-  if (!P)
-    return;
-  Interpreter Interp(*P, GetParam() * 31 + 7);
-  Interpreter::Observations Obs = Interp.run(60, 3000);
-  // Sample to keep the test fast: every 7th fact.
-  expectObservationsInFscs(*P, Obs, 7,
-                           "seed " + std::to_string(GetParam()));
+  fscsIsSoundAgainstConcreteExecutions(GetParam(), false);
 }
 
 TEST(ConcreteExecutions, FscsIsSoundWhenMainIsCalled) {
@@ -321,36 +373,7 @@ TEST_P(RandomPrograms, MonolithicReferenceSandwich) {
 }
 
 TEST_P(RandomPrograms, CascadeAgreesWithWholeProgram) {
-  auto P = generate(GetParam());
-  if (!P)
-    return;
-  core::BootstrapOptions Opts;
-  Opts.AndersenThreshold = 4; // Force Andersen splitting.
-  core::BootstrapDriver Driver(*P, Opts);
-  const analysis::SteensgaardAnalysis &S = Driver.steensgaard();
-  std::vector<core::Cluster> Cover = Driver.buildCover();
-
-  core::Cluster Whole = core::wholeProgramCluster(*P);
-  fscs::ClusterAliasAnalysis WholeAA(*P, Driver.callGraph(), S, Whole);
-
-  for (const core::Cluster &C : Cover) {
-    fscs::ClusterAliasAnalysis AA(*P, Driver.callGraph(), S, C);
-    uint32_t Checked = 0;
-    for (ir::VarId V : C.Members) {
-      if (!P->var(V).isPointer() || ++Checked > 5)
-        continue;
-      ir::FuncId Owner = P->var(V).Owner != ir::InvalidFunc
-                             ? P->var(V).Owner
-                             : P->entryFunction();
-      if (Owner == ir::InvalidFunc)
-        continue;
-      ir::LocId At = P->func(Owner).Exit;
-      EXPECT_EQ(AA.pointsTo(V, At).Objects,
-                WholeAA.pointsTo(V, At).Objects)
-          << "cluster/whole mismatch for " << P->var(V).Name << " (seed "
-          << GetParam() << ")";
-    }
-  }
+  cascadeAgreesWithWholeProgram(GetParam(), false);
 }
 
 TEST_P(RandomPrograms, PartitionRestrictedAliasCountsMatchNaive) {
@@ -376,6 +399,69 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9,
                                            10));
 
+// The cascade's configuration: every engine, the whole-program one
+// included, consults the Andersen oracle over its own slice.
+class RandomProgramsAndersenOracle
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomProgramsAndersenOracle, FscsIsSoundAgainstConcreteExecutions) {
+  fscsIsSoundAgainstConcreteExecutions(GetParam(), true);
+}
+
+TEST_P(RandomProgramsAndersenOracle, CascadeAgreesWithWholeProgram) {
+  cascadeAgreesWithWholeProgram(GetParam(), true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramsAndersenOracle,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                           10));
+
+TEST(AndersenOracle, SliceSetsEqualWholeProgramSetsOnTrackedPointers) {
+  // The oracle's soundness (DESIGN.md, "Andersen bootstraps the
+  // engine"): Algorithm 1 puts every constraint that reaches a direct
+  // member of V_P into St_P, so on those pointers -- every Store base
+  // and Load source of St_P among them -- Andersen over the slice
+  // computes exactly the whole program's sets.
+  uint64_t Checked = 0, Dereferenced = 0;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    auto P = generate(Seed);
+    ASSERT_TRUE(P != nullptr);
+    core::BootstrapOptions Opts;
+    Opts.AndersenThreshold = 4; // Andersen clusters as well as partitions.
+    core::BootstrapDriver Driver(*P, Opts);
+    std::vector<core::Cluster> Cover = Driver.buildCover();
+    analysis::AndersenAnalysis Whole(*P);
+    Whole.run();
+    for (const core::Cluster &C : Cover) {
+      fscs::AndersenOracle Oracle(*P, C);
+      std::vector<ir::VarId> Direct;
+      for (const ir::Ref &R : C.TrackedRefs)
+        if (R.Deref == 0)
+          Direct.push_back(R.Var);
+      for (ir::VarId V : Direct) {
+        ++Checked;
+        EXPECT_TRUE(Oracle.pointsTo(V) == Whole.pointsTo(V))
+            << "slice set of " << P->var(V).Name << " differs (seed "
+            << Seed << ")";
+      }
+      for (ir::LocId L : C.Statements) {
+        const ir::Location &Loc = P->loc(L);
+        ir::VarId Base = Loc.Kind == ir::StmtKind::Store  ? Loc.Lhs
+                         : Loc.Kind == ir::StmtKind::Load ? Loc.Rhs
+                                                          : ir::InvalidVar;
+        if (Base == ir::InvalidVar)
+          continue;
+        ++Dereferenced;
+        EXPECT_TRUE(std::binary_search(Direct.begin(), Direct.end(), Base))
+            << P->var(Base).Name << " is dereferenced in St_P but not "
+            << "tracked (seed " << Seed << ")";
+      }
+    }
+  }
+  EXPECT_GT(Checked, 1000u);
+  EXPECT_GT(Dereferenced, 100u);
+}
+
 //===--------------------------------------------------------------------===//
 // Differential oracle: bootstrapped cascade vs whole-program baseline
 //===--------------------------------------------------------------------===//
@@ -395,7 +481,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
 //  * baseline truncated -> no containment claim holds in either
 //    direction; the case is skipped (and counted, to ensure the budget
 //    is not silently swallowing the whole corpus).
-TEST(DifferentialOracle, BootstrappedMatchesWholeProgramOn200Seeds) {
+namespace {
+
+void bootstrappedMatchesWholeProgramOn200Seeds(bool WithOracle) {
   uint32_t CheckedQueries = 0;
   uint32_t SkippedIncompleteBaseline = 0;
 
@@ -413,10 +501,13 @@ TEST(DifferentialOracle, BootstrappedMatchesWholeProgramOn200Seeds) {
     BaselineOpts.StepBudget = 150000;
     core::Cluster Whole = core::wholeProgramCluster(*P);
     fscs::ClusterAliasAnalysis WholeAA(*P, Driver.callGraph(), S, Whole,
-                                       BaselineOpts);
+                                       BaselineOpts,
+                                       oracleIf(WithOracle, *P, Whole));
 
     for (const core::Cluster &C : Cover) {
-      fscs::ClusterAliasAnalysis AA(*P, Driver.callGraph(), S, C);
+      fscs::ClusterAliasAnalysis AA(*P, Driver.callGraph(), S, C,
+                                    fscs::SummaryEngine::Options(),
+                                    oracleIf(WithOracle, *P, C));
       uint32_t PerCluster = 0;
       for (ir::VarId V : C.Members) {
         if (!P->var(V).isPointer() || ++PerCluster > 3)
@@ -453,4 +544,15 @@ TEST(DifferentialOracle, BootstrappedMatchesWholeProgramOn200Seeds) {
   // swallowed everything, the test would vacuously pass.
   EXPECT_GT(CheckedQueries, 1000u);
   EXPECT_LT(SkippedIncompleteBaseline, CheckedQueries);
+}
+
+} // namespace
+
+TEST(DifferentialOracle, BootstrappedMatchesWholeProgramOn200Seeds) {
+  bootstrappedMatchesWholeProgramOn200Seeds(false);
+}
+
+// The cascade's configuration, with the oracle on both sides.
+TEST(DifferentialOracle, BootstrappedMatchesWholeProgramOn200SeedsWithOracle) {
+  bootstrappedMatchesWholeProgramOn200Seeds(true);
 }

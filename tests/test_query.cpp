@@ -115,7 +115,9 @@ std::vector<ir::VarId> pointerVars(const ir::Program &P) {
 
 /// Checks every pointer pair and every pointer's points-to set of one
 /// snapshot against a fresh whole-program FSCS baseline, with
-/// whole-program Andersen as the soundness corroborator. The engine
+/// whole-program Andersen as the soundness corroborator. The baseline
+/// runs the cascade's engine configuration, Andersen oracle included,
+/// so like is compared with like. The engine
 /// may be *more precise* than the monolithic baseline -- the smaller
 /// per-cluster problems resolve exactly where the whole-program engine
 /// had to widen (the paper's precision argument for bootstrapping) --
@@ -135,7 +137,9 @@ size_t checkAgainstBaseline(const QuerySnapshot &Snap, const ir::Program &P,
   Steens.run();
   ir::CallGraph CG(P);
   core::Cluster Whole = core::wholeProgramCluster(P);
-  fscs::ClusterAliasAnalysis Baseline(P, CG, Steens, Whole);
+  fscs::ClusterAliasAnalysis Baseline(
+      P, CG, Steens, Whole, fscs::SummaryEngine::Options(),
+      std::make_unique<fscs::AndersenOracle>(P, Whole));
   analysis::AndersenAnalysis And(P);
   And.run();
 

@@ -155,6 +155,10 @@ TEST(ServingStress, ConcurrentReadersSurviveContinuousPublishes) {
   std::atomic<uint64_t> BatchesRead{0};
   for (int R = 0; R < 3; ++R)
     Readers.emplace_back([&] {
+      // Start once B's publishes have: warm reads can otherwise finish
+      // all their rounds before the publisher's first submission.
+      while (SubmittedB.load(std::memory_order_relaxed) == 0)
+        std::this_thread::yield();
       for (int Round = 0; Round < 40; ++Round) {
         std::vector<uint8_t> Verdicts = Reg.evalMayAlias(A, Batch);
         ASSERT_EQ(Verdicts.size(), Batch.size());
